@@ -162,8 +162,9 @@ def _out_dir(args) -> Path:
 
 # -- CSV writers ------------------------------------------------------------
 
-CSV_FLOAT = "{:.12g}"
+CSV_FLOAT = "%.12g"
 MAX_CSV_ROWS = 10_000
+CSV_BLOCK_CELLS = 8192  # cells stacked and formatted together (a 64 KiB block)
 
 
 def _csv_order(n: int) -> list[int]:
@@ -176,13 +177,14 @@ def write_trajectory_csv(path, traj: solver.Trajectory) -> None:
     order = _csv_order(traj.n)
     header = "t," + ",".join(state_label(k) for k in order) + ",mean"
     stride = max(1, math.ceil(len(traj.times) / MAX_CSV_ROWS))
+    row = ",".join([CSV_FLOAT] * (traj.n + 2)) + "\n"
+    span = stride * max(1, CSV_BLOCK_CELLS // (traj.n + 2))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(traj.times), stride):
-            cells = [CSV_FLOAT.format(traj.times[i])]
-            cells.extend(CSV_FLOAT.format(traj.probs[i, k]) for k in order)
-            cells.append(CSV_FLOAT.format(traj.mean[i]))
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, len(traj.times), span):
+            rows = slice(lo, lo + span, stride)
+            block = np.column_stack([traj.times[rows], traj.probs[rows][:, order], traj.mean[rows]])
+            fh.writelines(row % tuple(cells.tolist()) for cells in block)
 
 
 def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
@@ -191,8 +193,8 @@ def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
         for i, t in enumerate(est.times):
             for k in range(est.counts.shape[1]):
                 fh.write(
-                    f"{CSV_FLOAT.format(t)},{state_label(k)},"
-                    f"{CSV_FLOAT.format(est.estimates[i, k])},{CSV_FLOAT.format(est.stderrs[i, k])}\n"
+                    f"{CSV_FLOAT % t},{state_label(k)},"
+                    f"{CSV_FLOAT % est.estimates[i, k]},{CSV_FLOAT % est.stderrs[i, k]}\n"
                 )
 
 
@@ -217,13 +219,16 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# Solver failures that solve and compare report as "<command> failed: ..." (exit 1).
+SOLVE_ERRORS = (solver.MixingHorizonError, solver.TruncationLimitError, solver.StepSizeError,
+                solver.FitWindowError)
+
+
 def _solve_pipeline(cfg: ModelConfig, settings: SolveSettings, weights: WeightSequence | None):
     """Shared machinery for solve and compare: regime, fits, contraction."""
-    if settings.n is None:
-        settings = replace(settings, n=solver.choose_truncation(cfg.spec, settings))
     regime = solver.limiting_regime(cfg.spec, settings)
     fit = solver.decay_fit(regime.from_empty, regime.from_far, weights)
-    return settings, regime, fit
+    return replace(settings, n=regime.from_empty.n), regime, fit
 
 
 def cmd_solve(args) -> int:
@@ -239,8 +244,7 @@ def cmd_solve(args) -> int:
     settings = resolve_solve_settings(cfg, args)
     try:
         settings, regime, fit = _solve_pipeline(cfg, settings, cert.weights if cert else None)
-    except (solver.MixingHorizonError, solver.TruncationLimitError, solver.StepSizeError,
-            solver.FitWindowError) as exc:
+    except SOLVE_ERRORS as exc:
         print(f"solve failed: {exc}")
         return 1
 
@@ -342,8 +346,7 @@ def cmd_compare(args) -> int:
         settings, regime, fit = _solve_pipeline(cfg, settings, cert.weights)
         avg_cfg = replace(cfg, spec=cfg.spec.averaged())
         _, regime_avg, fit_avg = _solve_pipeline(avg_cfg, settings, cert.weights)
-    except (solver.MixingHorizonError, solver.TruncationLimitError, solver.StepSizeError,
-            solver.FitWindowError) as exc:
+    except SOLVE_ERRORS as exc:
         print(f"compare failed: {exc}")
         return 1
     check = solver.contraction_check(
@@ -376,8 +379,8 @@ def cmd_compare(args) -> int:
     with open(out / "agreement.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("t,state,mc_estimate,ode_prob,stderr,within_3se\n")
         for t, lbl, mc, ode, se, ok in rows:
-            fh.write(f"{CSV_FLOAT.format(t)},{lbl},{CSV_FLOAT.format(mc)},"
-                     f"{CSV_FLOAT.format(ode)},{CSV_FLOAT.format(se)},{int(ok)}\n")
+            fh.write(f"{CSV_FLOAT % t},{lbl},{CSV_FLOAT % mc},"
+                     f"{CSV_FLOAT % ode},{CSV_FLOAT % se},{int(ok)}\n")
 
     cert = bounds.with_measured_prefactor(cert, check.prefactor_measured)
     (out / "certificate.txt").write_text(bounds.certificate_report(cert, cfg.spec))
@@ -474,12 +477,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except bounds.NotErgodicError as exc:
         print(f"ergodicity not certified: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # ConfigError and invalid values such as --paths 10 or --n 3
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,8 +7,14 @@ dynamics preserve the probability mass and the recorded pre-projection
 defect is pure floating-point residue; a defect above the step-failure
 threshold signals a step size that is genuinely too coarse.
 
+The rates are evaluated as arrays once per integration, in chunks of
+RATE_CHUNK steps, on the three stage grids t, t + h/2 and t + h; the stage
+times are built with the same expressions as a scalar evaluation, so the
+trajectory is bit-identical to calling the rates at every stage.
+
 Truncation level is controlled empirically by doubling the state count until
-the mean curve stops moving.
+the mean curve stops moving.  `limiting_regime` runs that search itself when
+no n is given and reuses the empty-start trajectory it ends with.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .model import ModelSpec, job_counts
 STEP_DEFECT_LIMIT = 1e-6
 TRUNCATION_CAP = 4096
 SAMPLE_TARGET = 8000
+RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
 
 
 class StepSizeError(RuntimeError):
@@ -51,7 +58,7 @@ class FitWindowError(RuntimeError):
 class SolveSettings:
     """Integration controls.
 
-    n may be left None and resolved by `choose_truncation`.
+    n may be left None; `limiting_regime` then runs the truncation search.
     """
 
     n: int | None = None
@@ -163,6 +170,17 @@ def _project(p: np.ndarray) -> None:
     p[int(np.argmax(p))] -= p.sum() - 1.0
 
 
+def _stage_rates(spec: ModelSpec, t0: float, h: float, lo: int, hi: int) -> np.ndarray:
+    """Rows (lambda, mu1, mu2) at the stage times of steps lo..hi-1.
+
+    Rows [0, m) hold the step starts t0 + i*h, rows [m, 2m) the half steps and
+    rows [2m, 3m) the step ends, with m = hi - lo.
+    """
+    t = t0 + np.arange(lo, hi) * h
+    grid = np.concatenate([t, t + h / 2, t + h])
+    return np.stack([spec.lam(grid), spec.mu1(grid), spec.mu2(grid)], axis=1)
+
+
 def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> Trajectory:
     """RK4 integration over [t0, t0 + horizon] from a probability vector p0."""
     if settings.n is None:
@@ -178,11 +196,6 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
     n_steps = int(round(settings.horizon / h))
     stride = _sample_stride(n_steps, h)
     R = rate_parts(n, conservative=True).reshape(3 * n, n)
-    lam_f, mu1_f, mu2_f = spec.lam, spec.mu1, spec.mu2
-
-    def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        rates = np.array([lam_f(t), mu1_f(t), mu2_f(t)])
-        return rates @ (R @ p).reshape(3, n)
 
     sample_idx = list(range(0, n_steps + 1, stride))
     if sample_idx[-1] != n_steps:
@@ -210,11 +223,15 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
             si += 1
         if i == n_steps:
             break
-        t = t0 + i * h
-        k1 = rhs(t, p)
-        k2 = rhs(t + h / 2, p + (h / 2) * k1)
-        k3 = rhs(t + h / 2, p + (h / 2) * k2)
-        k4 = rhs(t + h, p + h * k3)
+        j = i % RATE_CHUNK
+        if j == 0:
+            chunk = _stage_rates(spec, t0, h, i, min(i + RATE_CHUNK, n_steps))
+            span = len(chunk) // 3
+        rates, half_rates, end_rates = chunk[j], chunk[span + j], chunk[2 * span + j]
+        k1 = rates @ (R @ p).reshape(3, n)
+        k2 = half_rates @ (R @ (p + (h / 2) * k1)).reshape(3, n)
+        k3 = half_rates @ (R @ (p + (h / 2) * k2)).reshape(3, n)
+        k4 = end_rates @ (R @ (p + h * k3)).reshape(3, n)
         p = p + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         step_defect = abs(1.0 - p.sum())
         m = float(np.min(p))
@@ -223,7 +240,7 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
         if step_defect > STEP_DEFECT_LIMIT or m < -STEP_DEFECT_LIMIT:
             raise StepSizeError(
                 f"conservation defect {step_defect:.3g} / negative overshoot {m:.3g} "
-                f"at t={t + h:.6g} exceeds {STEP_DEFECT_LIMIT:g}; halve the step"
+                f"at t={t0 + i * h + h:.6g} exceeds {STEP_DEFECT_LIMIT:g}; halve the step"
             )
         if m < min_entry:
             min_entry = m
@@ -270,12 +287,8 @@ def far_start(n: int) -> np.ndarray:
     return p
 
 
-def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
-    """Double the state count from 16 until the mean curve stops moving.
-
-    Accepts n once sup_t |E_n(t) - E_2n(t)| < tol_truncation over the horizon
-    (from the empty start).  Raises TruncationLimitError past 4096 states.
-    """
+def _truncation_search(spec: ModelSpec, settings: SolveSettings) -> Trajectory:
+    """Empty-start trajectory at the state count the doubling search accepts."""
     n = 16
     prev = integrate(spec, replace(settings, n=n), empty_start(n))
     while True:
@@ -287,9 +300,18 @@ def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
         cur = integrate(spec, replace(settings, n=2 * n), empty_start(2 * n))
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
-            return n
+            return prev
         n *= 2
         prev = cur
+
+
+def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
+    """Double the state count from 16 until the mean curve stops moving.
+
+    Accepts n once sup_t |E_n(t) - E_2n(t)| < tol_truncation over the horizon
+    (from the empty start).  Raises TruncationLimitError past 4096 states.
+    """
+    return _truncation_search(spec, settings).n
 
 
 @dataclass(frozen=True)
@@ -319,13 +341,20 @@ def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
 
     t_mix is the first sample time with ||p1 - p2||_1 < tol_mix; the returned
     cycle is the window [ceil(t_mix), ceil(t_mix)+1] of the empty-start
-    trajectory.
+    trajectory.  With settings.n None the truncation search runs first and
+    its empty-start trajectory at the accepted n is reused.  Both starts are
+    integrated at one common step: when the far start needs a smaller step,
+    the empty start is integrated again at that step.
     """
     if settings.n is None:
-        settings = replace(settings, n=choose_truncation(spec, settings))
+        traj0 = _truncation_search(spec, settings)
+        settings = replace(settings, n=traj0.n)
+    else:
+        traj0 = integrate_with_halving(spec, settings, empty_start(settings.n))
     n = settings.n
-    traj0 = integrate_with_halving(spec, settings, empty_start(n))
-    trajf = integrate_with_halving(spec, settings, far_start(n))
+    trajf = integrate_with_halving(spec, replace(settings, step=traj0.step), far_start(n))
+    if trajf.step != traj0.step:
+        traj0 = integrate(spec, replace(settings, step=trajf.step), empty_start(n))
     gap = np.sum(np.abs(traj0.probs - trajf.probs), axis=1)
     below = np.nonzero(gap < settings.tol_mix)[0]
     if len(below) == 0:

@@ -4,6 +4,7 @@ import numpy as np
 
 from twoproc.matrices import WeightSequence
 from twoproc.model import ModelSpec, RateFunction
+from twoproc.solver import rate_parts
 
 
 def expm_series(M: np.ndarray, tol: float = 1e-16) -> np.ndarray:
@@ -109,3 +110,53 @@ def stationary_vector(A: np.ndarray) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(M, b)
+
+
+def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, t0: float = 0.0):
+    """Projected RK4 states after every step, with one scalar rate call per stage.
+
+    Oracle for the chunked rate evaluation of `integrate`: returns the
+    (n_steps + 1) x n projected states and the pre-projection defects
+    |1 - sum(p)| of every step (0 at the start).
+    """
+    R = rate_parts(n, conservative=True).reshape(3 * n, n)
+
+    def rhs(t: float, p: np.ndarray) -> np.ndarray:
+        rates = np.array([spec.lam(t), spec.mu1(t), spec.mu2(t)])
+        return rates @ (R @ p).reshape(3, n)
+
+    def project(p: np.ndarray) -> None:
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
+        p[int(np.argmax(p))] -= p.sum() - 1.0
+
+    h = step
+    n_steps = int(round(horizon / h))
+    p = np.asarray(p0, dtype=float).copy()
+    project(p)
+    states = np.empty((n_steps + 1, n))
+    defects = np.zeros(n_steps + 1)
+    states[0] = p
+    for i in range(n_steps):
+        t = t0 + i * h
+        k1 = rhs(t, p)
+        k2 = rhs(t + h / 2, p + (h / 2) * k1)
+        k3 = rhs(t + h / 2, p + (h / 2) * k2)
+        k4 = rhs(t + h, p + h * k3)
+        p = p + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        defects[i + 1] = abs(1.0 - p.sum())
+        project(p)
+        states[i + 1] = p
+    return states, defects
+
+
+def reference_trajectory_csv(traj, order, max_rows: int) -> str:
+    """Trajectory CSV body formatted one cell at a time with "{:.12g}"."""
+    stride = max(1, -(-len(traj.times) // max_rows))
+    lines = []
+    for i in range(0, len(traj.times), stride):
+        cells = ["{:.12g}".format(traj.times[i])]
+        cells.extend("{:.12g}".format(traj.probs[i, k]) for k in order)
+        cells.append("{:.12g}".format(traj.mean[i]))
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)

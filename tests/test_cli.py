@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoproc.cli import ConfigError, load_model_file, main
+from helpers import reference_trajectory_csv
+from twoproc import solver
+from twoproc.cli import MAX_CSV_ROWS, ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "twoproc" / "configs"
 
@@ -156,6 +158,35 @@ class TestSolveCommand:
         assert "merge" in capsys.readouterr().out
 
 
+class TestTrajectoryCsv:
+    @staticmethod
+    def trajectory(rows: int, n: int) -> solver.Trajectory:
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(n), size=rows)
+        probs[0, :3] = (-0.0, 5e-324, 1e-300)
+        probs[2, 4] = -0.0
+        times = np.arange(rows) * 0.001
+        mean = probs @ np.arange(n)
+        return solver.Trajectory(
+            times=times, probs=probs, mean=mean, l1_defect=np.zeros(rows), n=n, step=0.001,
+            t0=0.0, p0=probs[0], defect_total=0.0, defect_per_unit_time=0.0,
+            defect_max_step=0.0, min_entry_pre=0.0,
+        )
+
+    @pytest.mark.parametrize("rows", [7, 2500, MAX_CSV_ROWS + 2345])
+    def test_byte_identical_to_per_cell_format(self, rows, tmp_path):
+        traj = self.trajectory(rows, 9)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        header, body = path.read_text().split("\n", 1)
+        assert header == "t,p00,p01,p10,p11,p12,p13,p14,p15,p16,mean"
+        assert body == reference_trajectory_csv(traj, _csv_order(9), MAX_CSV_ROWS)
+        if rows > MAX_CSV_ROWS:
+            assert body.count("\n") == (rows + 1) // 2
+        if rows == 2500:
+            assert body.startswith("0,-0,1e-300,4.94065645841e-324,")
+
+
 class TestSimulateCommand:
     def test_csv_and_determinism(self, light_model, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -164,6 +195,13 @@ class TestSimulateCommand:
         body = (out1 / "mc_estimates.csv").read_text()
         assert body.splitlines()[0] == "t,state,estimate,stderr"
         assert body == (out2 / "mc_estimates.csv").read_text()
+
+    def test_too_few_paths_exits_one(self, light_model, tmp_path, capsys):
+        rc = main(["simulate", "--model", str(light_model), "--out", str(tmp_path / "o"), "--paths", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "100 paths" in err
+        assert err.count("\n") == 1
 
 
 class TestCompareCommand:
@@ -199,6 +237,13 @@ class TestDumpCommand:
         assert rc == 0
         row = [float(v) for v in capsys.readouterr().out.split()]
         assert row == [6.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_too_small_truncation_exits_one(self, capsys):
+        rc = main(["dump", "--model", str(CONFIG_DIR / "example1.json"), "--n", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: truncation must keep at least 5 states\n"
 
 
 def test_output_dir_from_environment(light_model, tmp_path, monkeypatch):

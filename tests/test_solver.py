@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import expm_series, stationary_vector
+from helpers import expm_series, reference_rk4, stationary_vector
 from twoproc.matrices import build_A
 from twoproc.model import ModelSpec, RateFunction
 from twoproc.solver import (
+    RATE_CHUNK,
     FitWindowError,
     MixingHorizonError,
     SolveSettings,
@@ -129,6 +132,49 @@ class TestIntegrate:
         assert traj.defect_per_unit_time < 1e-8
 
 
+class TestChunkedRates:
+    SPECS = {
+        "trig": ModelSpec(
+            RateFunction.trig(8.0, [(8.0, "sin", 1)]),
+            RateFunction.trig(7.0, [(6.0, "cos", 1), (0.5, "sin", 2)]),
+            RateFunction.trig(5.0, [(5.0, "cos", 1)]),
+        ),
+        "table": ModelSpec(
+            RateFunction.piecewise([(0.0, 0.5), (0.3, 2.5), (0.75, 1.0)]),
+            RateFunction.fixed(2.0),
+            RateFunction.piecewise([(0.0, 1.0), (0.5, 2.0)]),
+        ),
+        "constant": ModelSpec(RateFunction.fixed(1.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_bit_identical_to_scalar_stage_rates(self, kind):
+        spec = self.SPECS[kind]
+        n, step, horizon, t0 = 16, 1e-3, 5.0, 0.37
+        assert round(horizon / step) > RATE_CHUNK
+        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n), t0=t0)
+        states, defects = reference_rk4(spec, n, step, horizon, far_start(n), t0=t0)
+        idx = np.round((traj.times - t0) / step).astype(int)
+        assert idx[-1] == len(states) - 1
+        assert np.array_equal(traj.times, t0 + idx * step)
+        assert np.array_equal(traj.probs, states[idx])
+        assert np.array_equal(traj.l1_defect, defects[idx])
+        assert traj.defect_total == sum(defects[1:].tolist())
+
+    def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch):
+        sizes = []
+        original = RateFunction.__call__
+
+        def counting(self, t):
+            sizes.append(np.size(t))
+            return original(self, t)
+
+        monkeypatch.setattr(RateFunction, "__call__", counting)
+        n_steps = 2 * RATE_CHUNK + 100
+        integrate(ex3_spec, SolveSettings(n=16, step=1e-3, horizon=n_steps * 1e-3), empty_start(16))
+        assert sizes == [3 * RATE_CHUNK] * 6 + [3 * 100] * 3
+
+
 class TestChooseTruncation:
     def test_no_arrivals_accepts_smallest(self):
         spec = ModelSpec(RateFunction.fixed(0.0), RateFunction.fixed(2.0), RateFunction.fixed(1.0))
@@ -178,6 +224,25 @@ class TestLimitingRegime:
     def test_short_horizon_raises_with_measured_rate(self, ex1_spec):
         with pytest.raises(MixingHorizonError):
             limiting_regime(ex1_spec, SolveSettings(n=16, horizon=5.0))
+
+    def test_search_trajectory_reused(self, ex1_spec):
+        st = SolveSettings(step=0.004, horizon=20.0)
+        reg = limiting_regime(ex1_spec, st)
+        n = choose_truncation(ex1_spec, st)
+        assert reg.from_empty.n == reg.from_far.n == n
+        ref = integrate(ex1_spec, replace(st, n=n), empty_start(n))
+        assert np.array_equal(reg.from_empty.probs, ref.probs)
+        assert np.array_equal(reg.from_empty.times, ref.times)
+
+    def test_far_start_halving_halves_both_starts(self):
+        # stiff service with 1/step not an integer: only the far start fails at
+        # step 0.03, and the two sample grids used to differ (101 vs 201 rows)
+        spec = ModelSpec(RateFunction.fixed(0.5), RateFunction.fixed(20.0), RateFunction.fixed(20.0))
+        reg = limiting_regime(spec, SolveSettings(n=16, step=0.03, horizon=3.0))
+        assert reg.from_empty.step == reg.from_far.step < 0.03
+        assert np.array_equal(reg.from_empty.times, reg.from_far.times)
+        ref = integrate(spec, SolveSettings(n=16, step=reg.from_far.step, horizon=3.0), empty_start(16))
+        assert np.array_equal(reg.from_empty.probs, ref.probs)
 
     def test_far_initial_state_rule(self):
         assert far_initial_state(16) == 15
