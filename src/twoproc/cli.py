@@ -278,7 +278,7 @@ def cmd_solve(args) -> int:
 
     lines = [
         f"model: {cfg.name}",
-        f"truncation n: {settings.n}   step: {settings.step:g}   horizon: {settings.horizon:g}",
+        f"truncation n: {settings.n}   step: {regime.from_empty.step:g}   horizon: {settings.horizon:g}",
         f"t_mix (l1 gap < {settings.tol_mix:g}): {regime.t_mix:g}",
         f"fitted decay rate: {fit.beta_hat:.6g} over t in [{fit.window[0]:g}, {fit.window[1]:g}] ({fit.n_points} samples)",
         f"fitted prefactor: {fit.prefactor_hat:.6g}",

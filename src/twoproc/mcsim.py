@@ -15,6 +15,15 @@ transition structure has no migration).
 Every path consumes its own counter-based random stream keyed by
 (seed, path_index), so results are independent of batching and of any
 concurrent execution order.
+
+Paths run in blocks of about _BLOCK_BYTES of pregenerated uniforms (16 MB).
+Within a block the candidates are scanned in column blocks of _CHUNK: one
+cumsum gives the block's jump times, the rates are evaluated once on the
+(candidates x paths) time block, and the states advance one column at a time
+through the transition table DELTA.  A path leaves the scan once it has
+passed the last sample time.  Every float is computed with the same
+expressions as a candidate-by-candidate scan, so the recorded states are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -29,8 +38,10 @@ from .model import ModelSpec, state_label
 _MASK64 = (1 << 64) - 1
 _BOUND_GRID = 10_000
 _BOUND_MARGIN = 1.01
-# target bytes of pregenerated uniforms per block
-_BLOCK_BYTES = 192_000_000
+# target bytes of pregenerated uniforms per block of paths
+_BLOCK_BYTES = 16_000_000
+# candidates scanned per column block
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,16 @@ class SimSettings:
             raise ValueError("initial state index must be nonnegative")
 
 
+def _grid_max_rate(spec: ModelSpec) -> float:
+    """max_t (lambda + mu1 + mu2) on a dense grid over one period."""
+    grid = np.linspace(0.0, 1.0, _BOUND_GRID, endpoint=False)
+    lam, mu1, mu2 = spec.rates(grid)
+    return float(np.max(lam + mu1 + mu2))
+
+
 def compute_rate_bound(spec: ModelSpec, margin: float = _BOUND_MARGIN) -> float:
     """Dominating constant: margin * max_t (lambda + mu1 + mu2) on a dense grid."""
-    grid = np.linspace(0.0, 1.0, _BOUND_GRID, endpoint=False)
-    total = np.asarray(spec.lam(grid)) + np.asarray(spec.mu1(grid)) + np.asarray(spec.mu2(grid))
-    top = float(np.max(total))
+    top = _grid_max_rate(spec)
     if top <= 0.0:
         return 1.0  # all rates identically zero; any positive bound works
     return margin * top
@@ -69,18 +85,28 @@ def compute_rate_bound(spec: ModelSpec, margin: float = _BOUND_MARGIN) -> float:
 def _resolve_bound(spec: ModelSpec, settings: SimSettings) -> float:
     if settings.rate_bound is None:
         return compute_rate_bound(spec)
-    grid = np.linspace(0.0, 1.0, _BOUND_GRID, endpoint=False)
-    total = np.asarray(spec.lam(grid)) + np.asarray(spec.mu1(grid)) + np.asarray(spec.mu2(grid))
-    if settings.rate_bound < float(np.max(total)):
-        raise ValueError(
-            f"rate_bound {settings.rate_bound:g} is below the grid maximum {float(np.max(total)):g}"
-        )
+    top = _grid_max_rate(spec)
+    if settings.rate_bound < top:
+        raise ValueError(f"rate_bound {settings.rate_bound:g} is below the grid maximum {top:g}")
     return float(settings.rate_bound)
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    key = (int(seed) & _MASK64) | ((int(path_index) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _path_draws(seed: int, path_indices: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` uniforms of each path's stream, one row per path.
+
+    Path i's stream is Philox keyed by (seed, i) from a zero counter.  One bit
+    generator is re-keyed per path, which gives the same numbers as a fresh
+    `Philox(key=...)` without building an unused entropy-seeded SeedSequence.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # zero counter, empty output buffer
+    out = np.empty((len(path_indices), count))
+    for row, idx in enumerate(path_indices):
+        fresh["state"]["key"] = np.array([int(seed) & _MASK64, int(idx) & _MASK64], dtype=np.uint64)
+        bits.state = fresh
+        gen.random(out=out[row])
+    return out
 
 
 def _candidate_budget(bound: float, t_max: float) -> int:
@@ -88,23 +114,22 @@ def _candidate_budget(bound: float, t_max: float) -> int:
     return int(expected + 8.0 * math.sqrt(expected + 1.0) + 64.0)
 
 
-def arrival_map(state: np.ndarray) -> np.ndarray:
-    """Post-arrival states: 0->1 (FSF takes the main server), 1->3, 2->3
-    (idle main seized), k>=3 -> k+1 (queue)."""
-    return np.where(state == 0, 1, np.where(state <= 2, 3, state + 1))
-
-
-def fast_completion_map(state: np.ndarray) -> np.ndarray:
-    """Post-main-completion states: 1->0, 3->2 (backup keeps its job, no
-    migration), k>=4 -> k-1 (queued job takes the freed server); no-op when
-    the main server is idle."""
-    return np.where(state == 1, 0, np.where(state == 3, 2, np.where(state >= 4, state - 1, state)))
-
-
-def slow_completion_map(state: np.ndarray) -> np.ndarray:
-    """Post-backup-completion states: 2->0, 3->1, k>=4 -> k-1; no-op when the
-    backup is idle."""
-    return np.where(state == 2, 0, np.where(state == 3, 1, np.where(state >= 4, state - 1, state)))
+# State change DELTA[e, min(state, 4)] for the events e = 0 arrival, 1 main
+# completion, 2 backup completion, 3 self-loop.  Arrivals: 0->1 (FSF takes the
+# main server), 1->3, 2->3 (idle main seized), k>=3 -> k+1 (queue).  Main
+# completions: 1->0, 3->2 (the backup keeps its job, no migration), k>=4 ->
+# k-1 (a queued job takes the freed server), a no-op when the main server is
+# idle.  Backup completions: 2->0, 3->1, k>=4 -> k-1, a no-op when the backup
+# is idle.
+DELTA = np.array(
+    [
+        [1, 2, 1, 1, 1],
+        [0, -1, 0, -1, -1],
+        [0, 0, -2, -2, -1],
+        [0, 0, 0, 0, 0],
+    ],
+    dtype=np.int64,
+)
 
 
 def _run_block(
@@ -116,44 +141,62 @@ def _run_block(
     path_indices: np.ndarray,
     budget: int,
 ) -> np.ndarray:
-    """States of the given paths at the sample times, shape (paths, times)."""
+    """States of the given paths at the sample times, shape (paths, times).
+
+    Each path scans at most `budget` candidates, _CHUNK at a time, and stops
+    once it has passed the last sample time.
+    """
     n_paths = len(path_indices)
     n_times = len(sample_times)
-    draws = np.empty((n_paths, 2 * budget))
-    for row, idx in enumerate(path_indices):
-        draws[row] = _path_stream(seed, int(idx)).random(2 * budget)
+    draws = _path_draws(seed, path_indices, 2 * budget)
 
-    t = np.zeros(n_paths)
-    state = np.full(n_paths, initial_state, dtype=np.int64)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
     rec[:, sample_times <= 0.0] = initial_state
+    targets = [(j, s) for j, s in enumerate(sample_times) if s > 0.0]
+    last = max((s for _, s in targets), default=0.0)
 
-    for k in range(budget):
-        dt = -np.log1p(-draws[:, 2 * k]) / bound
-        t_new = t + dt
-        for j in range(n_times):
-            s = sample_times[j]
-            if s <= 0.0:
-                continue
-            crossed = (t < s) & (t_new >= s)
-            if crossed.any():
-                rec[crossed, j] = state[crossed]
-        lam = np.asarray(spec.lam(t_new), dtype=float)
-        mu1 = np.asarray(spec.mu1(t_new), dtype=float)
-        mu2 = np.asarray(spec.mu2(t_new), dtype=float)
+    live = np.arange(n_paths if targets else 0)  # paths still scanning
+    t = np.zeros(n_paths)
+    state = np.full(n_paths, initial_state, dtype=np.int64)
+    flat_delta = DELTA.ravel()
+    for lo in range(0, budget, _CHUNK):
+        if len(live) == 0:
+            break
+        width = min(_CHUNK, budget - lo)
+        # Arrays are (candidate, path).  Row 0 is the block's start time; the
+        # sequential cumsum makes row c + 1 the same float as the
+        # candidate-by-candidate t + dt.
+        times = np.empty((width + 1, len(live)))
+        times[0] = t
+        times[1:] = (-np.log1p(-draws[live, 2 * lo : 2 * (lo + width) : 2]) / bound).T
+        np.cumsum(times, axis=0, out=times)
+        t_new = times[1:]
+        lam, mu1, mu2 = spec.rates(t_new)
         pa = lam / bound
         pf = pa + mu1 / bound
         ps = pf + mu2 / bound
-        u = draws[:, 2 * k + 1]
-        arrival = u < pa
-        fast = (~arrival) & (u < pf)
-        slow = (~arrival) & (~fast) & (u < ps)
-        state = np.where(
-            arrival,
-            arrival_map(state),
-            np.where(fast, fast_completion_map(state), np.where(slow, slow_completion_map(state), state)),
-        )
-        t = t_new
+        u = draws[live, 2 * lo + 1 : 2 * (lo + width) : 2].T
+        # event 0 when u < pa, else 1 when u < pf, else 2 when u < ps, else 3
+        past_a = u >= pa
+        past_f = past_a & (u >= pf)
+        offsets = DELTA.shape[1] * (past_a.astype(np.int64) + past_f + (past_f & (u >= ps)))
+
+        hist = np.empty((width + 1, len(live)), dtype=np.int64)  # state before each candidate
+        hist[0] = state
+        for c in range(width):
+            hist[c + 1] = hist[c] + flat_delta[offsets[c] + np.minimum(hist[c], 4)]
+
+        cols = np.arange(len(live))
+        for j, s in targets:
+            # a path crosses s at its first candidate with t_new >= s
+            first = np.count_nonzero(t_new < s, axis=0)
+            hit = (t < s) & (first < width)
+            rec[live[hit], j] = hist[first[hit], cols[hit]]
+
+        t = times[-1]
+        state = hist[-1]
+        running = t < last
+        live, t, state = live[running], t[running], state[running]
 
     unfinished = rec.min(axis=1) < 0
     if unfinished.any():

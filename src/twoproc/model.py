@@ -104,24 +104,30 @@ class RateFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, t):
-        """Evaluate at scalar or array `t >= 0`."""
+    def __call__(self, t, waves: dict | None = None):
+        """Evaluate at scalar or array `t >= 0`.
+
+        waves, when given, caches sin/cos(2*pi*harmonic*t) by (kind,
+        harmonic), so rates evaluated at the same t with one cache compute
+        each term once.
+        """
+        tt = np.asarray(t, dtype=float)
         if self.table is not None:
-            frac = np.asarray(t, dtype=float) % 1.0
+            frac = tt % 1.0
             breaks = np.array([b for b, _ in self.table])
             values = np.array([v for _, v in self.table])
             idx = np.searchsorted(breaks, frac, side="right") - 1
             out = values[idx]
-            return float(out) if np.isscalar(t) else out
-        out = self.constant
-        if self.harmonics:
-            tt = np.asarray(t, dtype=float)
-            acc = np.full_like(tt, float(self.constant))
+        else:
+            waves = {} if waves is None else waves
+            out = np.full_like(tt, float(self.constant))
             for h in self.harmonics:
-                fn = np.sin if h.kind == "sin" else np.cos
-                acc = acc + h.amplitude * fn(2.0 * math.pi * h.harmonic * tt)
-            return float(acc) if np.isscalar(t) else acc
-        return float(out) if np.isscalar(t) else np.full_like(np.asarray(t, dtype=float), out)
+                key = (h.kind, h.harmonic)
+                if key not in waves:
+                    fn = np.sin if h.kind == "sin" else np.cos
+                    waves[key] = fn(2.0 * math.pi * h.harmonic * tt)
+                out = out + h.amplitude * waves[key]
+        return float(out) if np.isscalar(t) else out
 
     def mean(self) -> float:
         """Exact mean over one period."""
@@ -158,6 +164,16 @@ class ModelSpec:
         m1 = self.mu1(t)
         m2 = self.mu2(t)
         return lam, m1, m2, m1 + m2
+
+    def rates(self, t):
+        """Arrays (lambda, mu1, mu2) at the times t.
+
+        Each distinct sin/cos term is evaluated once and shared between the
+        rates; the values are those of the three separate rate calls.
+        """
+        tt = np.asarray(t, dtype=float)
+        waves = {}
+        return tuple(rate(tt, waves) for rate in (self.lam, self.mu1, self.mu2))
 
     def mean_rates(self):
         """Exact period means (lambda*, mu1*, mu2*, mu*)."""

@@ -178,7 +178,7 @@ def _stage_rates(spec: ModelSpec, t0: float, h: float, lo: int, hi: int) -> np.n
     """
     t = t0 + np.arange(lo, hi) * h
     grid = np.concatenate([t, t + h / 2, t + h])
-    return np.stack([spec.lam(grid), spec.mu1(grid), spec.mu2(grid)], axis=1)
+    return np.stack(spec.rates(grid), axis=1)
 
 
 def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> Trajectory:
@@ -288,16 +288,23 @@ def far_start(n: int) -> np.ndarray:
 
 
 def _truncation_search(spec: ModelSpec, settings: SolveSettings) -> Trajectory:
-    """Empty-start trajectory at the state count the doubling search accepts."""
+    """Empty-start trajectory at the state count the doubling search accepts.
+
+    Each level is integrated with step halving.  Once a level needs a smaller
+    step, that step carries forward, and the previous level is integrated
+    again at it, so the n and 2n means are always compared on one grid.
+    """
     n = 16
-    prev = integrate(spec, replace(settings, n=n), empty_start(n))
+    prev = integrate_with_halving(spec, replace(settings, n=n), empty_start(n))
     while True:
         if 2 * n > TRUNCATION_CAP:
             raise TruncationLimitError(
                 f"no truncation up to {TRUNCATION_CAP} states met tol {settings.tol_truncation:g}; "
                 "the system is likely overloaded"
             )
-        cur = integrate(spec, replace(settings, n=2 * n), empty_start(2 * n))
+        cur = integrate_with_halving(spec, replace(settings, n=2 * n, step=prev.step), empty_start(2 * n))
+        if cur.step != prev.step:
+            prev = integrate(spec, replace(settings, n=n, step=cur.step), empty_start(n))
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
             return prev

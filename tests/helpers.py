@@ -160,3 +160,89 @@ def reference_trajectory_csv(traj, order, max_rows: int) -> str:
         cells.append("{:.12g}".format(traj.mean[i]))
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+def path_stream(seed: int, path_index: int) -> np.random.Generator:
+    """A fresh Philox generator keyed by (seed, path_index)."""
+    mask = (1 << 64) - 1
+    key = (int(seed) & mask) | ((int(path_index) & mask) << 64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def arrival_map(state: np.ndarray) -> np.ndarray:
+    """Post-arrival states: 0->1 (FSF takes the main server), 1->3, 2->3
+    (idle main seized), k>=3 -> k+1 (queue)."""
+    return np.where(state == 0, 1, np.where(state <= 2, 3, state + 1))
+
+
+def fast_completion_map(state: np.ndarray) -> np.ndarray:
+    """Post-main-completion states: 1->0, 3->2 (backup keeps its job, no
+    migration), k>=4 -> k-1 (queued job takes the freed server); no-op when
+    the main server is idle."""
+    return np.where(state == 1, 0, np.where(state == 3, 2, np.where(state >= 4, state - 1, state)))
+
+
+def slow_completion_map(state: np.ndarray) -> np.ndarray:
+    """Post-backup-completion states: 2->0, 3->1, k>=4 -> k-1; no-op when the
+    backup is idle."""
+    return np.where(state == 2, 0, np.where(state == 3, 1, np.where(state >= 4, state - 1, state)))
+
+
+def reference_run_block(
+    spec: ModelSpec,
+    bound: float,
+    sample_times: np.ndarray,
+    initial_state: int,
+    seed: int,
+    path_indices: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """One candidate at a time for every path over the whole budget.
+
+    Oracle for the column-block scan of `mcsim._run_block`: the three rates
+    are called separately at each candidate and the state moves through the
+    three transition maps.
+    """
+    n_paths = len(path_indices)
+    n_times = len(sample_times)
+    draws = np.empty((n_paths, 2 * budget))
+    for row, idx in enumerate(path_indices):
+        draws[row] = path_stream(seed, int(idx)).random(2 * budget)
+
+    t = np.zeros(n_paths)
+    state = np.full(n_paths, initial_state, dtype=np.int64)
+    rec = np.full((n_paths, n_times), -1, dtype=np.int64)
+    rec[:, sample_times <= 0.0] = initial_state
+
+    for k in range(budget):
+        dt = -np.log1p(-draws[:, 2 * k]) / bound
+        t_new = t + dt
+        for j in range(n_times):
+            s = sample_times[j]
+            if s <= 0.0:
+                continue
+            crossed = (t < s) & (t_new >= s)
+            if crossed.any():
+                rec[crossed, j] = state[crossed]
+        lam = np.asarray(spec.lam(t_new), dtype=float)
+        mu1 = np.asarray(spec.mu1(t_new), dtype=float)
+        mu2 = np.asarray(spec.mu2(t_new), dtype=float)
+        pa = lam / bound
+        pf = pa + mu1 / bound
+        ps = pf + mu2 / bound
+        u = draws[:, 2 * k + 1]
+        arrival = u < pa
+        fast = (~arrival) & (u < pf)
+        slow = (~arrival) & (~fast) & (u < ps)
+        state = np.where(
+            arrival,
+            arrival_map(state),
+            np.where(fast, fast_completion_map(state), np.where(slow, slow_completion_map(state), state)),
+        )
+        t = t_new
+
+    unfinished = rec.min(axis=1) < 0
+    if unfinished.any():
+        redo = path_indices[unfinished]
+        rec[unfinished] = reference_run_block(spec, bound, sample_times, initial_state, seed, redo, 2 * budget)
+    return rec

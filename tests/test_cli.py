@@ -158,6 +158,17 @@ class TestSolveCommand:
         assert "merge" in capsys.readouterr().out
 
 
+    def test_report_shows_the_step_used(self, tmp_path):
+        model = write_json(tmp_path / "stiff.json", {
+            "lambda": {"constant": 60.0}, "mu1": {"constant": 50.0}, "mu2": {"constant": 50.0},
+            "solve": {"n": 16, "step": 0.02, "horizon": 3.0}})
+        out = tmp_path / "o"
+        assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+        rows = (out / "trajectory_x0.csv").read_text().splitlines()[1:3]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.005]
+        assert "step: 0.005 " in (out / "report.txt").read_text()
+
+
 class TestTrajectoryCsv:
     @staticmethod
     def trajectory(rows: int, n: int) -> solver.Trajectory:

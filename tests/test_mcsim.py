@@ -1,18 +1,35 @@
 import numpy as np
 import pytest
 
-from helpers import stationary_vector
+from helpers import (
+    arrival_map,
+    fast_completion_map,
+    path_stream,
+    reference_run_block,
+    slow_completion_map,
+    stationary_vector,
+)
+from twoproc import mcsim
 from twoproc.matrices import build_A
 from twoproc.mcsim import (
+    DELTA,
     SimSettings,
-    arrival_map,
+    _candidate_budget,
+    _path_draws,
+    _resolve_bound,
+    _run_block,
     compute_rate_bound,
     estimate_probs,
-    fast_completion_map,
     simulate_path,
-    slow_completion_map,
 )
 from twoproc.model import ModelSpec, RateFunction
+
+TABLE_SPEC = ModelSpec(
+    RateFunction.piecewise([(0.0, 3.0), (0.3, 1.0), (0.7, 5.0)]),
+    RateFunction.trig(4.0, [(2.0, "cos", 2), (1.0, "sin", 1)]),
+    RateFunction.trig(0.5, [(0.25, "cos", 2)]),
+)
+CONSTANT_SPEC = ModelSpec(RateFunction.fixed(2.0), RateFunction.fixed(1.5), RateFunction.fixed(1.0))
 
 
 class TestTransitionMaps:
@@ -28,6 +45,14 @@ class TestTransitionMaps:
     def test_backup_completions(self):
         s = np.array([0, 1, 2, 3, 7])
         assert slow_completion_map(s).tolist() == [0, 1, 0, 1, 6]
+
+    def test_table_reproduces_the_maps(self):
+        s = np.arange(10)
+        step = s + DELTA[:, np.minimum(s, 4)]
+        assert step[0].tolist() == arrival_map(s).tolist()
+        assert step[1].tolist() == fast_completion_map(s).tolist()
+        assert step[2].tolist() == slow_completion_map(s).tolist()
+        assert step[3].tolist() == s.tolist()
 
 
 class TestRateBound:
@@ -57,18 +82,21 @@ class TestPaths:
         assert np.array_equal(a, b)
 
     def test_streams_are_split_by_seed_and_path(self):
-        from twoproc.mcsim import _path_stream
+        base = _path_draws(11, np.array([42]), 8)[0]
+        assert np.array_equal(base, _path_draws(11, np.array([42]), 8)[0])
+        assert not np.array_equal(base, _path_draws(12, np.array([42]), 8)[0])
+        assert not np.array_equal(base, _path_draws(11, np.array([43]), 8)[0])
 
-        base = _path_stream(11, 42).random(8)
-        assert np.array_equal(base, _path_stream(11, 42).random(8))
-        assert not np.array_equal(base, _path_stream(12, 42).random(8))
-        assert not np.array_equal(base, _path_stream(11, 43).random(8))
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 + 5, -1])
+    def test_draws_match_fresh_generators(self, seed):
+        idx = np.array([0, 7, 2**63 + 1])
+        draws = _path_draws(seed, idx, 13)
+        for row, i in enumerate(idx):
+            assert np.array_equal(draws[row], path_stream(seed, int(i)).random(13))
 
     def test_batch_rows_equal_single_paths(self, ex1_spec):
         settings = SimSettings(n_paths=300, seed=5, sample_times=(1.0, 4.0, 9.0))
         est_states = np.stack([simulate_path(ex1_spec, settings, i) for i in (0, 17, 299)])
-        from twoproc.mcsim import _candidate_budget, _resolve_bound, _run_block
-
         bound = _resolve_bound(ex1_spec, settings)
         budget = _candidate_budget(bound, 9.0)
         block = _run_block(
@@ -76,6 +104,79 @@ class TestPaths:
             np.arange(settings.n_paths), budget,
         )
         assert np.array_equal(block[[0, 17, 299]], est_states)
+
+
+class TestColumnBlocks:
+    """The column-block scan against the candidate-by-candidate reference."""
+
+    @pytest.mark.parametrize("name", ["trig", "table", "constant"])
+    @pytest.mark.parametrize("times", [(1.0, 5.0, 20.0), (0.0, 2.0, 2.0, 7.5)])
+    def test_bit_identical_to_reference(self, ex3_spec, name, times):
+        spec = {"trig": ex3_spec, "table": TABLE_SPEC, "constant": CONSTANT_SPEC}[name]
+        bound = compute_rate_bound(spec)
+        st = np.asarray(times)
+        budget = _candidate_budget(bound, float(st.max()))
+        idx = np.arange(5, 205)
+        got = _run_block(spec, bound, st, 0, 3, idx, budget)
+        assert np.array_equal(got, reference_run_block(spec, bound, st, 0, 3, idx, budget))
+
+    @pytest.mark.parametrize("initial_state", [1, 2, 5])
+    def test_nonzero_initial_state(self, ex3_spec, initial_state):
+        bound = compute_rate_bound(ex3_spec)
+        st = np.array([0.0, 0.5, 3.0])
+        idx = np.arange(150)
+        budget = _candidate_budget(bound, 3.0)
+        got = _run_block(ex3_spec, bound, st, initial_state, 8, idx, budget)
+        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, initial_state, 8, idx, budget))
+        assert np.all(got[:, 0] == initial_state)
+
+    @pytest.mark.parametrize("budget", [5, 40])
+    def test_small_budget_reruns(self, ex3_spec, budget, monkeypatch):
+        bound = compute_rate_bound(ex3_spec)
+        st = np.array([1.0, 4.0])
+        idx = np.arange(60)
+        budgets = []
+        run = mcsim._run_block
+
+        def counted(*args):
+            budgets.append(args[6])
+            return run(*args)
+
+        monkeypatch.setattr(mcsim, "_run_block", counted)
+        got = mcsim._run_block(ex3_spec, bound, st, 0, 4, idx, budget)
+        assert len(budgets) > 1  # the budget was too small and paths were rerun
+        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, 0, 4, idx, budget))
+
+    def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
+        settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
+        bound = _resolve_bound(ex3_spec, settings)
+        budget = _candidate_budget(bound, 6.0)
+        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", 16 * budget * 10)  # blocks of 10 paths
+        est = estimate_probs(ex3_spec, settings)
+        rec = reference_run_block(ex3_spec, bound, np.asarray(settings.sample_times), 0, 21,
+                                  np.arange(103), budget)
+        for j in range(3):
+            want = np.bincount(rec[:, j], minlength=est.counts.shape[1])
+            assert np.array_equal(est.counts[j], want)
+
+    def test_paths_stop_after_last_sample_time(self, ex3_spec, monkeypatch):
+        bound = compute_rate_bound(ex3_spec)
+        budget = _candidate_budget(bound, 20.0)
+        shapes = []
+        rates = ModelSpec.rates
+
+        def recorded(self, t):
+            shapes.append(t.shape)
+            return rates(self, t)
+
+        monkeypatch.setattr(ModelSpec, "rates", recorded)
+        _run_block(ex3_spec, bound, np.array([2.0]), 0, 1, np.arange(50), budget)
+        # one call per 64-candidate column block, on the paths still short of
+        # t = 2, far fewer blocks than the t = 20 budget holds
+        assert 0 < len(shapes) < budget / 64 / 4
+        assert all(shape[0] == 64 for shape in shapes)
+        assert [shape[1] for shape in shapes] == sorted((shape[1] for shape in shapes), reverse=True)
+        assert shapes[0][1] == 50
 
 
 class TestEstimates:

@@ -46,6 +46,39 @@ class TestRateEvaluation:
                 assert mu == m1 + m2  # exact float identity
 
 
+class TestSharedRates:
+    SPECS = {
+        "shared-harmonics": ModelSpec(
+            RateFunction.trig(8.0, [(7.5, "sin", 1), (0.5, "cos", 2)]),
+            RateFunction.trig(7.0, [(6.0, "cos", 1), (0.5, "sin", 2)]),
+            RateFunction.trig(5.0, [(5.0, "cos", 1), (0.25, "cos", 2)]),
+        ),
+        "table": ModelSpec(
+            RateFunction.piecewise([(0.0, 0.5), (0.3, 2.5)]),
+            RateFunction.trig(2.0, [(1.0, "sin", 3)]),
+            RateFunction.fixed(0.5),
+        ),
+        "constant": ModelSpec(RateFunction.fixed(1.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equal_to_separate_rate_calls(self, name):
+        spec = self.SPECS[name]
+        t = np.random.default_rng(3).uniform(0.0, 40.0, (64, 33))
+        got = spec.rates(t)
+        for value, rate in zip(got, (spec.lam, spec.mu1, spec.mu2)):
+            assert value.shape == t.shape
+            assert np.array_equal(value, rate(t))
+
+    def test_each_term_evaluated_once(self, ex3_spec, monkeypatch):
+        calls = []
+        sin, cos = np.sin, np.cos
+        monkeypatch.setattr(np, "sin", lambda x: calls.append("sin") or sin(x))
+        monkeypatch.setattr(np, "cos", lambda x: calls.append("cos") or cos(x))
+        ex3_spec.rates(np.linspace(0.0, 1.0, 7))
+        assert sorted(calls) == ["cos", "sin"]
+
+
 class TestMeans:
     def test_example_means(self, ex1_spec, ex2_spec, ex3_spec):
         assert ex1_spec.mean_rates() == (1.0, 2.0, 2.0, 4.0)

@@ -6,6 +6,7 @@ import pytest
 from helpers import expm_series, reference_rk4, stationary_vector
 from twoproc.matrices import build_A
 from twoproc.model import ModelSpec, RateFunction
+from twoproc import solver
 from twoproc.solver import (
     RATE_CHUNK,
     FitWindowError,
@@ -22,6 +23,7 @@ from twoproc.solver import (
     integrate_with_halving,
     limiting_regime,
     mean_of,
+    _truncation_search,
     rate_parts,
 )
 
@@ -165,9 +167,9 @@ class TestChunkedRates:
         sizes = []
         original = RateFunction.__call__
 
-        def counting(self, t):
+        def counting(self, t, waves=None):
             sizes.append(np.size(t))
-            return original(self, t)
+            return original(self, t, waves)
 
         monkeypatch.setattr(RateFunction, "__call__", counting)
         n_steps = 2 * RATE_CHUNK + 100
@@ -199,6 +201,39 @@ class TestChooseTruncation:
                 gaps.append(float(np.max(np.abs(prev.mean - traj.mean))))
             prev = traj
         assert gaps[1] <= gaps[0]
+
+
+    def test_search_halves_the_step(self):
+        # stiff enough that step 0.02 overshoots at every level; the search
+        # used to raise StepSizeError instead of halving
+        spec = ModelSpec(RateFunction.fixed(60.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
+        st = SolveSettings(step=0.02, horizon=3.0)
+        with pytest.raises(StepSizeError):
+            integrate(spec, replace(st, n=16), empty_start(16))
+        traj = _truncation_search(spec, st)
+        assert traj.step == 0.005
+        # the same search started at the halved step: same n, same trajectory
+        direct = _truncation_search(spec, replace(st, step=traj.step))
+        assert direct.n == traj.n == choose_truncation(spec, st)
+        assert np.array_equal(direct.probs, traj.probs)
+
+    def test_halving_at_a_later_level_reintegrates_the_previous_one(self, monkeypatch):
+        spec = ModelSpec(RateFunction.fixed(1.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
+        st = SolveSettings(step=0.01, horizon=2.0, tol_truncation=1e-12)
+        run = solver.integrate
+        levels = []
+
+        def fail_first_32(spec, settings, p0, t0=0.0):
+            levels.append((settings.n, settings.step))
+            if settings.n == 32 and settings.step == 0.01:
+                raise StepSizeError("forced")
+            return run(spec, settings, p0, t0=t0)
+
+        monkeypatch.setattr(solver, "integrate", fail_first_32)
+        traj = _truncation_search(spec, st)
+        assert levels[:4] == [(16, 0.01), (32, 0.01), (32, 0.005), (16, 0.005)]
+        assert all(step == 0.005 for _, step in levels[2:])
+        assert traj.step == 0.005
 
 
 class TestLimitingRegime:
