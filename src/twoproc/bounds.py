@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import WeightSequence, weighted_norm
+from .matrices import WeightSequence
 from .model import ModelSpec
 
 REGIMES = ("general", "equal-mu", "heterogeneous", "averaged")
@@ -62,13 +62,14 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
-def _alphas_general_arrays(spec: ModelSpec, weights: WeightSequence, ts) -> np.ndarray:
-    ts = _as_array(ts)
-    lam = _as_array(spec.lam(ts))
-    mu1 = _as_array(spec.mu1(ts))
-    mu2 = _as_array(spec.mu2(ts))
+def fixed_alphas(lam, mu1, mu2, d) -> np.ndarray:
+    """Fixed-weight alpha_1..alpha_5, stacked along a new first axis.
+
+    `d[k]` is the weight d_{k+1} (k = 0..5) and may be a scalar or an array;
+    the rates broadcast against the weights, so one call scores a time grid
+    under one weight sequence or one rate triple under many weight sequences.
+    """
     mu = mu1 + mu2
-    d = weights.d(6)
     a1 = (lam + mu1) - (d[1] / d[0]) * lam - (d[2] / d[0]) * lam
     a2 = (lam + mu2) - (d[0] / d[1]) * (mu1 - mu2)
     a3 = (lam + mu) - (d[0] / d[2]) * mu2 - (d[3] / d[2]) * lam
@@ -93,13 +94,8 @@ def _alphas_equal_mu_arrays(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
 
 def alphas_general(spec: ModelSpec, weights: WeightSequence, t: float) -> AlphaProfile:
     """Column bounds with a fixed weight sequence, any admissible model."""
-    vals = _alphas_general_arrays(spec, weights, t)
+    vals = fixed_alphas(*spec.rates(t), weights.d(6))
     return AlphaProfile(values=tuple(float(v) for v in vals), regime="general", t=float(t))
-
-
-def alphas_general_curve(spec: ModelSpec, weights: WeightSequence, ts) -> np.ndarray:
-    """Fixed-weight alpha_1..alpha_5 sampled on an array of times, shape (5, T)."""
-    return _alphas_general_arrays(spec, weights, ts)
 
 
 def alphas_equal_mu(spec: ModelSpec, epsilon: float, t: float) -> AlphaProfile:
@@ -133,7 +129,7 @@ def alphas_hetero(lam: float, mu2: float, chi: float, weights: WeightSequence) -
 
 def alphas_averaged(spec: ModelSpec, weights: WeightSequence) -> AlphaProfile:
     """Fixed-weight bounds evaluated at the exact period means."""
-    vals = _alphas_general_arrays(spec.averaged(), weights, 0.0)
+    vals = fixed_alphas(*spec.averaged().rates(0.0), weights.d(6))
     return AlphaProfile(values=tuple(float(v) for v in vals), regime="averaged")
 
 
@@ -166,8 +162,8 @@ def _simpson_period(f) -> float:
     return float(np.sum(w * ys) / (3.0 * n))
 
 
-def beta_star_time(spec: ModelSpec, weights: WeightSequence, grid=None, route: str = "auto") -> BetaCurve:
-    """Sample beta*(t) = min_i alpha_i(t) and integrate it over one period.
+def beta_star_time(spec: ModelSpec, weights: WeightSequence, route: str = "auto") -> BetaCurve:
+    """Sample beta*(t) = min_i alpha_i(t) on the Simpson grid and integrate it over one period.
 
     route "auto" picks the pointwise closed forms for equal service rates and
     the fixed-weight forms otherwise; "fixed" forces the fixed-weight forms
@@ -179,14 +175,13 @@ def beta_star_time(spec: ModelSpec, weights: WeightSequence, grid=None, route: s
         route = "pointwise" if spec.is_equal_service else "fixed"
     if route == "pointwise" and not spec.is_equal_service:
         raise ValueError("pointwise route requires equal service rates")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
-    grid = _as_array(grid)
+    grid = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
+    d = weights.d(6)
 
     def curve(ts):
         if route == "pointwise":
             return np.min(_alphas_equal_mu_arrays(spec, weights.epsilon, ts), axis=0)
-        return np.min(_alphas_general_arrays(spec, weights, ts), axis=0)
+        return np.min(fixed_alphas(*spec.rates(ts), d), axis=0)
 
     values = curve(grid)
     return BetaCurve(
@@ -212,53 +207,43 @@ def geometric_ratio(spec: ModelSpec) -> float:
     return math.sqrt(mu_m / lam_m)
 
 
-def tune_weights(spec: ModelSpec, objective: str = "averaged") -> WeightSequence:
+def tune_weights(spec: ModelSpec) -> WeightSequence:
     """Pick (epsilon, delta1) by grid search with delta = sqrt(mu*/lambda*).
 
-    Maximizes beta*_0 of the averaged model (objective "averaged") or the
-    grid infimum of the pointwise/fixed curve (objective "periodic").  Ties
-    resolve to the smallest epsilon, then the smallest delta1.
+    Maximizes beta*_0 of the averaged model over 26 epsilon values times up
+    to 42 delta1 values, all scored by one broadcast `fixed_alphas` call.
+    Scanning epsilon-major, a candidate replaces the best only when it beats
+    it by more than 1e-15, so ties resolve to the smallest epsilon, then the
+    smallest delta1.
     """
-    if objective not in ("averaged", "periodic"):
-        raise ValueError("objective must be 'averaged' or 'periodic'")
     delta = geometric_ratio(spec)
     eps_grid = sorted(set(np.geomspace(1e-3, 0.5, 25)) | {1.0 / 12.0})
     hi = max(2.0 * delta, 1.02)
-    d1_grid = sorted(set(np.linspace(1.01, hi, 40)) | {13.0 / 8.0, delta} - {x for x in (delta,) if delta <= 1.0})
-    d1_grid = [x for x in d1_grid if x > 1.0]
-    probe = np.linspace(0.0, 1.0, 513)
-    best = None
-    best_score = -math.inf
-    for eps in eps_grid:
-        for d1 in d1_grid:
-            w = WeightSequence(epsilon=float(eps), delta1=float(d1), delta=delta)
-            if objective == "averaged":
-                score = beta_star(alphas_averaged(spec, w)).value
-            else:
-                score = beta_star_time(spec, w, grid=probe).inf
-            if score > best_score + 1e-15:
-                best, best_score = w, score
-    return best
+    d1_grid = sorted(x for x in set(np.linspace(1.01, hi, 40)) | {13.0 / 8.0, delta} if x > 1.0)
+    eps = np.repeat(eps_grid, len(d1_grid))
+    d1 = np.tile(d1_grid, len(eps_grid))
+    # One weight column per candidate, with the arithmetic of WeightSequence.d(6).
+    d = np.ones((6, eps.size))
+    d[1] = eps
+    d[3:] = d1 * (delta ** np.arange(3))[:, None]
+    scores = np.min(fixed_alphas(*spec.averaged().rates(0.0), d), axis=0)
+    best, best_score = None, -math.inf
+    for i, score in enumerate(scores.tolist()):
+        if score > best_score + 1e-15:
+            best, best_score = i, score
+    return WeightSequence(epsilon=float(eps[best]), delta1=float(d1[best]), delta=delta)
 
 
-def measure_chain_constant(weights: WeightSequence, m: int = 64, samples: int = 200, seed: int = 0) -> float:
-    """Measured sup of ||x||_1 / ||x||_1D over random probability differences.
+def chain_constant(weights: WeightSequence) -> float:
+    """Exact sup of ||p' - p''||_1 / ||z' - z''||_1D over pairs of distributions.
 
-    The deterministic sample set is pairs of normalized uniform vectors on m
-    reduced states.  This is a measurement, not a certified bound: vectors
-    concentrated near the eps-weighted coordinate can push the true ratio up
-    to 2/eps.
+    With x = z' - z'', p' - p'' = [-1^T; I] x and ||x||_1D = ||D T x||_1, so
+    the constant is the largest column l1 norm of [-1^T; I] (D T)^-1.  Column
+    j of (D T)^-1 = T^-1 D^-1 is (e_j - e_{j-1}) / d_j (e_0 / d_0 for j = 0),
+    whose image has l1 norm 2 / d_j.  The smallest weight is d2 = epsilon, so
+    the constant is 2/epsilon, attained by z' = p01, z'' = p10.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        u = rng.random(m)
-        v = rng.random(m)
-        x = u / u.sum() - v / v.sum()
-        denom = weighted_norm(x, weights)
-        if denom > 0.0:
-            worst = max(worst, float(np.sum(np.abs(x))) / denom)
-    return worst
+    return 2.0 / weights.epsilon
 
 
 @dataclass(frozen=True)
@@ -268,8 +253,7 @@ class ConvergenceCertificate:
     `beta_star_avg` is the averaged-route rate beta*_0 (prefactor measured by
     the solver, never certified here).  `beta_star_periodic` is the
     unconditional pointwise-route rate when one exists.  The chain constant C
-    closes ||p' - p''||_1 <= C * ||z' - z''||_1D; its nominal value 4 is kept
-    unless measurement finds worse.
+    closes ||p' - p''||_1 <= C * ||z' - z''||_1D exactly (see `chain_constant`).
     """
 
     regime: str  # "periodic" | "constant-rate"
@@ -280,7 +264,6 @@ class ConvergenceCertificate:
     beta_integral: float
     beta_integral_fixed: float
     norm_chain_constant: float
-    chain_ratio_measured: float
     prefactor_analytic: float | None = None
     prefactor_N: float | None = None
 
@@ -297,15 +280,15 @@ class NoCertificate:
     reason: str
 
 
-def analytic_prefactor(spec: ModelSpec, weights: WeightSequence, beta0: float):
+def analytic_prefactor(curve: BetaCurve, beta0: float):
     """Prefactor exp(sup deficit) for the averaged-route bound, when valid.
 
-    With fixed weights the per-period integral of beta*(t) is compared with
-    beta*_0; when they agree the within-period deficit is bounded and its
-    exponential is a rigorous prefactor.  Returns None when the integral
-    falls short (different alphas bind at different times).
+    With fixed weights (`curve` is the route "fixed" curve) the per-period
+    integral of beta*(t) is compared with beta*_0; when they agree the
+    within-period deficit is bounded and its exponential is a rigorous
+    prefactor.  Returns None when the integral falls short (different alphas
+    bind at different times).
     """
-    curve = beta_star_time(spec, weights, route="fixed")
     if curve.integral < beta0 - 1e-9:
         return None
     ts = curve.times
@@ -335,7 +318,6 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
     curve = beta_star_time(spec, weights)
     fixed = curve if curve.route == "fixed" else beta_star_time(spec, weights, route="fixed")
     periodic_rate = curve.inf if curve.inf > 0.0 else None
-    measured = measure_chain_constant(weights)
     return ConvergenceCertificate(
         regime="periodic" if spec.is_periodic else "constant-rate",
         weights=weights,
@@ -344,9 +326,8 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
         beta_star_periodic=periodic_rate,
         beta_integral=curve.integral,
         beta_integral_fixed=fixed.integral,
-        norm_chain_constant=2.0 * max(2.0, measured),
-        chain_ratio_measured=measured,
-        prefactor_analytic=analytic_prefactor(spec, weights, avg.value),
+        norm_chain_constant=chain_constant(weights),
+        prefactor_analytic=analytic_prefactor(fixed, avg.value),
     )
 
 
@@ -372,7 +353,6 @@ def certificate_to_dict(cert: ConvergenceCertificate) -> dict:
         "beta_integral": cert.beta_integral,
         "beta_integral_fixed": cert.beta_integral_fixed,
         "norm_chain_constant": cert.norm_chain_constant,
-        "chain_ratio_measured": cert.chain_ratio_measured,
         "prefactor_analytic": cert.prefactor_analytic,
         "prefactor_N": cert.prefactor_N,
     }
@@ -392,7 +372,7 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     else:
         lines.append("  beta* (pointwise):   not available (curve infimum <= 0 or unequal service rates)")
     lines.append(f"  period integral of beta*(t): {cert.beta_integral:.12g} (route), {cert.beta_integral_fixed:.12g} (fixed weights)")
-    lines.append(f"  norm chain constant: {cert.norm_chain_constant:.12g} (measured l1/l1D ratio {cert.chain_ratio_measured:.12g})")
+    lines.append(f"  norm chain constant: {cert.norm_chain_constant:.12g} (exact: 2/epsilon)")
     if cert.prefactor_analytic is not None:
         lines.append(f"  prefactor (analytic, within-period deficit): {cert.prefactor_analytic:.12g}")
     else:
@@ -409,7 +389,7 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     lines.append("  alpha table (fixed weights), t in [0,1]:")
     lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")
     ts = np.linspace(0.0, 1.0, 101)
-    table = _alphas_general_arrays(spec, w, ts)
+    table = fixed_alphas(*spec.rates(ts), w.d(6))
     if spec.is_equal_service:
         route_vals = np.min(_alphas_equal_mu_arrays(spec, w.epsilon, ts), axis=0)
     else:

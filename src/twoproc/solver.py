@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import alphas_general_curve
+from .bounds import fixed_alphas
 from .matrices import WeightSequence
 from .model import ModelSpec, job_counts
 
@@ -475,7 +475,7 @@ def contraction_check(
     ts_k = ts[keep]
     wn_k = wn[keep]
     ratio_avg = wn_k * np.exp(beta0 * (ts_k - ts[0])) / wn[0]
-    betas = np.min(alphas_general_curve(spec, weights, ts_k), axis=0)
+    betas = np.min(fixed_alphas(*spec.rates(ts_k), weights.d(6)), axis=0)
     cum = np.concatenate([[0.0], np.cumsum((betas[1:] + betas[:-1]) / 2.0 * np.diff(ts_k))])
     ratio_cert = wn_k * np.exp(cum) / wn[0]
     p_gap = np.sum(np.abs(traj1.probs[keep] - traj2.probs[keep]), axis=1)

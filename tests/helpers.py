@@ -1,5 +1,7 @@
 """Independent oracles and randomized model generators shared by the tests."""
 
+import math
+
 import numpy as np
 
 from twoproc.matrices import WeightSequence
@@ -92,6 +94,50 @@ def random_weights(rng: np.random.Generator) -> WeightSequence:
         delta1=float(rng.uniform(1.05, 2.5)),
         delta=float(rng.uniform(1.05, 2.5)),
     )
+
+
+def reference_alphas(spec: ModelSpec, weights: WeightSequence, ts) -> np.ndarray:
+    """Fixed-weight alpha_1..alpha_5 with one scalar weight sequence, shape (5, ...).
+
+    Oracle for the broadcast `bounds.fixed_alphas`: the same expressions in
+    the same order, with each rate called on its own.
+    """
+    ts = np.asarray(ts, dtype=float)
+    lam = np.asarray(spec.lam(ts), dtype=float)
+    mu1 = np.asarray(spec.mu1(ts), dtype=float)
+    mu2 = np.asarray(spec.mu2(ts), dtype=float)
+    mu = mu1 + mu2
+    d = weights.d(6)
+    a1 = (lam + mu1) - (d[1] / d[0]) * lam - (d[2] / d[0]) * lam
+    a2 = (lam + mu2) - (d[0] / d[1]) * (mu1 - mu2)
+    a3 = (lam + mu) - (d[0] / d[2]) * mu2 - (d[3] / d[2]) * lam
+    a4 = (lam + mu) - (d[1] / d[3]) * mu2 - (d[2] / d[3]) * mu - (d[4] / d[3]) * lam
+    a5 = (lam + mu) - (d[3] / d[4]) * mu - (d[5] / d[4]) * lam
+    return np.stack([a1, a2, a3, a4, a5])
+
+
+def reference_tune_weights(spec: ModelSpec) -> WeightSequence:
+    """The weight grid search one candidate at a time.
+
+    Oracle for the broadcast scoring of `bounds.tune_weights`: every (epsilon,
+    delta1) pair builds its own WeightSequence and averaged model, and the
+    scan keeps a candidate only when it beats the best by more than 1e-15.
+    """
+    lam_m, _, _, mu_m = spec.mean_rates()
+    delta = 2.0 if lam_m == 0.0 else math.sqrt(mu_m / lam_m)
+    eps_grid = sorted(set(np.geomspace(1e-3, 0.5, 25)) | {1.0 / 12.0})
+    hi = max(2.0 * delta, 1.02)
+    d1_grid = sorted(set(np.linspace(1.01, hi, 40)) | {13.0 / 8.0, delta} - {x for x in (delta,) if delta <= 1.0})
+    d1_grid = [x for x in d1_grid if x > 1.0]
+    best = None
+    best_score = -math.inf
+    for eps in eps_grid:
+        for d1 in d1_grid:
+            w = WeightSequence(epsilon=float(eps), delta1=float(d1), delta=delta)
+            score = float(np.min(reference_alphas(spec.averaged(), w, 0.0)))
+            if score > best_score + 1e-15:
+                best, best_score = w, score
+    return best
 
 
 def dense_weighted_norm(x: np.ndarray, weights: WeightSequence) -> float:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_equal_mu_spec,
     random_general_spec,
     random_hetero_constants,
     random_weights,
+    reference_alphas,
+    reference_tune_weights,
 )
 from twoproc.bounds import (
     ConvergenceCertificate,
@@ -19,11 +23,12 @@ from twoproc.bounds import (
     alphas_hetero,
     beta_star,
     beta_star_time,
+    chain_constant,
+    fixed_alphas,
     make_certificate,
-    measure_chain_constant,
     tune_weights,
 )
-from twoproc.matrices import WeightSequence, build_transformed, log_norm_columns
+from twoproc.matrices import WeightSequence, build_transformed, log_norm_columns, weighted_norm
 from twoproc.model import ModelSpec, RateFunction
 
 SQ2 = math.sqrt(2.0)
@@ -117,7 +122,43 @@ class TestAlphaFormulas:
             )
 
 
+@st.composite
+def admissible_models(draw):
+    """A trigonometric or two-piece table arrival rate; mu2 a fraction of a trigonometric mu1."""
+    c = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        lam = RateFunction.trig(c, [(draw(st.floats(-0.9, 0.9)) * c, draw(st.sampled_from(("sin", "cos"))),
+                                     draw(st.integers(1, 3)))])
+    else:
+        lam = RateFunction.piecewise([(0.0, c), (draw(st.floats(0.1, 0.9)), draw(st.floats(0.0, 4.0)))])
+    c1 = draw(st.floats(1.0, 5.0))
+    a1 = draw(st.floats(-0.9, 0.9)) * c1
+    kind, harmonic = draw(st.sampled_from(("sin", "cos"))), draw(st.integers(1, 3))
+    s = draw(st.floats(0.3, 1.0))
+    return ModelSpec(lam, RateFunction.trig(c1, [(a1, kind, harmonic)]),
+                     RateFunction.trig(c1 * s, [(a1 * s, kind, harmonic)]))
+
+
+weight_sequences = st.builds(
+    WeightSequence,
+    epsilon=st.floats(0.02, 0.9),
+    delta1=st.floats(1.01, 3.0),
+    delta=st.floats(1.01, 3.0),
+)
+
+
 class TestAlphaColumnDuality:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(admissible_models(), st.lists(weight_sequences, min_size=1, max_size=8), st.floats(0.0, 2.0))
+    def test_broadcast_alphas_match_per_candidate(self, spec, ws, t):
+        alphas = fixed_alphas(*spec.rates(t), np.stack([w.d(6) for w in ws], axis=1))
+        assert alphas.shape == (5, len(ws))
+        for k, w in enumerate(ws):
+            assert np.array_equal(alphas[:, k], np.array(alphas_general(spec, w, t).values))
+            assert np.array_equal(alphas[:, k], reference_alphas(spec, w, t))
+            interior = float(np.max(log_norm_columns(build_transformed(spec, w, t, 12))[:-2]))
+            assert float(np.min(alphas[:, k])) == pytest.approx(-interior, abs=1e-12)
+
     def test_closed_forms_match_column_sums(self):
         rng = np.random.default_rng(77)
         for _ in range(30):
@@ -188,6 +229,23 @@ class TestTuning:
     def test_deterministic(self, ex3_spec):
         assert tune_weights(ex3_spec) == tune_weights(ex3_spec)
 
+    def test_matches_candidate_by_candidate_search(self, ex1_spec, ex2_spec, ex3_spec):
+        rng = np.random.default_rng(8)
+        specs = [ex1_spec, ex2_spec, ex3_spec]
+        for _ in range(4):
+            lam, mu2, chi = random_hetero_constants(rng)
+            lam = min(lam, float(rng.uniform(0.3, 0.95)) * (2.0 + chi) * mu2)
+            hetero = (RateFunction.fixed((1.0 + chi) * mu2), RateFunction.fixed(mu2))
+            specs.append(ModelSpec(RateFunction.fixed(lam), *hetero))
+            b = float(rng.uniform(0.2, 0.8))
+            table = RateFunction.piecewise([(0.0, 1.5 * lam), (b, float(rng.uniform(0.0, 1.0)) * lam)])
+            specs.append(ModelSpec(table, RateFunction.fixed(mu2), RateFunction.fixed(mu2)))
+            specs.append(ModelSpec(table, *hetero))
+            second = [(float(rng.uniform(0.1, 0.5)) * lam, "sin", 1), (float(rng.uniform(0.1, 0.4)) * lam, "cos", 2)]
+            specs.append(ModelSpec(RateFunction.trig(lam, second), *hetero))
+        for spec in specs:
+            assert tune_weights(spec) == reference_tune_weights(spec)
+
 
 class TestCertificates:
     def test_light_traffic_certificate(self, ex1_spec, ex1_weights):
@@ -196,7 +254,7 @@ class TestCertificates:
         assert cert.regime == "periodic"
         assert cert.beta_star_avg == pytest.approx(0.99, abs=1e-14)
         assert cert.beta_star_periodic == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
-        assert cert.norm_chain_constant == 4.0
+        assert cert.norm_chain_constant == 200.0
         assert cert.prefactor_analytic == pytest.approx(math.exp(1.0 / math.pi), rel=1e-5)
 
     def test_heavy_traffic_certificate_has_no_pointwise_rate(self, ex2_spec, ex2_weights):
@@ -222,5 +280,16 @@ class TestCertificates:
         spec = ModelSpec(RateFunction.fixed(4.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
         assert isinstance(make_certificate(spec), NoCertificate)
 
-    def test_chain_measurement_deterministic(self, ex1_weights):
-        assert measure_chain_constant(ex1_weights) == measure_chain_constant(ex1_weights)
+    def test_chain_constant_is_dense_column_norm_maximum(self):
+        # sup ||p' - p''||_1 / ||z' - z''||_1D is the largest column l1 norm of
+        # [-1^T; I] (D T)^-1, and the point masses z' = p01, z'' = p10 attain it.
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            w = random_weights(rng)
+            n = int(rng.integers(5, 17))
+            DT = np.diag(w.d(n)) @ np.triu(np.ones((n, n)))
+            R = np.vstack([-np.ones((1, n)), np.eye(n)]) @ np.linalg.inv(DT)
+            assert chain_constant(w) == pytest.approx(float(np.max(np.sum(np.abs(R), axis=0))), rel=1e-12)
+            x = np.zeros(n)
+            x[1], x[0] = 1.0, -1.0
+            assert 2.0 / weighted_norm(x, w) == chain_constant(w)
