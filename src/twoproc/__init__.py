@@ -1,82 +1,20 @@
 """Convergence bounds and transient analysis for a non-stationary
 two-processor heterogeneous queue."""
 
-from .bounds import (
-    AlphaProfile,
-    BetaCurve,
-    BetaStar,
-    ConvergenceCertificate,
-    NoCertificate,
-    NotErgodicError,
-    alphas_equal_mu,
-    alphas_general,
-    alphas_hetero,
-    beta_star,
-    beta_star_time,
-    make_certificate,
-    tune_weights,
-)
-from .matrices import (
-    WeightSequence,
-    build_A,
-    build_B,
-    build_transformed,
-    log_norm_l1,
-    weighted_norm,
-)
-from .mcsim import SimEstimate, SimSettings, estimate_probs, simulate_path
-from .model import Harmonic, ModelSpec, RateFunction, job_count, state_decode, state_encode
-from .solver import (
-    DecayFit,
-    LimitingRegime,
-    SolveSettings,
-    Trajectory,
-    choose_truncation,
-    decay_fit,
-    integrate,
-    limiting_regime,
-    mean_of,
-)
+from .bounds import ConvergenceCertificate, NoCertificate, NotErgodicError, make_certificate
+from .matrices import WeightSequence
+from .model import ModelSpec, RateFunction
+from .solver import SolveSettings
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaProfile",
-    "BetaCurve",
-    "BetaStar",
     "ConvergenceCertificate",
-    "DecayFit",
-    "Harmonic",
-    "LimitingRegime",
     "ModelSpec",
     "NoCertificate",
     "NotErgodicError",
     "RateFunction",
-    "SimEstimate",
-    "SimSettings",
     "SolveSettings",
-    "Trajectory",
     "WeightSequence",
-    "alphas_equal_mu",
-    "alphas_general",
-    "alphas_hetero",
-    "beta_star",
-    "beta_star_time",
-    "build_A",
-    "build_B",
-    "build_transformed",
-    "choose_truncation",
-    "decay_fit",
-    "estimate_probs",
-    "integrate",
-    "job_count",
-    "limiting_regime",
-    "log_norm_l1",
     "make_certificate",
-    "mean_of",
-    "simulate_path",
-    "state_decode",
-    "state_encode",
-    "tune_weights",
-    "weighted_norm",
 ]

@@ -1,12 +1,15 @@
 """Finite truncations of the queue's generator and its norm machinery.
 
-`build_A` assembles the transposed intensity matrix A(t) of the forward
-Kolmogorov system dp/dt = A(t) p on the first n states.  `build_B` assembles
-the reduced system dz/dt = B(t) z + f(t) obtained by eliminating the empty
-state through the normalization p00 = 1 - sum(z).  `build_transformed`
-assembles D T B(t) T^-1 D^-1 where T is the upper-triangular all-ones matrix
-(suffix sums) and D = diag(d) a positive weight sequence; in that similarity
-frame the off-diagonals are nonnegative and column sums give decay bounds.
+`rate_parts` is the one statement of the transition pattern: the constant
+matrices L, M1, M2 whose combination lam*L + mu1*M1 + mu2*M2 is the
+transposed intensity matrix A(t) of the forward Kolmogorov system
+dp/dt = A(t) p on the first n states.  `build_A` forms that combination and
+`build_B` the reduced system dz/dt = B(t) z + f(t) obtained from it by
+eliminating the empty state through the normalization p00 = 1 - sum(z).
+`build_transformed` assembles D T B(t) T^-1 D^-1 where T is the
+upper-triangular all-ones matrix (suffix sums) and D = diag(d) a positive
+weight sequence; in that similarity frame the off-diagonals are nonnegative
+and column sums give decay bounds.
 
 Truncation convention: the plain truncations simply cut the infinite pattern,
 so the last column of A loses the arrival outflow (probability mass leaks at
@@ -58,77 +61,57 @@ def _require_size(n: int) -> None:
         raise ValueError("truncation must keep at least 5 states")
 
 
-def build_A(spec: ModelSpec, t: float, n: int, conservative: bool = False) -> np.ndarray:
-    """Truncated A(t) on states 0..n-1.
+# Every transition as (part, source, target) for part 0 = arrival, 1 = main
+# completion, 2 = backup completion.  Arrivals move 0->1, 1->3, 2->3 and
+# k->k+1 for k >= 3; the main server returns 1->0 and 3->2, the backup 2->0
+# and 3->1; above state 3 either completion moves k->k-1.
+_HEAD_MOVES = ((0, 0, 1), (0, 1, 3), (0, 2, 3), (1, 1, 0), (1, 3, 2), (2, 2, 0), (2, 3, 1))
 
-    Columns hold the outflows of each state: arrivals move 0->1, 1->3, 2->3
-    and k->k+1 for k >= 3; the main server returns 1->0 and 3->2, the backup
-    2->0 and 3->1; above state 3 any completion moves k->k-1 at rate
-    mu = mu1 + mu2.  With `conservative=True` the last state's arrival rate
-    is dropped so every column sums to zero.
+
+def rate_parts(n: int, conservative: bool) -> np.ndarray:
+    """Constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1.
+
+    Each move out of a retained state puts -1 on its part's diagonal and +1
+    at (target, source).  A move past the last state keeps its outflow, so
+    probability leaks at the boundary, unless `conservative` drops the move.
     """
     _require_size(n)
-    lam, mu1, mu2, mu = spec.eval_rates(t)
-    A = np.zeros((n, n))
-    A[0, 0] = -lam
-    A[1, 0] = lam
-    A[0, 1] = mu1
-    A[1, 1] = -(lam + mu1)
-    A[3, 1] = lam
-    A[0, 2] = mu2
-    A[2, 2] = -(lam + mu2)
-    A[3, 2] = lam
-    A[1, 3] = mu2
-    A[2, 3] = mu1
-    A[3, 3] = -(lam + mu)
-    A[4, 3] = lam
-    for k in range(4, n):
-        A[k - 1, k] = mu
-        A[k, k] = -(lam + mu)
-        if k + 1 < n:
-            A[k + 1, k] = lam
+    moves = list(_HEAD_MOVES)
+    moves += [(0, k, k + 1) for k in range(3, n)]
+    moves += [(part, k, k - 1) for k in range(4, n) for part in (1, 2)]
+    moves = np.array(moves).T
     if conservative:
-        A[n - 1, n - 1] += lam
-    return A
+        moves = moves[:, moves[2] < n]
+    part, source, target = moves
+    parts = np.zeros((3, n, n))
+    parts[part, source, source] = -1.0
+    inside = target < n
+    parts[part[inside], target[inside], source[inside]] = 1.0
+    return parts
+
+
+def build_A(spec: ModelSpec, t: float, n: int, conservative: bool = False) -> np.ndarray:
+    """Truncated A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1 (see `rate_parts`).
+
+    With `conservative=True` the last state's arrival rate is dropped so every
+    column sums to zero.
+    """
+    lam, mu1, mu2 = spec.rates(t)
+    L, M1, M2 = rate_parts(n, conservative)
+    return lam * L + mu1 * M1 + mu2 * M2
 
 
 def build_B(spec: ModelSpec, t: float, n: int):
     """Truncated reduced matrix B(t) on n states plus forcing vector f(t).
 
-    Reduced coordinates are z = (p10, p01, p11, p12, ...).  Row 0 is dense:
-    eliminating p00 spreads -lambda across the whole row.
+    Reduced coordinates are z = (p10, p01, p11, p12, ...).  Substituting
+    p00 = 1 - sum(z) into rows 1..n of A(t) on n+1 states gives
+    B = A[1:, 1:] - A[1:, 0] 1^T and f = A[1:, 0]; row 0 is dense because
+    the empty state feeds p10 at rate lambda.
     """
     _require_size(n)
-    lam, mu1, mu2, mu = spec.eval_rates(t)
-    B = np.zeros((n, n))
-    B[0, :] = -lam
-    B[0, 0] = -(2.0 * lam + mu1)
-    B[0, 2] = mu2 - lam
-    B[1, 1] = -(lam + mu2)
-    B[1, 2] = mu1
-    B[2, 0] = lam
-    B[2, 1] = lam
-    B[2, 2] = -(lam + mu)
-    B[2, 3] = mu
-    for i in range(3, n):
-        B[i, i - 1] = lam
-        B[i, i] = -(lam + mu)
-        if i + 1 < n:
-            B[i, i + 1] = mu
-    B[1, 0] = 0.0
-    f = np.zeros(n)
-    f[0] = lam
-    return B, f
-
-
-def upper_ones(n: int) -> np.ndarray:
-    """The suffix-sum operator T (upper triangular, all ones)."""
-    return np.triu(np.ones((n, n)))
-
-
-def upper_ones_inv(n: int) -> np.ndarray:
-    """T^-1: unit diagonal, -1 on the superdiagonal."""
-    return np.eye(n) - np.diag(np.ones(n - 1), k=1)
+    A = build_A(spec, t, n + 1)
+    return A[1:, 1:] - A[1:, :1], A[1:, 0]
 
 
 def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int) -> np.ndarray:
@@ -145,7 +128,8 @@ def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int
     r_{k,k-1}*lambda and super-diagonal r_{k,k+1}*mu.
     """
     _require_size(n)
-    lam, mu1, mu2, mu = spec.eval_rates(t)
+    lam, mu1, mu2 = spec.rates(t)
+    mu = mu1 + mu2
     d = weights.d(n)
     M = np.zeros((n, n))
     M[0, 0] = -(lam + mu1)
@@ -165,41 +149,29 @@ def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int
     return M
 
 
-def transform_product(spec: ModelSpec, weights: WeightSequence, t: float, n: int) -> np.ndarray:
-    """The explicit product D T B(t) T^-1 D^-1 from the truncated B.
+def weighted_norm(x, weights: WeightSequence):
+    """The weighted l1 norm ||D T x||_1 = sum_i d_i |sum_{j>=i} x_j|.
 
-    Serves as the independent construction path for `build_transformed`;
-    the two agree entrywise away from the last two columns, where the
-    truncated T picks up boundary effects.
+    x is one reduced-coordinate vector (the norm is a float) or a 2-D array
+    of such rows (one norm per row).
     """
-    B, _ = build_B(spec, t, n)
-    T = upper_ones(n)
-    Tinv = upper_ones_inv(n)
-    d = weights.d(n)
-    M = T @ B @ Tinv
-    return d[:, None] * M / d[None, :]
-
-
-def weighted_norm(x, weights: WeightSequence) -> float:
-    """The weighted l1 norm ||D T x||_1 = sum_i d_i |sum_{j>=i} x_j|."""
     x = np.asarray(x, dtype=float)
-    suffix = np.cumsum(x[::-1])[::-1]
-    return float(np.sum(weights.d(len(x)) * np.abs(suffix)))
-
-
-def log_norm_l1(M: np.ndarray) -> float:
-    """Logarithmic norm in l1: max over columns of diag + abs off-diag sum."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("log_norm_l1 expects a square matrix")
-    col = np.sum(np.abs(M), axis=0) - np.abs(np.diag(M)) + np.diag(M)
-    return float(np.max(col))
+    suffix = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+    norms = np.abs(suffix) @ weights.d(x.shape[-1])
+    return float(norms) if x.ndim == 1 else norms
 
 
 def log_norm_columns(M: np.ndarray) -> np.ndarray:
-    """Per-column terms of the l1 logarithmic norm (max of these is the norm)."""
+    """Per-column terms of the l1 logarithmic norm: diag + abs off-diagonal sum."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("the l1 logarithmic norm needs a square matrix")
     return np.sum(np.abs(M), axis=0) - np.abs(np.diag(M)) + np.diag(M)
+
+
+def log_norm_l1(M: np.ndarray) -> float:
+    """Logarithmic norm in l1: the largest of `log_norm_columns`."""
+    return float(np.max(log_norm_columns(M)))
 
 
 def format_matrix(M: np.ndarray) -> str:

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, state_label
+from .model import ModelSpec, period_grid, state_label
 
 _MASK64 = (1 << 64) - 1
-_BOUND_GRID = 10_000
 _BOUND_MARGIN = 1.01
 # target bytes of pregenerated uniforms per block of paths
 _BLOCK_BYTES = 16_000_000
@@ -68,14 +67,13 @@ class SimSettings:
 
 
 def _grid_max_rate(spec: ModelSpec) -> float:
-    """max_t (lambda + mu1 + mu2) on a dense grid over one period."""
-    grid = np.linspace(0.0, 1.0, _BOUND_GRID, endpoint=False)
-    lam, mu1, mu2 = spec.rates(grid)
+    """max_t (lambda + mu1 + mu2) on the model's period grid."""
+    lam, mu1, mu2 = spec.rates(period_grid(spec.lam, spec.mu1, spec.mu2))
     return float(np.max(lam + mu1 + mu2))
 
 
 def compute_rate_bound(spec: ModelSpec, margin: float = _BOUND_MARGIN) -> float:
-    """Dominating constant: margin * max_t (lambda + mu1 + mu2) on a dense grid."""
+    """Dominating constant: margin * max_t (lambda + mu1 + mu2) on the period grid."""
     top = _grid_max_rate(spec)
     if top <= 0.0:
         return 1.0  # all rates identically zero; any positive bound works
@@ -205,16 +203,6 @@ def _run_block(
         redo = path_indices[unfinished]
         rec[unfinished] = _run_block(spec, bound, sample_times, initial_state, seed, redo, 2 * budget)
     return rec
-
-
-def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np.ndarray:
-    """State indices of one path at the sample times."""
-    bound = _resolve_bound(spec, settings)
-    times = np.asarray(settings.sample_times, dtype=float)
-    budget = _candidate_budget(bound, float(times.max()))
-    return _run_block(
-        spec, bound, times, settings.initial_state, settings.seed, np.array([path_index]), budget
-    )[0]
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Resolution of the construction-time validation grid.  Nonnegativity and the
-# service-rate ordering are checked on this grid, not symbolically.
-VALIDATION_GRID = 10_000
+# Sampled checks use at least this many points per period, and at least
+# 64 per period of the highest harmonic; MAX_HARMONIC caps the grid at 64,000.
+GRID_POINTS = 10_000
+MAX_HARMONIC = 1_000
 
 _KINDS = ("sin", "cos")
 
@@ -41,6 +42,8 @@ class Harmonic:
             raise ValueError(f"harmonic kind must be one of {_KINDS}, got {self.kind!r}")
         if self.harmonic < 1 or self.harmonic != int(self.harmonic):
             raise ValueError("harmonic index must be a positive integer")
+        if self.harmonic > MAX_HARMONIC:
+            raise ValueError(f"harmonic index {self.harmonic} exceeds the supported {MAX_HARMONIC}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,9 @@ class RateFunction:
       breakpoints in [0, 1) starting at 0, so the mean is an exact weighted
       average.
 
-    Values are validated to be >= 0 on a dense grid at construction.
+    Values are validated to be >= 0 at construction: a table by its values,
+    a trigonometric rate exactly when constant >= sum |amplitude|, else on
+    `period_grid`.
     """
 
     constant: float = 0.0
@@ -77,10 +82,9 @@ class RateFunction:
             if any(v < 0.0 for v in values):
                 raise ValueError("table values must be nonnegative")
             return
-        if self.constant < 0.0 and not self.harmonics:
-            raise ValueError("constant rate must be nonnegative")
-        grid = np.linspace(0.0, 1.0, VALIDATION_GRID, endpoint=False)
-        lo = float(np.min(self(grid)))
+        if self.constant >= sum(abs(h.amplitude) for h in self.harmonics):
+            return  # the rate never falls below constant - sum |amplitude| >= 0
+        lo = float(np.min(self(period_grid(self))))
         if lo < 0.0:
             raise ValueError(f"rate is negative on [0,1): min value {lo:g}")
 
@@ -152,18 +156,11 @@ class ModelSpec:
     mu2: RateFunction
 
     def __post_init__(self):
-        grid = np.linspace(0.0, 1.0, VALIDATION_GRID, endpoint=False)
+        grid = period_grid(self.lam, self.mu1, self.mu2)
         gap = np.asarray(self.mu1(grid)) - np.asarray(self.mu2(grid))
         worst = float(np.min(gap))
         if worst < -1e-12:
             raise ValueError(f"mu2(t) must not exceed mu1(t); violated by {-worst:g}")
-
-    def eval_rates(self, t):
-        """Return (lambda, mu1, mu2, mu) at time t; mu = mu1 + mu2."""
-        lam = self.lam(t)
-        m1 = self.mu1(t)
-        m2 = self.mu2(t)
-        return lam, m1, m2, m1 + m2
 
     def rates(self, t):
         """Arrays (lambda, mu1, mu2) at the times t.
@@ -203,6 +200,16 @@ class ModelSpec:
         """Averaged traffic condition lambda* < mu1* + mu2*."""
         lam, _, _, mu = self.mean_rates()
         return lam < mu
+
+
+def period_grid(*rates: RateFunction) -> np.ndarray:
+    """Sample times over one period for checks the rates' closed forms do not settle.
+
+    GRID_POINTS points, or 64 per period of the highest harmonic among the
+    rates when that is more.
+    """
+    top = max((h.harmonic for rate in rates for h in rate.harmonics), default=1)
+    return np.linspace(0.0, 1.0, max(GRID_POINTS, 64 * top), endpoint=False)
 
 
 # -- state enumeration ---------------------------------------------------

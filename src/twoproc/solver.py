@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import fixed_alphas
-from .matrices import WeightSequence
+from .matrices import WeightSequence, rate_parts, weighted_norm
 from .model import ModelSpec, job_counts
 
 STEP_DEFECT_LIMIT = 1e-6
@@ -102,50 +102,9 @@ class Trajectory:
         raise ValueError(f"t={t:g} is not on the sample grid")
 
 
-def mean_of(p) -> float:
-    """Expected number of jobs: sum of job_count(k) * p_k."""
-    p = np.asarray(p, dtype=float)
-    return float(job_counts(len(p)) @ p)
-
-
 def far_initial_state(n: int) -> int:
     """Far-from-empty start: state index 100 when retained, else the highest."""
     return 100 if n > 101 else n - 1
-
-
-def rate_parts(n: int, conservative: bool = True) -> np.ndarray:
-    """Constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2."""
-    L = np.zeros((n, n))
-    M1 = np.zeros((n, n))
-    M2 = np.zeros((n, n))
-    L[0, 0] = -1.0
-    L[1, 0] = 1.0
-    L[1, 1] = -1.0
-    L[3, 1] = 1.0
-    L[2, 2] = -1.0
-    L[3, 2] = 1.0
-    L[3, 3] = -1.0
-    L[4, 3] = 1.0
-    for k in range(4, n):
-        L[k, k] = -1.0
-        if k + 1 < n:
-            L[k + 1, k] = 1.0
-    if conservative:
-        L[n - 1, n - 1] = 0.0
-    M1[0, 1] = 1.0
-    M1[1, 1] = -1.0
-    M1[2, 3] = 1.0
-    M1[3, 3] = -1.0
-    M2[0, 2] = 1.0
-    M2[2, 2] = -1.0
-    M2[1, 3] = 1.0
-    M2[3, 3] = -1.0
-    for k in range(4, n):
-        M1[k - 1, k] = 1.0
-        M1[k, k] = -1.0
-        M2[k - 1, k] = 1.0
-        M2[k, k] = -1.0
-    return np.stack([L, M1, M2])
 
 
 def _sample_stride(n_steps: int, step: float) -> int:
@@ -417,7 +376,7 @@ def decay_fit(traj1: Trajectory, traj2: Trajectory, weights: WeightSequence | No
     slope, intercept = np.polyfit(ts, np.log(gap[mask]), 1)
     if weights is not None:
         x0 = (traj1.probs[0] - traj2.probs[0])[1:]
-        ref = weighted_gap(x0[None, :], weights)[0]
+        ref = weighted_norm(x0[None, :], weights)[0]
     else:
         ref = float(np.sum(np.abs(traj1.probs[0] - traj2.probs[0])))
     return DecayFit(
@@ -426,13 +385,6 @@ def decay_fit(traj1: Trajectory, traj2: Trajectory, weights: WeightSequence | No
         n_points=int(np.count_nonzero(mask)),
         window=(float(ts[0]), float(ts[-1])),
     )
-
-
-def weighted_gap(x_rows: np.ndarray, weights: WeightSequence) -> np.ndarray:
-    """Row-wise ||D T x||_1 for reduced-coordinate difference rows."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    suffix = np.cumsum(x_rows[:, ::-1], axis=1)[:, ::-1]
-    return np.abs(suffix) @ weights.d(x_rows.shape[1])
 
 
 @dataclass(frozen=True)
@@ -470,7 +422,7 @@ def contraction_check(
     """
     ts = traj1.times
     x = traj1.probs[:, 1:] - traj2.probs[:, 1:]
-    wn = weighted_gap(x, weights)
+    wn = weighted_norm(x, weights)
     keep = wn >= max(GAP_NOISE_FLOOR, wn[0] * 1e-14)
     ts_k = ts[keep]
     wn_k = wn[keep]

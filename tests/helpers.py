@@ -3,10 +3,11 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from twoproc.matrices import WeightSequence
+from twoproc.matrices import WeightSequence, build_B, rate_parts
+from twoproc.mcsim import SimSettings, _candidate_budget, _resolve_bound, _run_block
 from twoproc.model import ModelSpec, RateFunction
-from twoproc.solver import rate_parts
 
 
 def expm_series(M: np.ndarray, tol: float = 1e-16) -> np.ndarray:
@@ -80,6 +81,23 @@ def random_general_spec(rng: np.random.Generator) -> ModelSpec:
     return ModelSpec(lam=lam, mu1=mu1, mu2=mu2)
 
 
+@st.composite
+def admissible_models(draw):
+    """A trigonometric or two-piece table arrival rate; mu2 a fraction of a trigonometric mu1."""
+    c = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        lam = RateFunction.trig(c, [(draw(st.floats(-0.9, 0.9)) * c, draw(st.sampled_from(("sin", "cos"))),
+                                     draw(st.integers(1, 3)))])
+    else:
+        lam = RateFunction.piecewise([(0.0, c), (draw(st.floats(0.1, 0.9)), draw(st.floats(0.0, 4.0)))])
+    c1 = draw(st.floats(1.0, 5.0))
+    a1 = draw(st.floats(-0.9, 0.9)) * c1
+    kind, harmonic = draw(st.sampled_from(("sin", "cos"))), draw(st.integers(1, 3))
+    s = draw(st.floats(0.3, 1.0))
+    return ModelSpec(lam, RateFunction.trig(c1, [(a1, kind, harmonic)]),
+                     RateFunction.trig(c1 * s, [(a1 * s, kind, harmonic)]))
+
+
 def random_hetero_constants(rng: np.random.Generator):
     """Random (lambda, mu2, chi) for the constant-rate heterogeneous case."""
     lam = float(rng.uniform(0.5, 6.0))
@@ -146,6 +164,29 @@ def dense_weighted_norm(x: np.ndarray, weights: WeightSequence) -> float:
     T = np.triu(np.ones((m, m)))
     D = np.diag(weights.d(m))
     return float(np.sum(np.abs(D @ T @ x)))
+
+
+def upper_ones(n: int) -> np.ndarray:
+    """The suffix-sum operator T (upper triangular, all ones)."""
+    return np.triu(np.ones((n, n)))
+
+
+def upper_ones_inv(n: int) -> np.ndarray:
+    """T^-1: unit diagonal, -1 on the superdiagonal."""
+    return np.eye(n) - np.diag(np.ones(n - 1), k=1)
+
+
+def transform_product(spec: ModelSpec, weights: WeightSequence, t: float, n: int) -> np.ndarray:
+    """The explicit product D T B(t) T^-1 D^-1 from the truncated B.
+
+    Oracle for the closed form `build_transformed`; the two agree entrywise
+    away from the last two columns, where the truncated T picks up boundary
+    effects.
+    """
+    B, _ = build_B(spec, t, n)
+    d = weights.d(n)
+    M = upper_ones(n) @ B @ upper_ones_inv(n)
+    return d[:, None] * M / d[None, :]
 
 
 def stationary_vector(A: np.ndarray) -> np.ndarray:
@@ -292,3 +333,13 @@ def reference_run_block(
         redo = path_indices[unfinished]
         rec[unfinished] = reference_run_block(spec, bound, sample_times, initial_state, seed, redo, 2 * budget)
     return rec
+
+
+def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np.ndarray:
+    """State indices of one path at the sample times, through the production block scan."""
+    bound = _resolve_bound(spec, settings)
+    times = np.asarray(settings.sample_times, dtype=float)
+    budget = _candidate_budget(bound, float(times.max()))
+    return _run_block(
+        spec, bound, times, settings.initial_state, settings.seed, np.array([path_index]), budget
+    )[0]

@@ -19,10 +19,11 @@ from helpers import (
     random_general_spec,
     random_hetero_constants,
     random_weights,
+    transform_product,
 )
 from twoproc.bounds import alphas_equal_mu, alphas_general, alphas_hetero
 from twoproc.cli import main
-from twoproc.matrices import WeightSequence, build_A, build_transformed, log_norm_columns, transform_product
+from twoproc.matrices import WeightSequence, build_A, build_transformed, log_norm_columns
 from twoproc.mcsim import SimSettings, estimate_probs
 from twoproc.model import ModelSpec, RateFunction
 from twoproc.solver import (
@@ -138,7 +139,8 @@ def test_acceptance_2_alpha_column_duality():
         spec = random_equal_mu_spec(rng, dominated=True)
         t = float(rng.uniform(0.0, 2.0))
         eps = float(rng.uniform(0.02, 0.5))
-        lam, _, _, mu = spec.eval_rates(t)
+        lam, mu1, mu2 = spec.rates(t)
+        mu = mu1 + mu2
         local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
         M = build_transformed(spec, local, t, 12)
         cols = -log_norm_columns(M)[:5]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    admissible_models,
     random_equal_mu_spec,
     random_general_spec,
     random_hetero_constants,
@@ -49,7 +50,7 @@ class TestAlphaFormulas:
             spec = random_equal_mu_spec(rng)
             w = random_weights(rng)
             t = float(rng.uniform(0.0, 2.0))
-            lam, _, mu2, _ = spec.eval_rates(t)
+            lam, _, mu2 = spec.rates(t)
             assert alphas_general(spec, w, t).values[1] == pytest.approx(lam + mu2, abs=1e-12)
 
     def test_pointwise_closed_form_at_quarter_period(self, ex1_spec):
@@ -61,7 +62,8 @@ class TestAlphaFormulas:
         # delta1 = delta = sqrt(mu(t)/lambda(t)).
         eps = 0.02
         for t in (0.1, 0.2, 0.3, 0.6):
-            lam, _, _, mu = ex1_spec.eval_rates(t)
+            lam, mu1, mu2 = ex1_spec.rates(t)
+            mu = mu1 + mu2
             local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
             a_pt = alphas_equal_mu(ex1_spec, eps, t)
             a_gen = alphas_general(ex1_spec, local, t)
@@ -120,23 +122,6 @@ class TestAlphaFormulas:
                 alphas_equal_mu(spec, eps, 0.0).values,
                 atol=1e-12,
             )
-
-
-@st.composite
-def admissible_models(draw):
-    """A trigonometric or two-piece table arrival rate; mu2 a fraction of a trigonometric mu1."""
-    c = draw(st.floats(0.5, 4.0))
-    if draw(st.booleans()):
-        lam = RateFunction.trig(c, [(draw(st.floats(-0.9, 0.9)) * c, draw(st.sampled_from(("sin", "cos"))),
-                                     draw(st.integers(1, 3)))])
-    else:
-        lam = RateFunction.piecewise([(0.0, c), (draw(st.floats(0.1, 0.9)), draw(st.floats(0.0, 4.0)))])
-    c1 = draw(st.floats(1.0, 5.0))
-    a1 = draw(st.floats(-0.9, 0.9)) * c1
-    kind, harmonic = draw(st.sampled_from(("sin", "cos"))), draw(st.integers(1, 3))
-    s = draw(st.floats(0.3, 1.0))
-    return ModelSpec(lam, RateFunction.trig(c1, [(a1, kind, harmonic)]),
-                     RateFunction.trig(c1 * s, [(a1 * s, kind, harmonic)]))
 
 
 weight_sequences = st.builds(

@@ -88,6 +88,16 @@ class TestBoundCommand:
         assert rc == 1
         assert "mu2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude,harmonic,message", [(1.04, 1000, "negative"), (1.5, 10_000, "exceeds")])
+    def test_high_harmonic_model_exits_one(self, tmp_path, capsys, amplitude, harmonic, message):
+        model = write_json(tmp_path / "alias.json", {
+            "lambda": {"constant": 1.0, "harmonics": [{"amplitude": amplitude, "kind": "sin", "harmonic": harmonic}]},
+            "mu1": {"constant": 2.0}, "mu2": {"constant": 2.0}})
+        rc = main(["bound", "--model", str(model), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and message in err
+
     def test_weight_flags_override(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["bound", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(out),

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dense_weighted_norm, random_general_spec, random_weights
+from helpers import (
+    admissible_models,
+    dense_weighted_norm,
+    random_general_spec,
+    random_weights,
+    transform_product,
+    upper_ones,
+    upper_ones_inv,
+)
 from twoproc.bounds import alphas_general, beta_star
 from twoproc.matrices import (
     WeightSequence,
@@ -11,9 +21,7 @@ from twoproc.matrices import (
     format_matrix,
     log_norm_columns,
     log_norm_l1,
-    transform_product,
-    upper_ones,
-    upper_ones_inv,
+    rate_parts,
     weighted_norm,
 )
 
@@ -53,18 +61,20 @@ class TestGeneratorMatrix:
         )
         assert np.allclose(build_A(ex3_spec, 0.25, 8), expected, atol=1e-12)
 
-    def test_column_sums(self, ex1_spec, ex2_spec, ex3_spec):
-        rng = np.random.default_rng(3)
-        for spec in (ex1_spec, ex2_spec, ex3_spec):
-            for t in rng.uniform(0.0, 2.0, 5):
-                A = build_A(spec, float(t), 12)
-                sums = A.sum(axis=0)
-                lam = spec.lam(float(t))
-                assert np.max(np.abs(sums[:-1])) <= 1e-14
-                assert sums[-1] == pytest.approx(-lam, abs=1e-12)
-                off = A - np.diag(np.diag(A))
-                assert np.min(off) >= 0.0
-                assert np.max(np.diag(A)) <= 0.0
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(admissible_models(), st.floats(0.0, 2.0), st.integers(5, 40))
+    def test_column_sums(self, spec, t, n):
+        for part in rate_parts(n, conservative=True):
+            assert np.all(part.sum(axis=0) == 0.0)
+        A = build_A(spec, t, n)
+        sums = A.sum(axis=0)
+        lam, mu1, mu2 = spec.rates(t)
+        scale = lam + mu1 + mu2
+        assert np.max(np.abs(sums[:-1])) <= 1e-14 * scale
+        assert sums[-1] == pytest.approx(-lam, abs=1e-14 * scale)  # the cut arrival outflow
+        off = A - np.diag(np.diag(A))
+        assert np.min(off) >= 0.0
+        assert np.max(np.diag(A)) <= 0.0
 
     def test_conservative_variant_conserves_everywhere(self, ex2_spec):
         A = build_A(ex2_spec, 0.3, 9, conservative=True)
@@ -88,20 +98,18 @@ class TestReducedMatrix:
         _, f = build_B(ex2_spec, 0.25, 8)
         assert f[0] == pytest.approx(6.0, abs=1e-12)
 
-    def test_substitution_oracle_against_full_system(self, ex1_spec, ex2_spec, ex3_spec):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(admissible_models(), st.floats(0.0, 2.0), st.integers(5, 13), st.integers(0, 2**32 - 1))
+    def test_substitution_oracle_against_full_system(self, spec, t, m, seed):
         # dz/dt from the reduced system must equal rows 1.. of the full system
         # with p00 reconstructed from normalization.
-        rng = np.random.default_rng(11)
-        for spec in (ex1_spec, ex2_spec, ex3_spec):
-            for _ in range(7):
-                t = float(rng.uniform(0.0, 2.0))
-                m = int(rng.integers(5, 14))
-                z = rng.random(m)
-                z *= rng.uniform(0.1, 0.99) / z.sum()
-                p = np.concatenate([[1.0 - z.sum()], z])
-                A = build_A(spec, t, m + 1)
-                B, f = build_B(spec, t, m)
-                assert np.allclose(A @ p, np.concatenate([[(A @ p)[0]], B @ z + f]), atol=1e-12)
+        rng = np.random.default_rng(seed)
+        z = rng.random(m)
+        z *= rng.uniform(0.1, 0.99) / z.sum()
+        p = np.concatenate([[1.0 - z.sum()], z])
+        A = build_A(spec, t, m + 1)
+        B, f = build_B(spec, t, m)
+        assert np.allclose(A @ p, np.concatenate([[(A @ p)[0]], B @ z + f]), atol=1e-12)
 
 
 class TestTriangularTransform:

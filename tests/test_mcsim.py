@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from helpers import (
     arrival_map,
     fast_completion_map,
     path_stream,
     reference_run_block,
+    simulate_path,
     slow_completion_map,
     stationary_vector,
 )
@@ -20,7 +25,6 @@ from twoproc.mcsim import (
     _run_block,
     compute_rate_bound,
     estimate_probs,
-    simulate_path,
 )
 from twoproc.model import ModelSpec, RateFunction
 
@@ -61,6 +65,13 @@ class TestRateBound:
         grid = np.linspace(0.0, 1.0, 10_000, endpoint=False)
         total = ex3_spec.lam(grid) + ex3_spec.mu1(grid) + ex3_spec.mu2(grid)
         assert bound >= 1.009 * float(np.max(total))
+
+    def test_high_harmonic_peak_is_dominated(self):
+        # lambda = 10 + 10 sin(2 pi 1000 t) peaks between the points of a
+        # 10^4-point grid; the total rate reaches 21 at t = 1/4000.
+        spec = ModelSpec(RateFunction.trig(10.0, [(10.0, "sin", 1000)]), RateFunction.fixed(0.5),
+                         RateFunction.fixed(0.5))
+        assert compute_rate_bound(spec) >= 21.0
 
     def test_user_bound_below_rates_rejected(self, ex1_spec):
         settings = SimSettings(n_paths=100, seed=1, sample_times=(1.0,), rate_bound=2.0)
@@ -180,6 +191,15 @@ class TestColumnBlocks:
 
 
 class TestEstimates:
+    @hyp_settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(1, 120))
+    def test_counts_independent_of_block_size(self, ex1_spec, paths_per_block):
+        settings = SimSettings(n_paths=120, seed=13, sample_times=(0.5, 3.0))
+        budget = _candidate_budget(_resolve_bound(ex1_spec, settings), 3.0)
+        whole = estimate_probs(ex1_spec, settings).counts  # 120 paths fit one default block
+        with mock.patch.object(mcsim, "_BLOCK_BYTES", 16 * budget * paths_per_block):
+            assert np.array_equal(estimate_probs(ex1_spec, settings).counts, whole)
+
     def test_requires_hundred_paths(self, ex1_spec):
         with pytest.raises(ValueError, match="100"):
             estimate_probs(ex1_spec, SimSettings(n_paths=99, seed=1, sample_times=(1.0,)))

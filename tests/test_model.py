@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import simpson_mean
+from twoproc import model
+from twoproc.matrices import build_A
 from twoproc.model import (
     Harmonic,
     ModelSpec,
@@ -16,19 +18,18 @@ from twoproc.model import (
 
 class TestRateEvaluation:
     def test_sinusoidal_arrivals_at_zero(self, ex1_spec):
-        assert ex1_spec.eval_rates(0.0) == (1.0, 2.0, 2.0, 4.0)
+        assert ex1_spec.rates(0.0) == (1.0, 2.0, 2.0)
 
     def test_sinusoidal_arrivals_at_quarter_period(self, ex1_spec):
-        lam, m1, m2, mu = ex1_spec.eval_rates(0.25)
+        lam, m1, m2 = ex1_spec.rates(0.25)
         assert lam == pytest.approx(2.0, abs=1e-15)
-        assert (m1, m2, mu) == (2.0, 2.0, 4.0)
+        assert (m1, m2) == (2.0, 2.0)
 
     def test_heterogeneous_rates_vanish_at_half_period(self, ex3_spec):
-        lam, m1, m2, mu = ex3_spec.eval_rates(0.5)
+        lam, m1, m2 = ex3_spec.rates(0.5)
         assert lam == pytest.approx(8.0, abs=1e-12)
         assert m1 == pytest.approx(0.0, abs=1e-12)
         assert m2 == pytest.approx(0.0, abs=1e-12)
-        assert mu == pytest.approx(0.0, abs=1e-12)
 
     def test_rates_are_one_periodic(self, ex3_spec):
         rng = np.random.default_rng(5)
@@ -40,10 +41,12 @@ class TestRateEvaluation:
         rng = np.random.default_rng(0)
         ts = rng.uniform(0.0, 20.0, 1000)
         for spec in (ex1_spec, ex2_spec, ex3_spec):
-            for t in ts:
-                lam, m1, m2, mu = spec.eval_rates(float(t))
-                assert lam >= 0.0 and m1 >= 0.0 and m2 >= 0.0
-                assert mu == m1 + m2  # exact float identity
+            lam, m1, m2 = spec.rates(ts)
+            assert min(lam.min(), m1.min(), m2.min()) >= 0.0
+            for t in ts[:20]:
+                # the completion rate above state 3 is the exact float mu1 + mu2
+                _, a1, a2 = spec.rates(float(t))
+                assert build_A(spec, float(t), 6)[4, 5] == a1 + a2
 
 
 class TestSharedRates:
@@ -99,7 +102,7 @@ class TestMeans:
     def test_averaged_model_is_constant(self, ex3_spec):
         avg = ex3_spec.averaged()
         assert not avg.is_periodic
-        assert avg.eval_rates(0.123) == (8.0, 6.0, 5.0, 11.0)
+        assert avg.rates(0.123) == (8.0, 6.0, 5.0)
 
 
 class TestValidation:
@@ -110,6 +113,21 @@ class TestValidation:
     def test_dipping_trig_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             RateFunction.trig(1.0, [(1.5, "sin", 1)])
+
+    def test_high_harmonic_dip_rejected(self):
+        # 1 + 1.04 sin(2 pi 1000 t) dips to -0.04 between the points of a
+        # 10^4-point grid; the grid scales with the harmonic.
+        with pytest.raises(ValueError, match="negative"):
+            RateFunction.trig(1.0, [(1.04, "sin", 1000)])
+
+    def test_harmonic_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            RateFunction.trig(1.0, [(1.5, "sin", 10_000)])
+
+    def test_dominant_constant_accepted_without_sampling(self, monkeypatch):
+        monkeypatch.setattr(model, "period_grid", None)  # any sampling would fail
+        rate = RateFunction.trig(2.0, [(1.5, "sin", 1000), (0.5, "cos", 3)])
+        assert rate.constant == 2.0
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import expm_series, reference_rk4, stationary_vector
-from twoproc.matrices import build_A
-from twoproc.model import ModelSpec, RateFunction
+from twoproc.matrices import build_A, rate_parts
+from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
 from twoproc.solver import (
     RATE_CHUNK,
@@ -22,9 +22,7 @@ from twoproc.solver import (
     integrate,
     integrate_with_halving,
     limiting_regime,
-    mean_of,
     _truncation_search,
-    rate_parts,
 )
 
 
@@ -35,17 +33,17 @@ def ex1_regime(ex1_spec):
 
 class TestMeanOf:
     def test_empty_system(self):
-        assert mean_of(empty_start(8)) == 0.0
+        assert job_counts(8) @ empty_start(8) == 0.0
 
     def test_both_busy_state_counts_two_jobs(self):
         p = np.zeros(8)
         p[3] = 1.0
-        assert mean_of(p) == 2.0
+        assert job_counts(8) @ p == 2.0
 
     def test_uniform_low_states(self):
         p = np.zeros(8)
         p[:4] = 0.25
-        assert mean_of(p) == pytest.approx(1.0, abs=1e-15)
+        assert job_counts(8) @ p == pytest.approx(1.0, abs=1e-15)
 
 
 class TestRateParts:
@@ -53,7 +51,7 @@ class TestRateParts:
         n = 10
         R = rate_parts(n, conservative=False)
         for t in (0.0, 0.3, 0.77):
-            lam, m1, m2, _ = ex3_spec.eval_rates(t)
+            lam, m1, m2 = ex3_spec.rates(t)
             assert np.allclose(lam * R[0] + m1 * R[1] + m2 * R[2], build_A(ex3_spec, t, n), atol=1e-12)
 
     def test_conservative_columns_sum_to_zero(self):
