@@ -24,42 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import WeightSequence
+from .matrices import WeightSequence, weight_columns
 from .model import ModelSpec
-
-REGIMES = ("general", "equal-mu", "heterogeneous", "averaged")
 
 _PERIOD_PANELS = 2048  # Simpson panels for per-period integrals
 
 
 class NotErgodicError(ValueError):
     """Raised when the averaged traffic condition lambda* < mu* fails."""
-
-
-@dataclass(frozen=True)
-class AlphaProfile:
-    """The five distinct column bounds at one time, alpha_k = alpha_5 for k >= 5."""
-
-    values: tuple[float, float, float, float, float]
-    regime: str
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-
-
-class BetaStar(NamedTuple):
-    value: float
-    binding: int  # 1-based index of the binding alpha
-
-
-def _as_array(x):
-    return np.asarray(x, dtype=float)
 
 
 def fixed_alphas(lam, mu1, mu2, d) -> np.ndarray:
@@ -78,10 +53,14 @@ def fixed_alphas(lam, mu1, mu2, d) -> np.ndarray:
     return np.stack([a1, a2, a3, a4, a5])
 
 
-def _alphas_equal_mu_arrays(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
-    ts = _as_array(ts)
-    lam = _as_array(spec.lam(ts))
-    mu = _as_array(spec.mu1(ts)) + _as_array(spec.mu2(ts))
+def pointwise_alphas(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
+    """Pointwise-route alpha_1..alpha_5 at the times ts, for mu1 = mu2.
+
+    The geometric ratio is the locally optimal sqrt(mu(t)/lambda(t)), so only
+    epsilon remains free.
+    """
+    lam, mu1, mu2 = spec.rates(ts)
+    mu = mu1 + mu2
     root = np.sqrt(lam * mu)
     gap = (np.sqrt(lam) - np.sqrt(mu)) ** 2
     a1 = mu / 2.0 - epsilon * lam
@@ -92,52 +71,14 @@ def _alphas_equal_mu_arrays(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
     return np.stack([a1, a2, a3, a4, a5])
 
 
-def alphas_general(spec: ModelSpec, weights: WeightSequence, t: float) -> AlphaProfile:
-    """Column bounds with a fixed weight sequence, any admissible model."""
-    vals = fixed_alphas(*spec.rates(t), weights.d(6))
-    return AlphaProfile(values=tuple(float(v) for v in vals), regime="general", t=float(t))
+def alphas_averaged(spec: ModelSpec, weights: WeightSequence) -> np.ndarray:
+    """Fixed-weight alpha_1..alpha_5 evaluated at the exact period means."""
+    return fixed_alphas(*spec.averaged().rates(0.0), weights.d(6))
 
 
-def alphas_equal_mu(spec: ModelSpec, epsilon: float, t: float) -> AlphaProfile:
-    """Pointwise-route bounds for mu1 = mu2.
-
-    The geometric ratio is the locally optimal sqrt(mu(t)/lambda(t)), so only
-    epsilon remains free.  Rejects models whose service rates differ.
-    """
-    if not spec.is_equal_service:
-        raise ValueError("equal-service closed forms require mu1 identical to mu2")
-    vals = _alphas_equal_mu_arrays(spec, epsilon, t)
-    return AlphaProfile(values=tuple(float(v) for v in vals), regime="equal-mu", t=float(t))
-
-
-def alphas_hetero(lam: float, mu2: float, chi: float, weights: WeightSequence) -> AlphaProfile:
-    """Constant-rate bounds for mu1 = (1 + chi) * mu2, chi > 0.
-
-    alpha_2 carries the term -(chi/eps)*mu2 and may be the binding minimum;
-    it is not excluded here.
-    """
-    if chi <= 0.0:
-        raise ValueError("chi must be positive")
-    eps, d1, dl = weights.epsilon, weights.delta1, weights.delta
-    a1 = (1.0 + chi) * mu2 - eps * lam
-    a2 = lam + mu2 * (1.0 - chi / eps)
-    a3 = lam * (1.0 - d1) + (1.0 + chi) * mu2
-    a4 = lam * (1.0 - dl) + mu2 * (2.0 + chi - (2.0 + eps + chi) / d1)
-    a5 = lam * (1.0 - dl) + mu2 * (1.0 - 1.0 / dl) * (2.0 + chi)
-    return AlphaProfile(values=(a1, a2, a3, a4, a5), regime="heterogeneous")
-
-
-def alphas_averaged(spec: ModelSpec, weights: WeightSequence) -> AlphaProfile:
-    """Fixed-weight bounds evaluated at the exact period means."""
-    vals = fixed_alphas(*spec.averaged().rates(0.0), weights.d(6))
-    return AlphaProfile(values=tuple(float(v) for v in vals), regime="averaged")
-
-
-def beta_star(profile: AlphaProfile) -> BetaStar:
-    """Minimum of the five bounds and the 1-based index that attains it."""
-    values = np.asarray(profile.values)
-    idx = int(np.argmin(values))
-    return BetaStar(value=float(values[idx]), binding=idx + 1)
+def cumulative_trapezoid(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ys from ts[0] to each ts[i]."""
+    return np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) / 2.0 * np.diff(ts))])
 
 
 @dataclass(frozen=True)
@@ -146,51 +87,37 @@ class BetaCurve:
 
     times: np.ndarray
     values: np.ndarray
-    route: str  # "pointwise" | "fixed"
     inf: float
     integral: float  # integral of beta*(tau) over one period
 
 
-def _simpson_period(f) -> float:
-    """Composite Simpson of f over [0, 1] with _PERIOD_PANELS panels."""
+def _period_curve(beta) -> BetaCurve:
+    """beta(ts) on the _PERIOD_PANELS Simpson grid of [0, 1], with its composite Simpson integral."""
     n = _PERIOD_PANELS
     ts = np.linspace(0.0, 1.0, n + 1)
-    ys = f(ts)
+    values = beta(ts)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(np.sum(w * ys) / (3.0 * n))
+    return BetaCurve(times=ts, values=values, inf=float(np.min(values)),
+                     integral=float(np.sum(w * values) / (3.0 * n)))
 
 
-def beta_star_time(spec: ModelSpec, weights: WeightSequence, route: str = "auto") -> BetaCurve:
-    """Sample beta*(t) = min_i alpha_i(t) on the Simpson grid and integrate it over one period.
-
-    route "auto" picks the pointwise closed forms for equal service rates and
-    the fixed-weight forms otherwise; "fixed" forces the fixed-weight forms
-    (the curve whose period average is exactly beta*_0).
-    """
-    if route not in ("auto", "pointwise", "fixed"):
-        raise ValueError("route must be auto, pointwise or fixed")
-    if route == "auto":
-        route = "pointwise" if spec.is_equal_service else "fixed"
-    if route == "pointwise" and not spec.is_equal_service:
-        raise ValueError("pointwise route requires equal service rates")
-    grid = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
+def _fixed_curve(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
+    """beta*(t) with fixed weights, whose period average is exactly beta*_0 when one alpha binds."""
     d = weights.d(6)
+    return _period_curve(lambda ts: np.min(fixed_alphas(*spec.rates(ts), d), axis=0))
 
-    def curve(ts):
-        if route == "pointwise":
-            return np.min(_alphas_equal_mu_arrays(spec, weights.epsilon, ts), axis=0)
-        return np.min(fixed_alphas(*spec.rates(ts), d), axis=0)
 
-    values = curve(grid)
-    return BetaCurve(
-        times=grid,
-        values=values,
-        route=route,
-        inf=float(np.min(values)),
-        integral=_simpson_period(curve),
-    )
+def beta_star_time(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
+    """beta*(t) = min_i alpha_i(t) over one period on the certificate's route.
+
+    Equal service rates take the pointwise closed forms, any other model the
+    fixed-weight forms.
+    """
+    if not spec.is_equal_service:
+        return _fixed_curve(spec, weights)
+    return _period_curve(lambda ts: np.min(pointwise_alphas(spec, weights.epsilon, ts), axis=0))
 
 
 def geometric_ratio(spec: ModelSpec) -> float:
@@ -222,11 +149,7 @@ def tune_weights(spec: ModelSpec) -> WeightSequence:
     d1_grid = sorted(x for x in set(np.linspace(1.01, hi, 40)) | {13.0 / 8.0, delta} if x > 1.0)
     eps = np.repeat(eps_grid, len(d1_grid))
     d1 = np.tile(d1_grid, len(eps_grid))
-    # One weight column per candidate, with the arithmetic of WeightSequence.d(6).
-    d = np.ones((6, eps.size))
-    d[1] = eps
-    d[3:] = d1 * (delta ** np.arange(3))[:, None]
-    scores = np.min(fixed_alphas(*spec.averaged().rates(0.0), d), axis=0)
+    scores = np.min(fixed_alphas(*spec.averaged().rates(0.0), weight_columns(eps, d1, delta, 6)), axis=0)
     best, best_score = None, -math.inf
     for i, score in enumerate(scores.tolist()):
         if score > best_score + 1e-15:
@@ -283,7 +206,7 @@ class NoCertificate:
 def analytic_prefactor(curve: BetaCurve, beta0: float):
     """Prefactor exp(sup deficit) for the averaged-route bound, when valid.
 
-    With fixed weights (`curve` is the route "fixed" curve) the per-period
+    With fixed weights (`curve` is the fixed-weight curve) the per-period
     integral of beta*(t) is compared with beta*_0; when they agree the
     within-period deficit is bounded and its exponential is a rigorous
     prefactor.  Returns None when the integral falls short (different alphas
@@ -291,9 +214,7 @@ def analytic_prefactor(curve: BetaCurve, beta0: float):
     """
     if curve.integral < beta0 - 1e-9:
         return None
-    ts = curve.times
-    cum = np.concatenate([[0.0], np.cumsum((curve.values[1:] + curve.values[:-1]) / 2.0 * np.diff(ts))])
-    deficit = beta0 * ts - cum
+    deficit = beta0 * curve.times - cumulative_trapezoid(curve.times, curve.values)
     return float(np.exp(np.max(deficit)))
 
 
@@ -310,32 +231,27 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
         )
     if weights is None:
         weights = tune_weights(spec)
-    avg = beta_star(alphas_averaged(spec, weights))
-    if avg.value <= 0.0:
+    alphas = alphas_averaged(spec, weights)
+    binding = int(np.argmin(alphas))
+    beta0 = float(alphas[binding])
+    if beta0 <= 0.0:
         return NoCertificate(
-            reason=f"ergodicity not certified: averaged decay rate {avg.value:g} <= 0 for these weights"
+            reason=f"ergodicity not certified: averaged decay rate {beta0:g} <= 0 for these weights"
         )
     curve = beta_star_time(spec, weights)
-    fixed = curve if curve.route == "fixed" else beta_star_time(spec, weights, route="fixed")
+    fixed = _fixed_curve(spec, weights) if spec.is_equal_service else curve
     periodic_rate = curve.inf if curve.inf > 0.0 else None
     return ConvergenceCertificate(
         regime="periodic" if spec.is_periodic else "constant-rate",
         weights=weights,
-        beta_star_avg=avg.value,
-        binding_alpha=avg.binding,
+        beta_star_avg=beta0,
+        binding_alpha=binding + 1,
         beta_star_periodic=periodic_rate,
         beta_integral=curve.integral,
         beta_integral_fixed=fixed.integral,
         norm_chain_constant=chain_constant(weights),
-        prefactor_analytic=analytic_prefactor(fixed, avg.value),
+        prefactor_analytic=analytic_prefactor(fixed, beta0),
     )
-
-
-def with_measured_prefactor(cert: ConvergenceCertificate, prefactor: float) -> ConvergenceCertificate:
-    """Copy of the certificate carrying a solver-measured prefactor."""
-    from dataclasses import replace
-
-    return replace(cert, prefactor_N=float(prefactor))
 
 
 def certificate_to_dict(cert: ConvergenceCertificate) -> dict:
@@ -391,7 +307,7 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     ts = np.linspace(0.0, 1.0, 101)
     table = fixed_alphas(*spec.rates(ts), w.d(6))
     if spec.is_equal_service:
-        route_vals = np.min(_alphas_equal_mu_arrays(spec, w.epsilon, ts), axis=0)
+        route_vals = np.min(pointwise_alphas(spec, w.epsilon, ts), axis=0)
     else:
         route_vals = np.min(table, axis=0)
     for i, t in enumerate(ts):

@@ -9,11 +9,12 @@ thresholds violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ def resolve_weights(cfg: ModelConfig, args) -> WeightSequence | None:
 
 
 def resolve_solve_settings(cfg: ModelConfig, args) -> SolveSettings:
-    merged = {"n": None, "step": 1e-3, "horizon": 50.0, "tol_truncation": 1e-6, "tol_mix": 1e-5}
+    merged = asdict(SolveSettings())
     merged.update(cfg.solve)
     for key, flag in (("n", "n"), ("step", "step"), ("horizon", "horizon"),
                       ("tol_truncation", "tol_trunc"), ("tol_mix", "tol_mix")):
@@ -290,7 +291,7 @@ def cmd_solve(args) -> int:
         check = solver.contraction_check(
             regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
         )
-        cert = bounds.with_measured_prefactor(cert, check.prefactor_measured)
+        cert = replace(cert, prefactor_N=check.prefactor_measured)
         lines.append(f"certified beta*_0: {cert.beta_star_avg:.6g}  measured prefactor N: {check.prefactor_measured:.6g}")
         lines.append(f"certified-route ratio max (should stay near/below 1): {check.ratio_certified_max:.6g}")
         (out / "certificate.txt").write_text(bounds.certificate_report(cert, cfg.spec))
@@ -382,7 +383,7 @@ def cmd_compare(args) -> int:
             fh.write(f"{CSV_FLOAT % t},{lbl},{CSV_FLOAT % mc},"
                      f"{CSV_FLOAT % ode},{CSV_FLOAT % se},{int(ok)}\n")
 
-    cert = bounds.with_measured_prefactor(cert, check.prefactor_measured)
+    cert = replace(cert, prefactor_N=check.prefactor_measured)
     (out / "certificate.txt").write_text(bounds.certificate_report(cert, cfg.spec))
     lines = [
         f"model: {cfg.name}   n: {settings.n}   horizon: {settings.horizon:g}   paths: {sim.n_paths}",
@@ -439,7 +440,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-trunc", dest="tol_trunc", type=float, default=None, help="truncation-doubling tolerance")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="twoproc",
         description="Convergence bounds and transient analysis for a two-processor heterogeneous queue",

@@ -45,15 +45,20 @@ class WeightSequence:
             raise ValueError("delta must exceed 1")
 
     def d(self, m: int) -> np.ndarray:
-        """The first m weights as an array (d[0] is d1)."""
-        if m < 1:
-            raise ValueError("need at least one weight")
-        out = np.ones(m)
-        if m > 1:
-            out[1] = self.epsilon
-        if m > 3:
-            out[3:] = self.delta1 * self.delta ** np.arange(m - 3)
-        return out
+        """The first m >= 2 weights as an array (d[0] is d1)."""
+        return weight_columns(self.epsilon, self.delta1, self.delta, m)
+
+
+def weight_columns(epsilon, delta1, delta: float, m: int) -> np.ndarray:
+    """The first m >= 2 weights d1..dm as rows, one column per entry of epsilon and delta1.
+
+    With scalar epsilon and delta1 this is the 1-D `WeightSequence.d(m)`.
+    """
+    eps, d1 = np.broadcast_arrays(epsilon, delta1)
+    out = np.ones((m,) + eps.shape)
+    out[1] = eps
+    out[3:] = np.multiply.outer(delta ** np.arange(m - 3), d1)
+    return out
 
 
 def _require_size(n: int) -> None:
@@ -149,29 +154,14 @@ def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int
     return M
 
 
-def weighted_norm(x, weights: WeightSequence):
-    """The weighted l1 norm ||D T x||_1 = sum_i d_i |sum_{j>=i} x_j|.
+def weighted_norm(x, weights: WeightSequence) -> np.ndarray:
+    """The weighted l1 norm ||D T x||_1 = sum_i d_i |sum_{j>=i} x_j| of each row of x.
 
-    x is one reduced-coordinate vector (the norm is a float) or a 2-D array
-    of such rows (one norm per row).
+    Each row is one reduced-coordinate vector.
     """
     x = np.asarray(x, dtype=float)
-    suffix = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    norms = np.abs(suffix) @ weights.d(x.shape[-1])
-    return float(norms) if x.ndim == 1 else norms
-
-
-def log_norm_columns(M: np.ndarray) -> np.ndarray:
-    """Per-column terms of the l1 logarithmic norm: diag + abs off-diagonal sum."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("the l1 logarithmic norm needs a square matrix")
-    return np.sum(np.abs(M), axis=0) - np.abs(np.diag(M)) + np.diag(M)
-
-
-def log_norm_l1(M: np.ndarray) -> float:
-    """Logarithmic norm in l1: the largest of `log_norm_columns`."""
-    return float(np.max(log_norm_columns(M)))
+    suffix = np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+    return np.abs(suffix) @ weights.d(x.shape[1])
 
 
 def format_matrix(M: np.ndarray) -> str:

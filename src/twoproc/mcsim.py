@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, period_grid, state_label
+from .model import ModelSpec, period_grid
 
 _MASK64 = (1 << 64) - 1
 _BOUND_MARGIN = 1.01
@@ -45,12 +45,11 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Simulation controls; rate_bound None means "compute from the model"."""
+    """Simulation controls."""
 
     n_paths: int
     seed: int
     sample_times: tuple[float, ...]
-    rate_bound: float | None = None
     initial_state: int = 0
 
     def __post_init__(self):
@@ -66,27 +65,13 @@ class SimSettings:
             raise ValueError("initial state index must be nonnegative")
 
 
-def _grid_max_rate(spec: ModelSpec) -> float:
-    """max_t (lambda + mu1 + mu2) on the model's period grid."""
+def compute_rate_bound(spec: ModelSpec) -> float:
+    """Dominating constant: _BOUND_MARGIN * max_t (lambda + mu1 + mu2) on the period grid."""
     lam, mu1, mu2 = spec.rates(period_grid(spec.lam, spec.mu1, spec.mu2))
-    return float(np.max(lam + mu1 + mu2))
-
-
-def compute_rate_bound(spec: ModelSpec, margin: float = _BOUND_MARGIN) -> float:
-    """Dominating constant: margin * max_t (lambda + mu1 + mu2) on the period grid."""
-    top = _grid_max_rate(spec)
+    top = float(np.max(lam + mu1 + mu2))
     if top <= 0.0:
         return 1.0  # all rates identically zero; any positive bound works
-    return margin * top
-
-
-def _resolve_bound(spec: ModelSpec, settings: SimSettings) -> float:
-    if settings.rate_bound is None:
-        return compute_rate_bound(spec)
-    top = _grid_max_rate(spec)
-    if settings.rate_bound < top:
-        raise ValueError(f"rate_bound {settings.rate_bound:g} is below the grid maximum {top:g}")
-    return float(settings.rate_bound)
+    return _BOUND_MARGIN * top
 
 
 def _path_draws(seed: int, path_indices: np.ndarray, count: int) -> np.ndarray:
@@ -215,9 +200,6 @@ class SimEstimate:
     estimates: np.ndarray    # counts / n_paths
     stderrs: np.ndarray      # Laplace-smoothed binomial standard errors
 
-    def state_labels(self) -> list[str]:
-        return [state_label(k) for k in range(self.counts.shape[1])]
-
 
 def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     """State probabilities at the sample times from n_paths >= 100 paths.
@@ -227,7 +209,7 @@ def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     """
     if settings.n_paths < 100:
         raise ValueError("estimate_probs needs at least 100 paths")
-    bound = _resolve_bound(spec, settings)
+    bound = compute_rate_bound(spec)
     times = np.asarray(settings.sample_times, dtype=float)
     budget = _candidate_budget(bound, float(times.max()))
     block = max(1, min(settings.n_paths, _BLOCK_BYTES // (16 * budget)))

@@ -25,6 +25,11 @@ import numpy as np
 # 64 per period of the highest harmonic; MAX_HARMONIC caps the grid at 64,000.
 GRID_POINTS = 10_000
 MAX_HARMONIC = 1_000
+# A sampled trigonometric minimum down to -DIP_ULPS machine epsilons of the
+# rate's scale is rounding in the coefficients (a general phase written with
+# sin and cos terms), not a negative rate; it acts as 0 in the Monte-Carlo
+# thinning comparison and in the projected RK4 step.
+DIP_ULPS = 4
 
 _KINDS = ("sin", "cos")
 
@@ -60,7 +65,8 @@ class RateFunction:
 
     Values are validated to be >= 0 at construction: a table by its values,
     a trigonometric rate exactly when constant >= sum |amplitude|, else on
-    `period_grid`.
+    `period_grid`, where a dip of a few rounding units of the rate's scale
+    |constant| + sum |amplitude| is accepted (DIP_ULPS).
     """
 
     constant: float = 0.0
@@ -82,10 +88,11 @@ class RateFunction:
             if any(v < 0.0 for v in values):
                 raise ValueError("table values must be nonnegative")
             return
-        if self.constant >= sum(abs(h.amplitude) for h in self.harmonics):
+        spread = sum(abs(h.amplitude) for h in self.harmonics)
+        if self.constant >= spread:
             return  # the rate never falls below constant - sum |amplitude| >= 0
         lo = float(np.min(self(period_grid(self))))
-        if lo < 0.0:
+        if lo < -DIP_ULPS * np.finfo(float).eps * (abs(self.constant) + spread):
             raise ValueError(f"rate is negative on [0,1): min value {lo:g}")
 
     # -- constructors ---------------------------------------------------
@@ -196,58 +203,21 @@ class ModelSpec:
             mu2=RateFunction.fixed(self.mu2.mean()),
         )
 
-    def traffic_ok(self) -> bool:
-        """Averaged traffic condition lambda* < mu1* + mu2*."""
-        lam, _, _, mu = self.mean_rates()
-        return lam < mu
-
 
 def period_grid(*rates: RateFunction) -> np.ndarray:
     """Sample times over one period for checks the rates' closed forms do not settle.
 
     GRID_POINTS points, or 64 per period of the highest harmonic among the
-    rates when that is more.
+    rates when that is more, followed by every table breakpoint, so that
+    each segment of a table is sampled.
     """
     top = max((h.harmonic for rate in rates for h in rate.harmonics), default=1)
-    return np.linspace(0.0, 1.0, max(GRID_POINTS, 64 * top), endpoint=False)
+    grid = np.linspace(0.0, 1.0, max(GRID_POINTS, 64 * top), endpoint=False)
+    breaks = [b for rate in rates for b, _ in rate.table or ()]
+    return np.concatenate([grid, breaks]) if breaks else grid
 
 
 # -- state enumeration ---------------------------------------------------
-
-
-def state_encode(state) -> int:
-    """Map a state pair (main-busy flag, backup/queue count) to its index."""
-    busy, rest = state
-    if busy not in (0, 1) or rest < 0:
-        raise ValueError(f"invalid state {state!r}")
-    if busy == 0:
-        if rest > 1:
-            raise ValueError(f"invalid state {state!r}: queue requires a busy main server")
-        return 0 if rest == 0 else 2
-    return 1 if rest == 0 else rest + 2
-
-
-def state_decode(index: int):
-    if index < 0:
-        raise ValueError("state index must be nonnegative")
-    if index == 0:
-        return (0, 0)
-    if index == 1:
-        return (1, 0)
-    if index == 2:
-        return (0, 1)
-    return (1, index - 2)
-
-
-def job_count(index: int) -> int:
-    """Number of jobs in the system for a state index."""
-    if index < 0:
-        raise ValueError("state index must be nonnegative")
-    if index == 0:
-        return 0
-    if index <= 2:
-        return 1
-    return index - 1
 
 
 def job_counts(n: int) -> np.ndarray:
@@ -262,5 +232,7 @@ def job_counts(n: int) -> np.ndarray:
 
 
 def state_label(index: int) -> str:
-    busy, rest = state_decode(index)
-    return f"p{busy}{rest}"
+    """Label pXY of a state index: X is the main-busy flag, Y the jobs on the backup or queued."""
+    if index < 0:
+        raise ValueError("state index must be nonnegative")
+    return ("p00", "p10", "p01")[index] if index < 3 else f"p1{index - 2}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import fixed_alphas
+from .bounds import cumulative_trapezoid, fixed_alphas
 from .matrices import WeightSequence, rate_parts, weighted_norm
 from .model import ModelSpec, job_counts
 
@@ -32,6 +32,7 @@ STEP_DEFECT_LIMIT = 1e-6
 TRUNCATION_CAP = 4096
 SAMPLE_TARGET = 8000
 RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
+STEP_HALVINGS = 6  # step halvings `integrate_with_halving` tries before giving up
 
 
 class StepSizeError(RuntimeError):
@@ -86,11 +87,8 @@ class Trajectory:
     l1_defect: np.ndarray      # pre-projection |1 - sum(p)| at each sample
     n: int
     step: float
-    t0: float
-    p0: np.ndarray
     defect_total: float        # sum of per-step pre-projection defects
     defect_per_unit_time: float
-    defect_max_step: float
     min_entry_pre: float       # most negative pre-projection entry seen
 
     def prob_at(self, t: float) -> np.ndarray:
@@ -169,7 +167,6 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
     p = p0.copy()
     _project(p)
     defect_total = 0.0
-    defect_max = 0.0
     min_entry = float(np.min(p0))
     si = 0
     step_defect = 0.0
@@ -204,8 +201,6 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
         if m < min_entry:
             min_entry = m
         defect_total += step_defect
-        if step_defect > defect_max:
-            defect_max = step_defect
         _project(p)
 
     return Trajectory(
@@ -215,23 +210,20 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
         l1_defect=defects,
         n=n,
         step=h,
-        t0=t0,
-        p0=p0.copy(),
         defect_total=defect_total,
         defect_per_unit_time=defect_total / settings.horizon,
-        defect_max_step=defect_max,
         min_entry_pre=min_entry,
     )
 
 
-def integrate_with_halving(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0, retries: int = 6):
-    """Integrate, halving the step on step-size failures."""
-    for _ in range(retries + 1):
+def integrate_with_halving(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
+    """Integrate from t = 0, halving the step on step-size failures."""
+    for _ in range(STEP_HALVINGS + 1):
         try:
-            return integrate(spec, settings, p0, t0=t0)
+            return integrate(spec, settings, p0)
         except StepSizeError:
             settings = replace(settings, step=settings.step / 2.0)
-    raise StepSizeError(f"step halved {retries} times without meeting the defect limit")
+    raise StepSizeError(f"step halved {STEP_HALVINGS} times without meeting the defect limit")
 
 
 def empty_start(n: int) -> np.ndarray:
@@ -396,12 +388,10 @@ class ContractionCheck:
     comparison carries no information.
     """
 
-    times: np.ndarray
-    weighted: np.ndarray        # ||z1(t) - z2(t)||_1D
-    ratio_avg: np.ndarray       # weighted * exp(beta0 t) / weighted(0), masked region only
+    ratio_avg: np.ndarray       # ||z1(t) - z2(t)||_1D * exp(beta0 t) / its t = 0 value, masked region only
     prefactor_measured: float   # sup of ratio_avg
-    ratio_certified_max: float  # sup of weighted * exp(int beta_fixed) / weighted(0)
-    p_chain_ratio_max: float    # sup of ||p1 - p2||_1 / ||z1 - z2||_1D
+    ratio_certified_max: float  # sup of ||z1 - z2||_1D * exp(int beta_fixed) / its t = 0 value
+    p_chain_ratio_max: float    # sup of ||p1 - p2||_1 / ||z1 - z2||_1D, at most the chain constant 2/epsilon
 
 
 GAP_NOISE_FLOOR = 1e-13
@@ -428,12 +418,9 @@ def contraction_check(
     wn_k = wn[keep]
     ratio_avg = wn_k * np.exp(beta0 * (ts_k - ts[0])) / wn[0]
     betas = np.min(fixed_alphas(*spec.rates(ts_k), weights.d(6)), axis=0)
-    cum = np.concatenate([[0.0], np.cumsum((betas[1:] + betas[:-1]) / 2.0 * np.diff(ts_k))])
-    ratio_cert = wn_k * np.exp(cum) / wn[0]
+    ratio_cert = wn_k * np.exp(cumulative_trapezoid(ts_k, betas)) / wn[0]
     p_gap = np.sum(np.abs(traj1.probs[keep] - traj2.probs[keep]), axis=1)
     return ContractionCheck(
-        times=ts_k,
-        weighted=wn_k,
         ratio_avg=ratio_avg,
         prefactor_measured=float(np.max(ratio_avg)),
         ratio_certified_max=float(np.max(ratio_cert)),

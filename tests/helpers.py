@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from twoproc.matrices import WeightSequence, build_B, rate_parts
-from twoproc.mcsim import SimSettings, _candidate_budget, _resolve_bound, _run_block
+from twoproc.mcsim import SimSettings, _candidate_budget, _run_block, compute_rate_bound
 from twoproc.model import ModelSpec, RateFunction
 
 
@@ -156,6 +156,41 @@ def reference_tune_weights(spec: ModelSpec) -> WeightSequence:
             if score > best_score + 1e-15:
                 best, best_score = w, score
     return best
+
+
+def alphas_hetero(lam: float, mu2: float, chi: float, weights: WeightSequence) -> np.ndarray:
+    """Constant-rate alpha_1..alpha_5 for mu1 = (1 + chi) * mu2, chi > 0.
+
+    The paper's heterogeneous closed form, an oracle for `bounds.fixed_alphas`.
+    alpha_2 carries the term -(chi/eps)*mu2 and may be the binding minimum.
+    """
+    if chi <= 0.0:
+        raise ValueError("chi must be positive")
+    eps, d1, dl = weights.epsilon, weights.delta1, weights.delta
+    a1 = (1.0 + chi) * mu2 - eps * lam
+    a2 = lam + mu2 * (1.0 - chi / eps)
+    a3 = lam * (1.0 - d1) + (1.0 + chi) * mu2
+    a4 = lam * (1.0 - dl) + mu2 * (2.0 + chi - (2.0 + eps + chi) / d1)
+    a5 = lam * (1.0 - dl) + mu2 * (1.0 - 1.0 / dl) * (2.0 + chi)
+    return np.array([a1, a2, a3, a4, a5])
+
+
+def log_norm_columns(M: np.ndarray) -> np.ndarray:
+    """Per-column terms of the l1 logarithmic norm: diag + abs off-diagonal sum."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("the l1 logarithmic norm needs a square matrix")
+    return np.sum(np.abs(M), axis=0) - np.abs(np.diag(M)) + np.diag(M)
+
+
+def log_norm_l1(M: np.ndarray) -> float:
+    """Logarithmic norm in l1: the largest of `log_norm_columns`."""
+    return float(np.max(log_norm_columns(M)))
+
+
+def job_count(index: int) -> int:
+    """Jobs in the system at one state index (oracle for `model.job_counts`)."""
+    return 0 if index == 0 else 1 if index <= 2 else index - 1
 
 
 def dense_weighted_norm(x: np.ndarray, weights: WeightSequence) -> float:
@@ -337,7 +372,7 @@ def reference_run_block(
 
 def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np.ndarray:
     """State indices of one path at the sample times, through the production block scan."""
-    bound = _resolve_bound(spec, settings)
+    bound = compute_rate_bound(spec)
     times = np.asarray(settings.sample_times, dtype=float)
     budget = _candidate_budget(bound, float(times.max()))
     return _run_block(

@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from helpers import (
+    alphas_hetero,
     expm_series,
+    log_norm_columns,
     random_equal_mu_spec,
     random_general_spec,
     random_hetero_constants,
     random_weights,
     transform_product,
 )
-from twoproc.bounds import alphas_equal_mu, alphas_general, alphas_hetero
+from twoproc.bounds import fixed_alphas, pointwise_alphas
 from twoproc.cli import main
-from twoproc.matrices import WeightSequence, build_A, build_transformed, log_norm_columns
+from twoproc.matrices import WeightSequence, build_A, build_transformed
 from twoproc.mcsim import SimSettings, estimate_probs
 from twoproc.model import ModelSpec, RateFunction
 from twoproc.solver import (
@@ -31,6 +33,7 @@ from twoproc.solver import (
     contraction_check,
     decay_fit,
     empty_start,
+    far_start,
     integrate,
     limiting_regime,
 )
@@ -75,10 +78,7 @@ def pipelines(examples):
         fit_p = decay_fit(regime.from_empty, regime.from_far, ex["weights"])
         avg_spec = ex["spec"].averaged()
         avg_empty = integrate(avg_spec, ex["settings"], empty_start(ex["settings"].n))
-        avg_far = integrate(
-            avg_spec, ex["settings"],
-            np.eye(ex["settings"].n)[regime.from_far.p0.argmax()],
-        )
+        avg_far = integrate(avg_spec, ex["settings"], far_start(ex["settings"].n))
         fit_a = decay_fit(avg_empty, avg_far, ex["weights"])
         check = contraction_check(
             regime.from_empty, regime.from_far, ex["spec"], ex["weights"], ex["beta0"]
@@ -132,7 +132,7 @@ def test_acceptance_2_alpha_column_duality():
     def assert_duality(spec, weights, t):
         M = build_transformed(spec, weights, t, 12)
         cols = -log_norm_columns(M)[:5]
-        vals = alphas_general(spec, weights, t).values
+        vals = fixed_alphas(*spec.rates(t), weights.d(6))
         assert np.max(np.abs(cols - np.asarray(vals))) <= 1e-12
 
     for _ in range(34):  # equal service rates, pointwise ratio
@@ -144,7 +144,7 @@ def test_acceptance_2_alpha_column_duality():
         local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
         M = build_transformed(spec, local, t, 12)
         cols = -log_norm_columns(M)[:5]
-        vals = alphas_equal_mu(spec, eps, t).values
+        vals = pointwise_alphas(spec, eps, t)
         assert np.max(np.abs(cols - np.asarray(vals))) <= 1e-12
         checked += 1
 
@@ -154,7 +154,7 @@ def test_acceptance_2_alpha_column_duality():
         spec = ModelSpec(RateFunction.fixed(lam), RateFunction.fixed((1 + chi) * mu2), RateFunction.fixed(mu2))
         M = build_transformed(spec, w, 0.0, 12)
         cols = -log_norm_columns(M)[:5]
-        vals = alphas_hetero(lam, mu2, chi, w).values
+        vals = alphas_hetero(lam, mu2, chi, w)
         assert np.max(np.abs(cols - np.asarray(vals))) <= 1e-12
         checked += 1
 

@@ -1,11 +1,13 @@
 """The package's public names and the README's library example stay in step."""
 
+import ast
 import re
 from pathlib import Path
 
 import twoproc
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_all_is_the_documented_list():
@@ -22,3 +24,24 @@ def test_readme_example_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
     assert all(float(v) > 0.0 for line in printed for v in line.split())
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a reference is a name, an attribute or an imported name in the package,
+    # in perfbench or in the README example
+    package = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "twoproc").glob("*.py"))}
+    callers = [*package.values(), *(ast.parse(path.read_text()) for path in (ROOT / "perfbench").glob("*.py")),
+               ast.parse(re.findall(r"```python\n(.*?)```", README, flags=re.S)[0])]
+    used = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    unused = [f"{path.stem}.{node.name}" for path, tree in package.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+              and node.name not in used]
+    assert unused == []

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     admissible_models,
+    alphas_hetero,
+    log_norm_columns,
     random_equal_mu_spec,
     random_general_spec,
     random_hetero_constants,
@@ -19,17 +21,14 @@ from twoproc.bounds import (
     NoCertificate,
     NotErgodicError,
     alphas_averaged,
-    alphas_equal_mu,
-    alphas_general,
-    alphas_hetero,
-    beta_star,
     beta_star_time,
     chain_constant,
     fixed_alphas,
     make_certificate,
+    pointwise_alphas,
     tune_weights,
 )
-from twoproc.matrices import WeightSequence, build_transformed, log_norm_columns, weighted_norm
+from twoproc.matrices import WeightSequence, build_transformed, weighted_norm
 from twoproc.model import ModelSpec, RateFunction
 
 SQ2 = math.sqrt(2.0)
@@ -38,11 +37,11 @@ SQ3 = math.sqrt(3.0)
 
 class TestAlphaFormulas:
     def test_light_traffic_averaged_alpha1(self, ex1_spec, ex1_weights):
-        prof = alphas_general(ex1_spec.averaged(), ex1_weights, 0.0)
+        alphas = fixed_alphas(*ex1_spec.averaged().rates(0.0), ex1_weights.d(6))
         # (lambda + mu1) - eps*lambda - lambda = mu1 - eps*lambda = 2 - 0.01
-        assert prof.values[0] == pytest.approx(1.99, abs=1e-15)
+        assert alphas[0] == pytest.approx(1.99, abs=1e-15)
         # cross-check with the equal-service closed form mu/2 - eps*lambda
-        assert prof.values[0] == pytest.approx(4.0 / 2.0 - 0.01 * 1.0, abs=1e-15)
+        assert alphas[0] == pytest.approx(4.0 / 2.0 - 0.01 * 1.0, abs=1e-15)
 
     def test_equal_service_alpha2_has_no_epsilon_term(self):
         rng = np.random.default_rng(31)
@@ -51,11 +50,10 @@ class TestAlphaFormulas:
             w = random_weights(rng)
             t = float(rng.uniform(0.0, 2.0))
             lam, _, mu2 = spec.rates(t)
-            assert alphas_general(spec, w, t).values[1] == pytest.approx(lam + mu2, abs=1e-12)
+            assert fixed_alphas(*spec.rates(t), w.d(6))[1] == pytest.approx(lam + mu2, abs=1e-12)
 
     def test_pointwise_closed_form_at_quarter_period(self, ex1_spec):
-        prof = alphas_equal_mu(ex1_spec, 0.01, 0.25)
-        assert prof.values[2] == pytest.approx(4.0 - 2.0 * SQ2, abs=1e-12)
+        assert pointwise_alphas(ex1_spec, 0.01, 0.25)[2] == pytest.approx(4.0 - 2.0 * SQ2, abs=1e-12)
 
     def test_pointwise_equals_general_with_local_ratio(self, ex1_spec):
         # At each time the pointwise form is the general form evaluated with
@@ -65,22 +63,16 @@ class TestAlphaFormulas:
             lam, mu1, mu2 = ex1_spec.rates(t)
             mu = mu1 + mu2
             local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
-            a_pt = alphas_equal_mu(ex1_spec, eps, t)
-            a_gen = alphas_general(ex1_spec, local, t)
-            assert np.allclose(a_pt.values, a_gen.values, atol=1e-12)
-
-    def test_pointwise_rejects_unequal_service(self, ex3_spec):
-        with pytest.raises(ValueError):
-            alphas_equal_mu(ex3_spec, 0.01, 0.0)
+            a_pt = pointwise_alphas(ex1_spec, eps, t)
+            a_gen = fixed_alphas(lam, mu1, mu2, local.d(6))
+            assert np.allclose(a_pt, a_gen, atol=1e-12)
 
     def test_critical_load_tail_alpha_vanishes(self):
         spec = ModelSpec(RateFunction.fixed(4.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
-        prof = alphas_equal_mu(spec, 0.01, 0.0)
-        assert prof.values[4] == pytest.approx(0.0, abs=1e-14)
+        assert pointwise_alphas(spec, 0.01, 0.0)[4] == pytest.approx(0.0, abs=1e-14)
 
     def test_heterogeneous_averaged_values(self, ex3_weights):
-        prof = alphas_hetero(8.0, 5.0, 0.2, ex3_weights)
-        a1, a2, a3, a4, a5 = prof.values
+        a1, a2, a3, a4, a5 = alphas_hetero(8.0, 5.0, 0.2, ex3_weights)
         assert a1 == pytest.approx(6.0 - 8.0 / 12.0, abs=1e-12)
         assert a2 == pytest.approx(1.0, abs=1e-12)  # 13 - 1/eps with eps = 1/12
         assert a3 == pytest.approx(1.0, abs=1e-12)  # 14 - 8 * 13/8
@@ -99,8 +91,8 @@ class TestAlphaFormulas:
                 RateFunction.fixed(mu2),
             )
             a_h = alphas_hetero(lam, mu2, chi, w)
-            a_g = alphas_general(spec, w, 0.0)
-            assert np.allclose(a_h.values, a_g.values, atol=1e-12)
+            a_g = fixed_alphas(*spec.rates(0.0), w.d(6))
+            assert np.allclose(a_h, a_g, atol=1e-12)
 
     def test_hetero_requires_positive_chi(self, ex3_weights):
         with pytest.raises(ValueError):
@@ -117,11 +109,7 @@ class TestAlphaFormulas:
             eps = float(rng.uniform(0.01, 0.5))
             mu = 2.0 * mu_half
             w = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
-            assert np.allclose(
-                alphas_general(spec, w, 0.0).values,
-                alphas_equal_mu(spec, eps, 0.0).values,
-                atol=1e-12,
-            )
+            assert np.allclose(fixed_alphas(*spec.rates(0.0), w.d(6)), pointwise_alphas(spec, eps, 0.0), atol=1e-12)
 
 
 weight_sequences = st.builds(
@@ -139,7 +127,7 @@ class TestAlphaColumnDuality:
         alphas = fixed_alphas(*spec.rates(t), np.stack([w.d(6) for w in ws], axis=1))
         assert alphas.shape == (5, len(ws))
         for k, w in enumerate(ws):
-            assert np.array_equal(alphas[:, k], np.array(alphas_general(spec, w, t).values))
+            assert np.array_equal(alphas[:, k], fixed_alphas(*spec.rates(t), w.d(6)))
             assert np.array_equal(alphas[:, k], reference_alphas(spec, w, t))
             interior = float(np.max(log_norm_columns(build_transformed(spec, w, t, 12))[:-2]))
             assert float(np.min(alphas[:, k])) == pytest.approx(-interior, abs=1e-12)
@@ -152,7 +140,7 @@ class TestAlphaColumnDuality:
             t = float(rng.uniform(0.0, 2.0))
             M = build_transformed(spec, w, t, 12)
             cols = -log_norm_columns(M)
-            vals = alphas_general(spec, w, t).values
+            vals = fixed_alphas(*spec.rates(t), w.d(6))
             assert np.allclose(cols[:5], vals, atol=1e-12)
             # tail columns repeat alpha5
             assert cols[7] == pytest.approx(vals[4], abs=1e-12)
@@ -160,38 +148,39 @@ class TestAlphaColumnDuality:
 
 class TestBetaStar:
     def test_binding_index_reported(self, ex1_spec, ex1_weights):
-        bs = beta_star(alphas_averaged(ex1_spec, ex1_weights))
-        assert bs.value == pytest.approx(0.99, abs=1e-14)
-        assert bs.binding == 4
+        alphas = alphas_averaged(ex1_spec, ex1_weights)
+        assert float(np.min(alphas)) == pytest.approx(0.99, abs=1e-14)
+        assert make_certificate(ex1_spec, ex1_weights).binding_alpha == int(np.argmin(alphas)) + 1 == 4
 
     def test_light_traffic_periodic_floor(self, ex1_spec, ex1_weights):
         curve = beta_star_time(ex1_spec, ex1_weights)
-        assert curve.route == "pointwise"
+        assert np.array_equal(curve.values, np.min(pointwise_alphas(ex1_spec, 0.01, curve.times), axis=0))
         assert curve.inf >= 0.3
         assert curve.inf == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
 
     def test_heavy_traffic_averaged_rate(self, ex2_spec, ex2_weights):
-        bs = beta_star(alphas_averaged(ex2_spec, ex2_weights))
-        assert 0.065 <= bs.value <= 0.075
-        assert bs.value == pytest.approx(7.0 - 4.0 * SQ3 - 0.001 * SQ3, abs=1e-12)
+        beta0 = float(np.min(alphas_averaged(ex2_spec, ex2_weights)))
+        assert 0.065 <= beta0 <= 0.075
+        assert beta0 == pytest.approx(7.0 - 4.0 * SQ3 - 0.001 * SQ3, abs=1e-12)
         # the pointwise route fails here: the curve dips negative near peak load
         assert beta_star_time(ex2_spec, ex2_weights).inf < 0.0
 
     def test_heterogeneous_averaged_rate(self, ex3_spec, ex3_weights):
-        bs = beta_star(alphas_averaged(ex3_spec, ex3_weights))
-        assert bs.value == pytest.approx((math.sqrt(11.0) - math.sqrt(8.0)) ** 2, abs=1e-12)
-        assert bs.binding == 5
+        alphas = alphas_averaged(ex3_spec, ex3_weights)
+        assert float(np.min(alphas)) == pytest.approx((math.sqrt(11.0) - math.sqrt(8.0)) ** 2, abs=1e-12)
+        assert int(np.argmin(alphas)) + 1 == 5
+        # unequal service rates take the fixed-weight route
+        curve = beta_star_time(ex3_spec, ex3_weights)
+        fixed = fixed_alphas(*ex3_spec.rates(curve.times), ex3_weights.d(6))
+        assert np.array_equal(curve.values, np.min(fixed, axis=0))
 
     def test_fixed_route_period_average_is_averaged_rate(self, ex1_spec, ex1_weights):
         # fixed-weight alphas are linear in the rates, so when one alpha binds
         # everywhere the period integral equals beta*_0 exactly.
-        curve = beta_star_time(ex1_spec, ex1_weights, route="fixed")
-        assert curve.integral == pytest.approx(0.99, abs=1e-9)
-        assert curve.inf == pytest.approx(-0.01, abs=1e-9)  # pointwise floor useless here
-
-    def test_fixed_route_rejected_for_pointwise_only_arg(self, ex3_spec, ex3_weights):
-        with pytest.raises(ValueError):
-            beta_star_time(ex3_spec, ex3_weights, route="pointwise")
+        assert make_certificate(ex1_spec, ex1_weights).beta_integral_fixed == pytest.approx(0.99, abs=1e-9)
+        grid = np.linspace(0.0, 1.0, 2049)
+        fixed = np.min(fixed_alphas(*ex1_spec.rates(grid), ex1_weights.d(6)), axis=0)
+        assert float(np.min(fixed)) == pytest.approx(-0.01, abs=1e-9)  # pointwise floor useless here
 
 
 class TestTuning:
@@ -201,8 +190,8 @@ class TestTuning:
 
     def test_tuned_heterogeneous_at_least_hand_choice(self, ex3_spec, ex3_weights):
         tuned = tune_weights(ex3_spec)
-        hand = beta_star(alphas_averaged(ex3_spec, ex3_weights)).value
-        best = beta_star(alphas_averaged(ex3_spec, tuned)).value
+        hand = float(np.min(alphas_averaged(ex3_spec, ex3_weights)))
+        best = float(np.min(alphas_averaged(ex3_spec, tuned)))
         assert best >= hand - 1e-12
         assert best >= 0.2
 
@@ -277,4 +266,4 @@ class TestCertificates:
             assert chain_constant(w) == pytest.approx(float(np.max(np.sum(np.abs(R), axis=0))), rel=1e-12)
             x = np.zeros(n)
             x[1], x[0] = 1.0, -1.0
-            assert 2.0 / weighted_norm(x, w) == chain_constant(w)
+            assert 2.0 / weighted_norm(x[None, :], w)[0] == chain_constant(w)

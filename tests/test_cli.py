@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import reference_trajectory_csv
+import twoproc
 from twoproc import solver
 from twoproc.cli import MAX_CSV_ROWS, ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
 
@@ -190,8 +194,7 @@ class TestTrajectoryCsv:
         mean = probs @ np.arange(n)
         return solver.Trajectory(
             times=times, probs=probs, mean=mean, l1_defect=np.zeros(rows), n=n, step=0.001,
-            t0=0.0, p0=probs[0], defect_total=0.0, defect_per_unit_time=0.0,
-            defect_max_step=0.0, min_entry_pre=0.0,
+            defect_total=0.0, defect_per_unit_time=0.0, min_entry_pre=0.0,
         )
 
     @pytest.mark.parametrize("rows", [7, 2500, MAX_CSV_ROWS + 2345])
@@ -265,6 +268,22 @@ class TestDumpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: truncation must keep at least 5 states\n"
+
+
+def test_successive_calls_match_separate_runs(tmp_path):
+    # main builds its parser once per process; a flag of one call must not
+    # carry over into the next
+    model = str(CONFIG_DIR / "example1.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(twoproc.__file__).parents[1]))
+    flags = (["--epsilon", "0.1"], [])
+    for i, extra in enumerate(flags):
+        assert main(["bound", "--model", model, "--out", str(tmp_path / f"in{i}"), *extra]) == 0
+    for i, extra in enumerate(flags):
+        subprocess.run([sys.executable, "-m", "twoproc.cli", "bound", "--model", model,
+                        "--out", str(tmp_path / f"run{i}"), *extra], env=env, check=True, capture_output=True)
+    certs = [[(tmp_path / f"{kind}{i}" / "certificate.json").read_bytes() for i in (0, 1)] for kind in ("in", "run")]
+    assert certs[0] == certs[1]
+    assert certs[0][0] != certs[0][1]
 
 
 def test_output_dir_from_environment(light_model, tmp_path, monkeypatch):

@@ -6,21 +6,21 @@ from hypothesis import strategies as st
 from helpers import (
     admissible_models,
     dense_weighted_norm,
+    log_norm_columns,
+    log_norm_l1,
     random_general_spec,
     random_weights,
     transform_product,
     upper_ones,
     upper_ones_inv,
 )
-from twoproc.bounds import alphas_general, beta_star
+from twoproc.bounds import fixed_alphas
 from twoproc.matrices import (
     WeightSequence,
     build_A,
     build_B,
     build_transformed,
     format_matrix,
-    log_norm_columns,
-    log_norm_l1,
     rate_parts,
     weighted_norm,
 )
@@ -150,20 +150,21 @@ class TestTriangularTransform:
 class TestWeightedNorm:
     def test_first_basis_vector(self):
         w = WeightSequence(0.3, 1.5, 2.0)
-        x = np.zeros(6)
-        x[0] = 1.0
-        assert weighted_norm(x, w) == 1.0
+        x = np.zeros((1, 6))
+        x[0, 0] = 1.0
+        assert weighted_norm(x, w)[0] == 1.0
 
     def test_cancelling_pair(self):
         w = WeightSequence(0.5, 1.5, 2.0)
-        assert weighted_norm([1.0, -1.0, 0.0, 0.0, 0.0], w) == 0.5
+        assert weighted_norm([[1.0, -1.0, 0.0, 0.0, 0.0]], w)[0] == 0.5
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             w = random_weights(rng)
-            x = rng.normal(size=int(rng.integers(4, 40)))
-            assert weighted_norm(x, w) == pytest.approx(dense_weighted_norm(x, w), rel=1e-12)
+            x = rng.normal(size=(3, int(rng.integers(4, 40))))
+            dense = [dense_weighted_norm(row, w) for row in x]
+            assert weighted_norm(x, w) == pytest.approx(dense, rel=1e-12)
 
     def test_reconstruction_chain_constant_on_probability_differences(self):
         # ||p' - p''||_1 <= 2 ||z' - z''||_1 always (p00 = 1 - sum z).
@@ -198,7 +199,7 @@ class TestLogNorm:
             t = float(rng.uniform(0.0, 2.0))
             M = build_transformed(spec, w, t, 12)
             interior = float(np.max(log_norm_columns(M)[:-2]))
-            assert interior == pytest.approx(-beta_star(alphas_general(spec, w, t)).value, abs=1e-12)
+            assert interior == pytest.approx(-float(np.min(fixed_alphas(*spec.rates(t), w.d(6)))), abs=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

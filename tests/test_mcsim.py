@@ -21,7 +21,6 @@ from twoproc.mcsim import (
     SimSettings,
     _candidate_budget,
     _path_draws,
-    _resolve_bound,
     _run_block,
     compute_rate_bound,
     estimate_probs,
@@ -73,10 +72,11 @@ class TestRateBound:
                          RateFunction.fixed(0.5))
         assert compute_rate_bound(spec) >= 21.0
 
-    def test_user_bound_below_rates_rejected(self, ex1_spec):
-        settings = SimSettings(n_paths=100, seed=1, sample_times=(1.0,), rate_bound=2.0)
-        with pytest.raises(ValueError, match="rate_bound"):
-            simulate_path(ex1_spec, settings, 0)
+    def test_short_table_segment_is_dominated(self):
+        # lambda = 100 on a 7e-5 segment between the points of the 10^4-point grid
+        lam = RateFunction.piecewise([(0.0, 1.0), (0.50001, 100.0), (0.50008, 1.0)])
+        spec = ModelSpec(lam, RateFunction.fixed(2.0), RateFunction.fixed(2.0))
+        assert compute_rate_bound(spec) >= 104.0
 
 
 class TestPaths:
@@ -108,7 +108,7 @@ class TestPaths:
     def test_batch_rows_equal_single_paths(self, ex1_spec):
         settings = SimSettings(n_paths=300, seed=5, sample_times=(1.0, 4.0, 9.0))
         est_states = np.stack([simulate_path(ex1_spec, settings, i) for i in (0, 17, 299)])
-        bound = _resolve_bound(ex1_spec, settings)
+        bound = compute_rate_bound(ex1_spec)
         budget = _candidate_budget(bound, 9.0)
         block = _run_block(
             ex1_spec, bound, np.asarray(settings.sample_times), 0, settings.seed,
@@ -160,7 +160,7 @@ class TestColumnBlocks:
 
     def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
         settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
-        bound = _resolve_bound(ex3_spec, settings)
+        bound = compute_rate_bound(ex3_spec)
         budget = _candidate_budget(bound, 6.0)
         monkeypatch.setattr(mcsim, "_BLOCK_BYTES", 16 * budget * 10)  # blocks of 10 paths
         est = estimate_probs(ex3_spec, settings)
@@ -195,7 +195,7 @@ class TestEstimates:
     @given(st.integers(1, 120))
     def test_counts_independent_of_block_size(self, ex1_spec, paths_per_block):
         settings = SimSettings(n_paths=120, seed=13, sample_times=(0.5, 3.0))
-        budget = _candidate_budget(_resolve_bound(ex1_spec, settings), 3.0)
+        budget = _candidate_budget(compute_rate_bound(ex1_spec), 3.0)
         whole = estimate_probs(ex1_spec, settings).counts  # 120 paths fit one default block
         with mock.patch.object(mcsim, "_BLOCK_BYTES", 16 * budget * paths_per_block):
             assert np.array_equal(estimate_probs(ex1_spec, settings).counts, whole)
@@ -226,7 +226,3 @@ class TestEstimates:
         top = min(est.counts.shape[1], 10)
         for k in range(top):
             assert abs(est.estimates[0, k] - pi[k]) <= 3.0 * est.stderrs[0, k], f"state {k}"
-
-    def test_labels(self, ex1_spec):
-        est = estimate_probs(ex1_spec, SimSettings(n_paths=200, seed=6, sample_times=(1.0,)))
-        assert est.state_labels()[:4] == ["p00", "p10", "p01", "p11"]

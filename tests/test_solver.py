@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import expm_series, reference_rk4, stationary_vector
+from twoproc.bounds import chain_constant
 from twoproc.matrices import build_A, rate_parts
 from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
@@ -310,3 +311,4 @@ class TestContraction:
         assert check.ratio_certified_max <= 1.0 + 1e-9
         assert check.prefactor_measured >= 1.0  # ratio is 1 at t = 0
         assert np.all(check.ratio_avg <= 1.05 * check.prefactor_measured)
+        assert check.p_chain_ratio_max <= chain_constant(ex1_weights)
