@@ -254,26 +254,6 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
     )
 
 
-def certificate_to_dict(cert: ConvergenceCertificate) -> dict:
-    return {
-        "regime": cert.regime,
-        "weights": {
-            "epsilon": cert.weights.epsilon,
-            "delta1": cert.weights.delta1,
-            "delta": cert.weights.delta,
-        },
-        "beta_star": cert.beta_star,
-        "beta_star_avg": cert.beta_star_avg,
-        "binding_alpha": cert.binding_alpha,
-        "beta_star_periodic": cert.beta_star_periodic,
-        "beta_integral": cert.beta_integral,
-        "beta_integral_fixed": cert.beta_integral_fixed,
-        "norm_chain_constant": cert.norm_chain_constant,
-        "prefactor_analytic": cert.prefactor_analytic,
-        "prefactor_N": cert.prefactor_N,
-    }
-
-
 def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     """Human-readable certificate with the alpha table on 101 grid points."""
     w = cert.weights

@@ -1,9 +1,15 @@
 """Command-line front end: bound / solve / simulate / compare / dump.
 
 Reads a JSON model file (see docs/config.md), writes CSV reports and static
-SVG charts into an output directory.  Exit codes: 0 success with certificate,
-1 configuration or runtime error, 2 ergodicity not certified, 3 comparison
-thresholds violated.
+SVG charts into an output directory.  Each command takes only the flags it
+reads (`COMMANDS`); a flag overrides the model-file value named in `FLAGS`.
+
+Exit codes:
+  0  success
+  1  usage, configuration or runtime error: one `error: ...` line on stderr,
+     or `<command> failed: ...` on stdout when the solver gives up
+  2  ergodicity not certified
+  3  comparison thresholds violated
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -114,20 +119,46 @@ def load_model_file(path) -> ModelConfig:
     )
 
 
+# dest -> (model-file section, key, argparse keywords); the flag is
+# --dest with "_" written "-", and overrides the file value when it has one.
+FLAGS = {
+    "model": (None, None, {"required": True, "help": "path to a JSON model file"}),
+    "out": (None, None, {"help": f"output directory (default ${OUT_ENV} or ./twoproc-out)"}),
+    "n": ("solve", "n", {"type": int, "help": "truncation level"}),
+    "step": ("solve", "step", {"type": float, "help": "RK4 step size"}),
+    "horizon": ("solve", "horizon", {"type": float, "help": "integration end time"}),
+    "paths": ("simulate", "paths", {"type": int, "help": "Monte Carlo path count"}),
+    "seed": ("simulate", "seed", {"type": int, "help": "Monte Carlo seed"}),
+    "epsilon": ("weights", "epsilon", {"type": float, "help": "weight d2"}),
+    "delta1": ("weights", "delta1", {"type": float, "help": "weight d4"}),
+    "tol_mix": ("solve", "tol_mix", {"type": float, "help": "merge tolerance"}),
+    "tol_trunc": ("solve", "tol_truncation", {"type": float, "help": "truncation-doubling tolerance"}),
+    "force": (None, None, {"action": "store_true", "help": "solve even without a certificate"}),
+    "what": (None, None, {"choices": ("A", "B", "f", "transformed"), "default": "A", "help": "matrix to print"}),
+    "t": (None, None, {"type": float, "default": 0.0, "help": "evaluation time"}),
+    "conservative": (None, None, {"action": "store_true", "help": "conservative last column for A"}),
+}
+
+
+def _setting(cfg: ModelConfig, args, dest: str, default=None):
+    """The flag when given, else the model-file value, else the default."""
+    value = getattr(args, dest, None)
+    if value is None:
+        section, key, _ = FLAGS[dest]
+        value = getattr(cfg, section).get(key, default)
+    return value
+
+
 def resolve_weights(cfg: ModelConfig, args) -> WeightSequence | None:
     """Weights from flags/config, or None to let the engine tune them."""
-    eps = getattr(args, "epsilon", None)
-    if eps is None:
-        eps = cfg.weights.get("epsilon")
+    eps = _setting(cfg, args, "epsilon")
     if eps is None:
         return None
     lam_m, _, _, mu_m = cfg.spec.mean_rates()
     if not lam_m < mu_m:
         return None  # certificate generation will refuse anyway
     delta = cfg.weights.get("delta", bounds.geometric_ratio(cfg.spec))
-    d1 = getattr(args, "delta1", None)
-    if d1 is None:
-        d1 = cfg.weights.get("delta1", delta)
+    d1 = _setting(cfg, args, "delta1", delta)
     try:
         return WeightSequence(epsilon=float(eps), delta1=float(d1), delta=float(delta))
     except ValueError as exc:
@@ -135,13 +166,9 @@ def resolve_weights(cfg: ModelConfig, args) -> WeightSequence | None:
 
 
 def resolve_solve_settings(cfg: ModelConfig, args) -> SolveSettings:
-    merged = asdict(SolveSettings())
-    merged.update(cfg.solve)
-    for key, flag in (("n", "n"), ("step", "step"), ("horizon", "horizon"),
-                      ("tol_truncation", "tol_trunc"), ("tol_mix", "tol_mix")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            merged[key] = val
+    defaults = asdict(SolveSettings())
+    merged = {key: _setting(cfg, args, dest, defaults[key])
+              for dest, (section, key, _) in FLAGS.items() if section == "solve"}
     try:
         return SolveSettings(
             n=None if merged["n"] is None else int(merged["n"]),
@@ -154,6 +181,17 @@ def resolve_solve_settings(cfg: ModelConfig, args) -> SolveSettings:
         raise ConfigError(f"invalid solve settings: {exc}") from exc
 
 
+def _resolve_sim(cfg: ModelConfig, args, horizon: float) -> mcsim.SimSettings:
+    times = cfg.simulate.get("sample_times")
+    if times is None:
+        times = [1.0, 5.0, horizon]
+    return mcsim.SimSettings(
+        n_paths=int(_setting(cfg, args, "paths", DEFAULT_PATHS)),
+        seed=int(_setting(cfg, args, "seed", DEFAULT_SEED)),
+        sample_times=tuple(float(t) for t in times),
+    )
+
+
 def _out_dir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "twoproc-out"
     path = Path(out)
@@ -164,7 +202,6 @@ def _out_dir(args) -> Path:
 # -- CSV writers ------------------------------------------------------------
 
 CSV_FLOAT = "%.12g"
-MAX_CSV_ROWS = 10_000
 CSV_BLOCK_CELLS = 8192  # cells stacked and formatted together (a 64 KiB block)
 
 
@@ -177,13 +214,12 @@ def _csv_order(n: int) -> list[int]:
 def write_trajectory_csv(path, traj: solver.Trajectory) -> None:
     order = _csv_order(traj.n)
     header = "t," + ",".join(state_label(k) for k in order) + ",mean"
-    stride = max(1, math.ceil(len(traj.times) / MAX_CSV_ROWS))
     row = ",".join([CSV_FLOAT] * (traj.n + 2)) + "\n"
-    span = stride * max(1, CSV_BLOCK_CELLS // (traj.n + 2))
+    span = max(1, CSV_BLOCK_CELLS // (traj.n + 2))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(traj.times), span):
-            rows = slice(lo, lo + span, stride)
+            rows = slice(lo, lo + span)
             block = np.column_stack([traj.times[rows], traj.probs[rows][:, order], traj.mean[rows]])
             fh.writelines(row % tuple(cells.tolist()) for cells in block)
 
@@ -213,42 +249,44 @@ def cmd_bound(args) -> int:
     report = bounds.certificate_report(result, cfg.spec)
     (out / "certificate.txt").write_text(report)
     (out / "certificate.json").write_text(
-        json.dumps(bounds.certificate_to_dict(result), indent=2, sort_keys=True) + "\n"
+        json.dumps({**asdict(result), "beta_star": result.beta_star}, indent=2, sort_keys=True) + "\n"
     )
     print("\n".join(report.splitlines()[:12]))
     print(f"full report: {out / 'certificate.txt'}")
     return 0
 
 
-# Solver failures that solve and compare report as "<command> failed: ..." (exit 1).
+# Solver failures that main reports as "<command> failed: ..." (exit 1).
 SOLVE_ERRORS = (solver.MixingHorizonError, solver.TruncationLimitError, solver.StepSizeError,
                 solver.FitWindowError)
 
 
-def _solve_pipeline(cfg: ModelConfig, settings: SolveSettings, weights: WeightSequence | None):
-    """Shared machinery for solve and compare: regime, fits, contraction."""
+def _certified_regime(args):
+    """Load the model, certify it, and compute its limiting regime and decay fit.
+
+    Returns (cfg, out, cert, settings, regime, fit) with the accepted
+    truncation in settings.n, or None once a refusal is printed; with --force
+    a refused model is solved and cert is None.
+    """
+    cfg = load_model_file(args.model)
+    out = _out_dir(args)
+    cert = bounds.make_certificate(cfg.spec, resolve_weights(cfg, args))
+    if isinstance(cert, bounds.NoCertificate):
+        print(cert.reason)
+        if not getattr(args, "force", False):
+            return None
+        cert = None
+    settings = resolve_solve_settings(cfg, args)
     regime = solver.limiting_regime(cfg.spec, settings)
-    fit = solver.decay_fit(regime.from_empty, regime.from_far, weights)
-    return replace(settings, n=regime.from_empty.n), regime, fit
+    fit = solver.decay_fit(regime.from_empty, regime.from_far, cert.weights if cert else None)
+    return cfg, out, cert, replace(settings, n=regime.from_empty.n), regime, fit
 
 
 def cmd_solve(args) -> int:
-    cfg = load_model_file(args.model)
-    out = _out_dir(args)
-    weights = resolve_weights(cfg, args)
-    cert = bounds.make_certificate(cfg.spec, weights)
-    if isinstance(cert, bounds.NoCertificate):
-        print(cert.reason)
-        if not args.force:
-            return 2
-        cert = None
-    settings = resolve_solve_settings(cfg, args)
-    try:
-        settings, regime, fit = _solve_pipeline(cfg, settings, cert.weights if cert else None)
-    except SOLVE_ERRORS as exc:
-        print(f"solve failed: {exc}")
-        return 1
-
+    solved = _certified_regime(args)
+    if solved is None:
+        return 2
+    cfg, out, cert, settings, regime, fit = solved
     write_trajectory_csv(out / "trajectory_x0.csv", regime.from_empty)
     write_trajectory_csv(out / "trajectory_xfar.csv", regime.from_far)
     write_trajectory_csv(out / "limit_cycle.csv", regime.cycle)
@@ -301,19 +339,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _resolve_sim(cfg: ModelConfig, args, horizon: float) -> mcsim.SimSettings:
-    paths = getattr(args, "paths", None) or cfg.simulate.get("paths", DEFAULT_PATHS)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.simulate.get("seed", DEFAULT_SEED)
-    times = cfg.simulate.get("sample_times")
-    if times is None:
-        times = [1.0, 5.0, horizon]
-    return mcsim.SimSettings(
-        n_paths=int(paths), seed=int(seed), sample_times=tuple(float(t) for t in times)
-    )
-
-
 def cmd_simulate(args) -> int:
     cfg = load_model_file(args.model)
     out = _out_dir(args)
@@ -335,21 +360,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_model_file(args.model)
-    out = _out_dir(args)
-    weights = resolve_weights(cfg, args)
-    cert = bounds.make_certificate(cfg.spec, weights)
-    if isinstance(cert, bounds.NoCertificate):
-        print(cert.reason)
+    solved = _certified_regime(args)
+    if solved is None:
         return 2
-    settings = resolve_solve_settings(cfg, args)
-    try:
-        settings, regime, fit = _solve_pipeline(cfg, settings, cert.weights)
-        avg_cfg = replace(cfg, spec=cfg.spec.averaged())
-        _, regime_avg, fit_avg = _solve_pipeline(avg_cfg, settings, cert.weights)
-    except SOLVE_ERRORS as exc:
-        print(f"compare failed: {exc}")
-        return 1
+    cfg, out, cert, settings, regime, fit = solved
+    regime_avg = solver.limiting_regime(cfg.spec.averaged(), settings)
+    fit_avg = solver.decay_fit(regime_avg.from_empty, regime_avg.from_far, cert.weights)
     check = solver.contraction_check(
         regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
     )
@@ -405,7 +421,7 @@ def cmd_compare(args) -> int:
 
 def cmd_dump(args) -> int:
     cfg = load_model_file(args.model)
-    n = args.n or 12
+    n = 12 if args.n is None else args.n
     t = args.t
     if args.what == "A":
         sys.stdout.write(format_matrix(build_A(cfg.spec, t, n, conservative=args.conservative)))
@@ -426,64 +442,54 @@ def cmd_dump(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, help="path to a JSON model file")
-    p.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./twoproc-out)")
-    p.add_argument("--n", type=int, default=None, help="truncation level override")
-    p.add_argument("--step", type=float, default=None, help="RK4 step size")
-    p.add_argument("--horizon", type=float, default=None, help="integration end time")
-    p.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    p.add_argument("--epsilon", type=float, default=None, help="weight d2")
-    p.add_argument("--delta1", type=float, default=None, help="weight d4")
-    p.add_argument("--tol-mix", dest="tol_mix", type=float, default=None, help="merge tolerance")
-    p.add_argument("--tol-trunc", dest="tol_trunc", type=float, default=None, help="truncation-doubling tolerance")
+COMMANDS = {
+    "bound": (cmd_bound, "compute a convergence certificate", {"model", "out", "epsilon", "delta1"}),
+    "solve": (cmd_solve, "integrate the Kolmogorov system and extract the limiting regime",
+              {"model", "out", "epsilon", "delta1", "n", "step", "horizon", "tol_mix", "tol_trunc", "force"}),
+    "simulate": (cmd_simulate, "Monte Carlo state estimates", {"model", "out", "horizon", "paths", "seed"}),
+    "compare": (cmd_compare, "cross-validate solver, simulator and averaged model",
+                {"model", "out", "epsilon", "delta1", "n", "step", "horizon", "tol_mix", "tol_trunc",
+                 "paths", "seed"}),
+    "dump": (cmd_dump, "print a dense matrix truncation (debug; --n defaults to 12)",
+             {"model", "n", "epsilon", "delta1", "what", "t", "conservative"}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1 in main) instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by later ones."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoproc",
         description="Convergence bounds and transient analysis for a two-processor heterogeneous queue",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="compute a convergence certificate")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bound)
-
-    p = sub.add_parser("solve", help="integrate the Kolmogorov system and extract the limiting regime")
-    _add_common(p)
-    p.add_argument("--force", action="store_true", help="solve even without a certificate")
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("simulate", help="Monte Carlo state estimates")
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("compare", help="cross-validate solver, simulator and averaged model")
-    _add_common(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("dump", help="print a dense matrix truncation (debug)")
-    _add_common(p)
-    p.add_argument("--what", choices=("A", "B", "f", "transformed"), default="A")
-    p.add_argument("--t", type=float, default=0.0, help="evaluation time")
-    p.add_argument("--conservative", action="store_true", help="conservative last column for A")
-    p.set_defaults(handler=cmd_dump)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest, (_, _, kwargs) in FLAGS.items():
+            if dest in flags:
+                p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SOLVE_ERRORS as exc:
+        print(f"{args.command} failed: {exc}")
+        return 1
     except bounds.NotErgodicError as exc:
         print(f"ergodicity not certified: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError and invalid values such as --paths 10 or --n 3
+    except ValueError as exc:  # ConfigError (usage errors too) and invalid values such as --paths 0 or --n 3
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

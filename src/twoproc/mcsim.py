@@ -50,7 +50,6 @@ class SimSettings:
     n_paths: int
     seed: int
     sample_times: tuple[float, ...]
-    initial_state: int = 0
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -61,8 +60,6 @@ class SimSettings:
             raise ValueError("sample times must be nonnegative")
         if list(self.sample_times) != sorted(self.sample_times):
             raise ValueError("sample times must be increasing")
-        if self.initial_state < 0:
-            raise ValueError("initial state index must be nonnegative")
 
 
 def compute_rate_bound(spec: ModelSpec) -> float:
@@ -119,12 +116,11 @@ def _run_block(
     spec: ModelSpec,
     bound: float,
     sample_times: np.ndarray,
-    initial_state: int,
     seed: int,
     path_indices: np.ndarray,
     budget: int,
 ) -> np.ndarray:
-    """States of the given paths at the sample times, shape (paths, times).
+    """States of the paths started empty at the sample times, shape (paths, times).
 
     Each path scans at most `budget` candidates, _CHUNK at a time, and stops
     once it has passed the last sample time.
@@ -134,13 +130,13 @@ def _run_block(
     draws = _path_draws(seed, path_indices, 2 * budget)
 
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
-    rec[:, sample_times <= 0.0] = initial_state
+    rec[:, sample_times <= 0.0] = 0
     targets = [(j, s) for j, s in enumerate(sample_times) if s > 0.0]
     last = max((s for _, s in targets), default=0.0)
 
     live = np.arange(n_paths if targets else 0)  # paths still scanning
     t = np.zeros(n_paths)
-    state = np.full(n_paths, initial_state, dtype=np.int64)
+    state = np.full(n_paths, 0, dtype=np.int64)
     flat_delta = DELTA.ravel()
     for lo in range(0, budget, _CHUNK):
         if len(live) == 0:
@@ -186,7 +182,7 @@ def _run_block(
         # Poisson tail outran the candidate budget (prob ~ 1e-14 per path);
         # rerun those paths with a doubled budget on the same streams.
         redo = path_indices[unfinished]
-        rec[unfinished] = _run_block(spec, bound, sample_times, initial_state, seed, redo, 2 * budget)
+        rec[unfinished] = _run_block(spec, bound, sample_times, seed, redo, budget=2 * budget)
     return rec
 
 
@@ -217,7 +213,7 @@ def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     counts = np.zeros((len(times), 8), dtype=np.int64)
     for lo in range(0, settings.n_paths, block):
         idx = np.arange(lo, min(lo + block, settings.n_paths))
-        rec = _run_block(spec, bound, times, settings.initial_state, settings.seed, idx, budget)
+        rec = _run_block(spec, bound, times, settings.seed, idx, budget=budget)
         top = int(rec.max()) + 1
         if top > counts.shape[1]:
             grown = np.zeros((len(times), top), dtype=np.int64)

@@ -127,19 +127,19 @@ def _project(p: np.ndarray) -> None:
     p[int(np.argmax(p))] -= p.sum() - 1.0
 
 
-def _stage_rates(spec: ModelSpec, t0: float, h: float, lo: int, hi: int) -> np.ndarray:
+def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
     """Rows (lambda, mu1, mu2) at the stage times of steps lo..hi-1.
 
-    Rows [0, m) hold the step starts t0 + i*h, rows [m, 2m) the half steps and
+    Rows [0, m) hold the step starts i*h, rows [m, 2m) the half steps and
     rows [2m, 3m) the step ends, with m = hi - lo.
     """
-    t = t0 + np.arange(lo, hi) * h
+    t = np.arange(lo, hi) * h
     grid = np.concatenate([t, t + h / 2, t + h])
     return np.stack(spec.rates(grid), axis=1)
 
 
-def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> Trajectory:
-    """RK4 integration over [t0, t0 + horizon] from a probability vector p0."""
+def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
+    """RK4 integration over [0, horizon] from a probability vector p0."""
     if settings.n is None:
         raise ValueError("settings.n must be set; use choose_truncation first")
     n = settings.n
@@ -172,7 +172,7 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
     step_defect = 0.0
     for i in range(n_steps + 1):
         if si < len(sample_idx) and i == sample_idx[si]:
-            times[si] = t0 + i * h
+            times[si] = i * h
             probs[si] = p
             means[si] = counts @ p
             defects[si] = step_defect
@@ -181,7 +181,7 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
             break
         j = i % RATE_CHUNK
         if j == 0:
-            chunk = _stage_rates(spec, t0, h, i, min(i + RATE_CHUNK, n_steps))
+            chunk = _stage_rates(spec, h, i, min(i + RATE_CHUNK, n_steps))
             span = len(chunk) // 3
         rates, half_rates, end_rates = chunk[j], chunk[span + j], chunk[2 * span + j]
         k1 = rates @ (R @ p).reshape(3, n)
@@ -196,7 +196,7 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0, t0: float = 0.0) -> 
         if step_defect > STEP_DEFECT_LIMIT or m < -STEP_DEFECT_LIMIT:
             raise StepSizeError(
                 f"conservation defect {step_defect:.3g} / negative overshoot {m:.3g} "
-                f"at t={t0 + i * h + h:.6g} exceeds {STEP_DEFECT_LIMIT:g}; halve the step"
+                f"at t={i * h + h:.6g} exceeds {STEP_DEFECT_LIMIT:g}; halve the step"
             )
         if m < min_entry:
             min_entry = m

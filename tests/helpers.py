@@ -234,7 +234,7 @@ def stationary_vector(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, b)
 
 
-def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, t0: float = 0.0):
+def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0):
     """Projected RK4 states after every step, with one scalar rate call per stage.
 
     Oracle for the chunked rate evaluation of `integrate`: returns the
@@ -260,7 +260,7 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, t0: 
     defects = np.zeros(n_steps + 1)
     states[0] = p
     for i in range(n_steps):
-        t = t0 + i * h
+        t = i * h
         k1 = rhs(t, p)
         k2 = rhs(t + h / 2, p + (h / 2) * k1)
         k3 = rhs(t + h / 2, p + (h / 2) * k2)
@@ -272,11 +272,10 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, t0: 
     return states, defects
 
 
-def reference_trajectory_csv(traj, order, max_rows: int) -> str:
+def reference_trajectory_csv(traj, order) -> str:
     """Trajectory CSV body formatted one cell at a time with "{:.12g}"."""
-    stride = max(1, -(-len(traj.times) // max_rows))
     lines = []
-    for i in range(0, len(traj.times), stride):
+    for i in range(len(traj.times)):
         cells = ["{:.12g}".format(traj.times[i])]
         cells.extend("{:.12g}".format(traj.probs[i, k]) for k in order)
         cells.append("{:.12g}".format(traj.mean[i]))
@@ -314,12 +313,11 @@ def reference_run_block(
     spec: ModelSpec,
     bound: float,
     sample_times: np.ndarray,
-    initial_state: int,
     seed: int,
     path_indices: np.ndarray,
     budget: int,
 ) -> np.ndarray:
-    """One candidate at a time for every path over the whole budget.
+    """One candidate at a time for every path, started empty, over the whole budget.
 
     Oracle for the column-block scan of `mcsim._run_block`: the three rates
     are called separately at each candidate and the state moves through the
@@ -332,9 +330,9 @@ def reference_run_block(
         draws[row] = path_stream(seed, int(idx)).random(2 * budget)
 
     t = np.zeros(n_paths)
-    state = np.full(n_paths, initial_state, dtype=np.int64)
+    state = np.zeros(n_paths, dtype=np.int64)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
-    rec[:, sample_times <= 0.0] = initial_state
+    rec[:, sample_times <= 0.0] = 0
 
     for k in range(budget):
         dt = -np.log1p(-draws[:, 2 * k]) / bound
@@ -366,7 +364,7 @@ def reference_run_block(
     unfinished = rec.min(axis=1) < 0
     if unfinished.any():
         redo = path_indices[unfinished]
-        rec[unfinished] = reference_run_block(spec, bound, sample_times, initial_state, seed, redo, 2 * budget)
+        rec[unfinished] = reference_run_block(spec, bound, sample_times, seed, redo, 2 * budget)
     return rec
 
 
@@ -375,6 +373,4 @@ def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np
     bound = compute_rate_bound(spec)
     times = np.asarray(settings.sample_times, dtype=float)
     budget = _candidate_budget(bound, float(times.max()))
-    return _run_block(
-        spec, bound, times, settings.initial_state, settings.seed, np.array([path_index]), budget
-    )[0]
+    return _run_block(spec, bound, times, settings.seed, np.array([path_index]), budget)[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from helpers import reference_trajectory_csv
 import twoproc
 from twoproc import solver
-from twoproc.cli import MAX_CSV_ROWS, ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
+from twoproc.cli import ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "twoproc" / "configs"
 
@@ -197,16 +198,14 @@ class TestTrajectoryCsv:
             defect_total=0.0, defect_per_unit_time=0.0, min_entry_pre=0.0,
         )
 
-    @pytest.mark.parametrize("rows", [7, 2500, MAX_CSV_ROWS + 2345])
+    @pytest.mark.parametrize("rows", [7, 2500])
     def test_byte_identical_to_per_cell_format(self, rows, tmp_path):
         traj = self.trajectory(rows, 9)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj)
         header, body = path.read_text().split("\n", 1)
         assert header == "t,p00,p01,p10,p11,p12,p13,p14,p15,p16,mean"
-        assert body == reference_trajectory_csv(traj, _csv_order(9), MAX_CSV_ROWS)
-        if rows > MAX_CSV_ROWS:
-            assert body.count("\n") == (rows + 1) // 2
+        assert body == reference_trajectory_csv(traj, _csv_order(9))
         if rows == 2500:
             assert body.startswith("0,-0,1e-300,4.94065645841e-324,")
 
@@ -268,6 +267,49 @@ class TestDumpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: truncation must keep at least 5 states\n"
+
+
+class TestUsageErrors:
+    EXAMPLE1 = str(CONFIG_DIR / "example1.json")
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", EXAMPLE1, "--step", "-1"],
+        ["solve", "--model", EXAMPLE1, "--paths", "3"],
+        ["simulate", "--model", EXAMPLE1, "--epsilon", "0.1"],
+        ["dump", "--model", EXAMPLE1, "--out", "x"],
+    ], ids=["bound-step", "solve-paths", "simulate-epsilon", "dump-out"])
+    def test_flag_the_command_does_not_read_exits_one(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {argv[3]} {argv[4]}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bound", "--out", "o"], "the following arguments are required: --model"),
+        (["simulate", "--model", EXAMPLE1, "--out", "o", "--paths", "0"], "n_paths must be positive"),
+        (["dump", "--model", EXAMPLE1, "--n", "0"], "truncation must keep at least 5 states"),
+    ], ids=["missing-model", "paths-0", "dump-n-0"])
+    def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_help_exits_zero_and_lists_only_the_flags_read(self, capsys):
+        flags = {
+            "bound": ["--model", "--out", "--epsilon", "--delta1"],
+            "simulate": ["--model", "--out", "--horizon", "--paths", "--seed"],
+            "dump": ["--model", "--n", "--epsilon", "--delta1", "--what", "--t", "--conservative"],
+        }
+        for command, expected in flags.items():
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+            listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, flags=re.M)
+            assert listed == ["--help", *expected]
 
 
 def test_successive_calls_match_separate_runs(tmp_path):

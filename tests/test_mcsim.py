@@ -111,7 +111,7 @@ class TestPaths:
         bound = compute_rate_bound(ex1_spec)
         budget = _candidate_budget(bound, 9.0)
         block = _run_block(
-            ex1_spec, bound, np.asarray(settings.sample_times), 0, settings.seed,
+            ex1_spec, bound, np.asarray(settings.sample_times), settings.seed,
             np.arange(settings.n_paths), budget,
         )
         assert np.array_equal(block[[0, 17, 299]], est_states)
@@ -128,18 +128,8 @@ class TestColumnBlocks:
         st = np.asarray(times)
         budget = _candidate_budget(bound, float(st.max()))
         idx = np.arange(5, 205)
-        got = _run_block(spec, bound, st, 0, 3, idx, budget)
-        assert np.array_equal(got, reference_run_block(spec, bound, st, 0, 3, idx, budget))
-
-    @pytest.mark.parametrize("initial_state", [1, 2, 5])
-    def test_nonzero_initial_state(self, ex3_spec, initial_state):
-        bound = compute_rate_bound(ex3_spec)
-        st = np.array([0.0, 0.5, 3.0])
-        idx = np.arange(150)
-        budget = _candidate_budget(bound, 3.0)
-        got = _run_block(ex3_spec, bound, st, initial_state, 8, idx, budget)
-        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, initial_state, 8, idx, budget))
-        assert np.all(got[:, 0] == initial_state)
+        got = _run_block(spec, bound, st, 3, idx, budget)
+        assert np.array_equal(got, reference_run_block(spec, bound, st, 3, idx, budget))
 
     @pytest.mark.parametrize("budget", [5, 40])
     def test_small_budget_reruns(self, ex3_spec, budget, monkeypatch):
@@ -149,14 +139,15 @@ class TestColumnBlocks:
         budgets = []
         run = mcsim._run_block
 
-        def counted(*args):
-            budgets.append(args[6])
-            return run(*args)
+        def counted(*args, budget):
+            budgets.append(budget)
+            return run(*args, budget=budget)
 
         monkeypatch.setattr(mcsim, "_run_block", counted)
-        got = mcsim._run_block(ex3_spec, bound, st, 0, 4, idx, budget)
+        got = mcsim._run_block(ex3_spec, bound, st, 4, idx, budget=budget)
         assert len(budgets) > 1  # the budget was too small and paths were rerun
-        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, 0, 4, idx, budget))
+        assert budgets == [budget << k for k in range(len(budgets))]
+        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, 4, idx, budget))
 
     def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
         settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
@@ -164,7 +155,7 @@ class TestColumnBlocks:
         budget = _candidate_budget(bound, 6.0)
         monkeypatch.setattr(mcsim, "_BLOCK_BYTES", 16 * budget * 10)  # blocks of 10 paths
         est = estimate_probs(ex3_spec, settings)
-        rec = reference_run_block(ex3_spec, bound, np.asarray(settings.sample_times), 0, 21,
+        rec = reference_run_block(ex3_spec, bound, np.asarray(settings.sample_times), 21,
                                   np.arange(103), budget)
         for j in range(3):
             want = np.bincount(rec[:, j], minlength=est.counts.shape[1])
@@ -181,7 +172,7 @@ class TestColumnBlocks:
             return rates(self, t)
 
         monkeypatch.setattr(ModelSpec, "rates", recorded)
-        _run_block(ex3_spec, bound, np.array([2.0]), 0, 1, np.arange(50), budget)
+        _run_block(ex3_spec, bound, np.array([2.0]), 1, np.arange(50), budget)
         # one call per 64-candidate column block, on the paths still short of
         # t = 2, far fewer blocks than the t = 20 budget holds
         assert 0 < len(shapes) < budget / 64 / 4

@@ -151,13 +151,13 @@ class TestChunkedRates:
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_bit_identical_to_scalar_stage_rates(self, kind):
         spec = self.SPECS[kind]
-        n, step, horizon, t0 = 16, 1e-3, 5.0, 0.37
+        n, step, horizon = 16, 1e-3, 5.0
         assert round(horizon / step) > RATE_CHUNK
-        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n), t0=t0)
-        states, defects = reference_rk4(spec, n, step, horizon, far_start(n), t0=t0)
-        idx = np.round((traj.times - t0) / step).astype(int)
+        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        states, defects = reference_rk4(spec, n, step, horizon, far_start(n))
+        idx = np.round(traj.times / step).astype(int)
         assert idx[-1] == len(states) - 1
-        assert np.array_equal(traj.times, t0 + idx * step)
+        assert np.array_equal(traj.times, idx * step)
         assert np.array_equal(traj.probs, states[idx])
         assert np.array_equal(traj.l1_defect, defects[idx])
         assert traj.defect_total == sum(defects[1:].tolist())
@@ -222,11 +222,11 @@ class TestChooseTruncation:
         run = solver.integrate
         levels = []
 
-        def fail_first_32(spec, settings, p0, t0=0.0):
+        def fail_first_32(spec, settings, p0):
             levels.append((settings.n, settings.step))
             if settings.n == 32 and settings.step == 0.01:
                 raise StepSizeError("forced")
-            return run(spec, settings, p0, t0=t0)
+            return run(spec, settings, p0)
 
         monkeypatch.setattr(solver, "integrate", fail_first_32)
         traj = _truncation_search(spec, st)
