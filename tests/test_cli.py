@@ -301,7 +301,11 @@ class TestUsageErrors:
     def test_help_exits_zero_and_lists_only_the_flags_read(self, capsys):
         flags = {
             "bound": ["--model", "--out", "--epsilon", "--delta1"],
+            "solve": ["--model", "--out", "--n", "--step", "--horizon", "--epsilon", "--delta1",
+                      "--tol-mix", "--tol-trunc", "--force"],
             "simulate": ["--model", "--out", "--horizon", "--paths", "--seed"],
+            "compare": ["--model", "--out", "--n", "--step", "--horizon", "--paths", "--seed", "--epsilon",
+                        "--delta1", "--tol-mix", "--tol-trunc"],
             "dump": ["--model", "--n", "--epsilon", "--delta1", "--what", "--t", "--conservative"],
         }
         for command, expected in flags.items():
