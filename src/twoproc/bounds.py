@@ -109,15 +109,17 @@ def _fixed_curve(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
     return _period_curve(lambda ts: np.min(fixed_alphas(*spec.rates(ts), d), axis=0))
 
 
-def beta_star_time(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
-    """beta*(t) = min_i alpha_i(t) over one period on the certificate's route.
+def _route_beta(spec: ModelSpec, weights: WeightSequence, ts) -> np.ndarray:
+    """beta*(t) = min_i alpha_i(t) at the times ts on the certificate's route:
+    the pointwise closed forms for equal service rates, else the fixed-weight forms."""
+    if spec.is_equal_service:
+        return np.min(pointwise_alphas(spec, weights.epsilon, ts), axis=0)
+    return np.min(fixed_alphas(*spec.rates(ts), weights.d(6)), axis=0)
 
-    Equal service rates take the pointwise closed forms, any other model the
-    fixed-weight forms.
-    """
-    if not spec.is_equal_service:
-        return _fixed_curve(spec, weights)
-    return _period_curve(lambda ts: np.min(pointwise_alphas(spec, weights.epsilon, ts), axis=0))
+
+def beta_star_time(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
+    """beta*(t) over one period on the certificate's route (`_route_beta`)."""
+    return _period_curve(lambda ts: _route_beta(spec, weights, ts))
 
 
 def geometric_ratio(spec: ModelSpec) -> float:
@@ -286,10 +288,7 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")
     ts = np.linspace(0.0, 1.0, 101)
     table = fixed_alphas(*spec.rates(ts), w.d(6))
-    if spec.is_equal_service:
-        route_vals = np.min(pointwise_alphas(spec, w.epsilon, ts), axis=0)
-    else:
-        route_vals = np.min(table, axis=0)
+    route_vals = _route_beta(spec, w, ts)
     for i, t in enumerate(ts):
         row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
         lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}")

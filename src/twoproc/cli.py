@@ -42,35 +42,85 @@ class ConfigError(ValueError):
 
 # -- model files -----------------------------------------------------------
 
-_TOP_KEYS = {"name", "lambda", "mu1", "mu2", "weights", "solve", "simulate"}
-_RATE_KEYS = {"constant", "harmonics", "table"}
-_HARMONIC_KEYS = {"amplitude", "kind", "harmonic"}
-_WEIGHT_KEYS = {"epsilon", "delta1", "delta"}
-_SOLVE_KEYS = {"n", "step", "horizon", "tol_truncation", "tol_mix"}
-_SIM_KEYS = {"paths", "seed", "sample_times"}
+# dest -> (model-file section, key, argparse keywords); the flag is
+# --dest with "_" written "-", and overrides the file value when it has one.
+# The section entries are also the schema of the file's sections ("nargs"
+# marks a list); `delta` and `sample_times` are in no command, so no flag.
+FLAGS = {
+    "model": (None, None, {"required": True, "help": "path to a JSON model file"}),
+    "out": (None, None, {"help": f"output directory (default ${OUT_ENV} or ./twoproc-out)"}),
+    "n": ("solve", "n", {"type": int, "help": "truncation level"}),
+    "step": ("solve", "step", {"type": float, "help": "RK4 step size"}),
+    "horizon": ("solve", "horizon", {"type": float, "help": "integration end time"}),
+    "paths": ("simulate", "paths", {"type": int, "help": "Monte Carlo path count"}),
+    "seed": ("simulate", "seed", {"type": int, "help": "Monte Carlo seed"}),
+    "sample_times": ("simulate", "sample_times", {"type": float, "nargs": "+", "help": "Monte Carlo sample times"}),
+    "epsilon": ("weights", "epsilon", {"type": float, "help": "weight d2"}),
+    "delta1": ("weights", "delta1", {"type": float, "help": "weight d4"}),
+    "delta": ("weights", "delta", {"type": float, "help": "tail weight ratio"}),
+    "tol_mix": ("solve", "tol_mix", {"type": float, "help": "merge tolerance"}),
+    "tol_trunc": ("solve", "tol_truncation", {"type": float, "help": "truncation-doubling tolerance"}),
+    "force": (None, None, {"action": "store_true", "help": "solve even without a certificate"}),
+    "what": (None, None, {"choices": ("A", "B", "f", "transformed"), "default": "A", "help": "matrix to print"}),
+    "t": (None, None, {"type": float, "default": 0.0, "help": "evaluation time"}),
+    "conservative": (None, None, {"action": "store_true", "help": "conservative last column for A"}),
+}
+
+# The model file's schema: an object is a dict of its keys, a list of any
+# length [item], a list of fixed length a tuple, and a value its type.
+_HARMONIC = {"amplitude": float, "kind": str, "harmonic": int}
+_RATE = {"constant": float, "harmonics": [_HARMONIC], "table": [(float, float)]}
+_SCHEMA = {
+    "name": str, "lambda": _RATE, "mu1": _RATE, "mu2": _RATE,
+    **{section: {key: [kw["type"]] if "nargs" in kw else kw["type"] for s, key, kw in FLAGS.values() if s == section}
+       for section, _, _ in FLAGS.values() if section},
+}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
+def _convert(value, where: str, schema):
+    """The JSON value at key path `where` checked against its schema, or a ConfigError naming where.
+
+    Nothing is rounded or cast: a float is a finite JSON number (never
+    true/false), an int an integral one (16 and 16.0 pass, 16.7 does not).
+    Lists come back as tuples.
+    """
+    if schema is float or schema is int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {json.dumps(value)}")
+        if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer beyond the float range
+            raise ConfigError(f"{where} must be finite, got {value}")
+        if schema is int and value != int(value):
+            raise ConfigError(f"{where} must be an integer, got {value}")
+        return schema(value)
+    if schema is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{where} must be a string, got {json.dumps(value)}")
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        unknown = value.keys() - schema.keys()
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(schema)}")
+        prefix = "" if where == "model file" else where + "."
+        return {key: _convert(item, prefix + key, schema[key]) for key, item in value.items()}
+    if not isinstance(value, list) or isinstance(schema, tuple) and len(value) != len(schema):
+        raise ConfigError(f"{where} must be a list" + (f" of {len(schema)}" if isinstance(schema, tuple) else ""))
+    items = schema if isinstance(schema, tuple) else schema * len(value)
+    return tuple([_convert(item, f"{where}[{i}]", s) for i, (item, s) in enumerate(zip(value, items))])
 
 
-def _parse_rate(obj, where: str) -> RateFunction:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(obj, _RATE_KEYS, where)
+def _parse_rate(obj: dict, where: str) -> RateFunction:
+    if "table" in obj and len(obj) > 1:
+        raise ConfigError(f"{where}: table form excludes constant/harmonics")
     try:
         if "table" in obj:
-            if "constant" in obj or "harmonics" in obj:
-                raise ConfigError(f"{where}: table form excludes constant/harmonics")
-            return RateFunction.piecewise([(float(b), float(v)) for b, v in obj["table"]])
-        harmonics = []
-        for h in obj.get("harmonics", []):
-            _reject_unknown(h, _HARMONIC_KEYS, f"{where}.harmonics entry")
-            harmonics.append((float(h["amplitude"]), str(h["kind"]), int(h.get("harmonic", 1))))
-        return RateFunction.trig(float(obj.get("constant", 0.0)), harmonics)
-    except (ValueError, TypeError, KeyError) as exc:
+            return RateFunction.piecewise(obj["table"])
+        harmonics = [(h["amplitude"], h["kind"], h.get("harmonic", 1)) for h in obj.get("harmonics", ())]
+        return RateFunction.trig(obj.get("constant", 0.0), harmonics)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: a harmonic term misses required key {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -84,60 +134,29 @@ class ModelConfig:
 
 
 def load_model_file(path) -> ModelConfig:
+    """Read and check a model file; every value is converted here, once."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("model file must hold a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "model file")
+    raw = _convert(raw, "model file", _SCHEMA)
     for key in ("lambda", "mu1", "mu2"):
         if key not in raw:
             raise ConfigError(f"model file misses required key {key!r}")
+    rates = [_parse_rate(raw[key], key) for key in ("lambda", "mu1", "mu2")]
     try:
-        spec = ModelSpec(
-            lam=_parse_rate(raw["lambda"], "lambda"),
-            mu1=_parse_rate(raw["mu1"], "mu1"),
-            mu2=_parse_rate(raw["mu2"], "mu2"),
-        )
+        spec = ModelSpec(*rates)
     except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
-    weights = raw.get("weights", {})
-    _reject_unknown(weights, _WEIGHT_KEYS, "weights")
-    solve = raw.get("solve", {})
-    _reject_unknown(solve, _SOLVE_KEYS, "solve")
-    sim = raw.get("simulate", {})
-    _reject_unknown(sim, _SIM_KEYS, "simulate")
     return ModelConfig(
-        name=str(raw.get("name", Path(path).stem)),
+        name=raw.get("name", Path(path).stem),
         spec=spec,
-        weights=weights,
-        solve=solve,
-        simulate=sim,
+        weights=raw.get("weights", {}),
+        solve=raw.get("solve", {}),
+        simulate=raw.get("simulate", {}),
     )
-
-
-# dest -> (model-file section, key, argparse keywords); the flag is
-# --dest with "_" written "-", and overrides the file value when it has one.
-FLAGS = {
-    "model": (None, None, {"required": True, "help": "path to a JSON model file"}),
-    "out": (None, None, {"help": f"output directory (default ${OUT_ENV} or ./twoproc-out)"}),
-    "n": ("solve", "n", {"type": int, "help": "truncation level"}),
-    "step": ("solve", "step", {"type": float, "help": "RK4 step size"}),
-    "horizon": ("solve", "horizon", {"type": float, "help": "integration end time"}),
-    "paths": ("simulate", "paths", {"type": int, "help": "Monte Carlo path count"}),
-    "seed": ("simulate", "seed", {"type": int, "help": "Monte Carlo seed"}),
-    "epsilon": ("weights", "epsilon", {"type": float, "help": "weight d2"}),
-    "delta1": ("weights", "delta1", {"type": float, "help": "weight d4"}),
-    "tol_mix": ("solve", "tol_mix", {"type": float, "help": "merge tolerance"}),
-    "tol_trunc": ("solve", "tol_truncation", {"type": float, "help": "truncation-doubling tolerance"}),
-    "force": (None, None, {"action": "store_true", "help": "solve even without a certificate"}),
-    "what": (None, None, {"choices": ("A", "B", "f", "transformed"), "default": "A", "help": "matrix to print"}),
-    "t": (None, None, {"type": float, "default": 0.0, "help": "evaluation time"}),
-    "conservative": (None, None, {"action": "store_true", "help": "conservative last column for A"}),
-}
 
 
 def _setting(cfg: ModelConfig, args, dest: str, default=None):
@@ -157,38 +176,22 @@ def resolve_weights(cfg: ModelConfig, args) -> WeightSequence | None:
     lam_m, _, _, mu_m = cfg.spec.mean_rates()
     if not lam_m < mu_m:
         return None  # certificate generation will refuse anyway
-    delta = cfg.weights.get("delta", bounds.geometric_ratio(cfg.spec))
-    d1 = _setting(cfg, args, "delta1", delta)
-    try:
-        return WeightSequence(epsilon=float(eps), delta1=float(d1), delta=float(delta))
-    except ValueError as exc:
-        raise ConfigError(f"invalid weights: {exc}") from exc
+    delta = _setting(cfg, args, "delta", bounds.geometric_ratio(cfg.spec))
+    return WeightSequence(epsilon=eps, delta1=_setting(cfg, args, "delta1", delta), delta=delta)
 
 
 def resolve_solve_settings(cfg: ModelConfig, args) -> SolveSettings:
     defaults = asdict(SolveSettings())
-    merged = {key: _setting(cfg, args, dest, defaults[key])
-              for dest, (section, key, _) in FLAGS.items() if section == "solve"}
-    try:
-        return SolveSettings(
-            n=None if merged["n"] is None else int(merged["n"]),
-            step=float(merged["step"]),
-            horizon=float(merged["horizon"]),
-            tol_truncation=float(merged["tol_truncation"]),
-            tol_mix=float(merged["tol_mix"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solve settings: {exc}") from exc
+    return SolveSettings(**{key: _setting(cfg, args, dest, defaults[key])
+                            for dest, (section, key, _) in FLAGS.items() if section == "solve"})
 
 
-def _resolve_sim(cfg: ModelConfig, args, horizon: float) -> mcsim.SimSettings:
-    times = cfg.simulate.get("sample_times")
-    if times is None:
-        times = [1.0, 5.0, horizon]
+def _resolve_sim(cfg: ModelConfig, args) -> mcsim.SimSettings:
+    horizon = _setting(cfg, args, "horizon", SolveSettings.horizon)
     return mcsim.SimSettings(
-        n_paths=int(_setting(cfg, args, "paths", DEFAULT_PATHS)),
-        seed=int(_setting(cfg, args, "seed", DEFAULT_SEED)),
-        sample_times=tuple(float(t) for t in times),
+        n_paths=_setting(cfg, args, "paths", DEFAULT_PATHS),
+        seed=_setting(cfg, args, "seed", DEFAULT_SEED),
+        sample_times=_setting(cfg, args, "sample_times", (1.0, 5.0, horizon)),
     )
 
 
@@ -261,14 +264,13 @@ SOLVE_ERRORS = (solver.MixingHorizonError, solver.TruncationLimitError, solver.S
                 solver.FitWindowError)
 
 
-def _certified_regime(args):
-    """Load the model, certify it, and compute its limiting regime and decay fit.
+def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
+    """Certify the model and compute its limiting regime and decay fit.
 
-    Returns (cfg, out, cert, settings, regime, fit) with the accepted
-    truncation in settings.n, or None once a refusal is printed; with --force
-    a refused model is solved and cert is None.
+    Returns (out, cert, settings, regime, fit) with the accepted truncation
+    in settings.n, or None once a refusal is printed; with --force a refused
+    model is solved and cert is None.
     """
-    cfg = load_model_file(args.model)
     out = _out_dir(args)
     cert = bounds.make_certificate(cfg.spec, resolve_weights(cfg, args))
     if isinstance(cert, bounds.NoCertificate):
@@ -276,17 +278,17 @@ def _certified_regime(args):
         if not getattr(args, "force", False):
             return None
         cert = None
-    settings = resolve_solve_settings(cfg, args)
     regime = solver.limiting_regime(cfg.spec, settings)
     fit = solver.decay_fit(regime.from_empty, regime.from_far, cert.weights if cert else None)
-    return cfg, out, cert, replace(settings, n=regime.from_empty.n), regime, fit
+    return out, cert, replace(settings, n=regime.from_empty.n), regime, fit
 
 
 def cmd_solve(args) -> int:
-    solved = _certified_regime(args)
+    cfg = load_model_file(args.model)
+    solved = _certified_regime(cfg, args, resolve_solve_settings(cfg, args))
     if solved is None:
         return 2
-    cfg, out, cert, settings, regime, fit = solved
+    out, cert, settings, regime, fit = solved
     write_trajectory_csv(out / "trajectory_x0.csv", regime.from_empty)
     write_trajectory_csv(out / "trajectory_xfar.csv", regime.from_far)
     write_trajectory_csv(out / "limit_cycle.csv", regime.cycle)
@@ -341,9 +343,8 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_model_file(args.model)
+    sim = _resolve_sim(cfg, args)
     out = _out_dir(args)
-    settings = resolve_solve_settings(cfg, args)
-    sim = _resolve_sim(cfg, args, settings.horizon)
     est = mcsim.estimate_probs(cfg.spec, sim)
     write_mc_csv(out / "mc_estimates.csv", est)
     lines = [f"model: {cfg.name}", f"paths: {sim.n_paths}   seed: {sim.seed}"]
@@ -360,17 +361,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    solved = _certified_regime(args)
+    cfg = load_model_file(args.model)
+    settings = resolve_solve_settings(cfg, args)
+    sim = _resolve_sim(cfg, args)
+    solved = _certified_regime(cfg, args, settings)
     if solved is None:
         return 2
-    cfg, out, cert, settings, regime, fit = solved
+    out, cert, settings, regime, fit = solved
     regime_avg = solver.limiting_regime(cfg.spec.averaged(), settings)
     fit_avg = solver.decay_fit(regime_avg.from_empty, regime_avg.from_far, cert.weights)
     check = solver.contraction_check(
         regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
     )
 
-    sim = _resolve_sim(cfg, args, settings.horizon)
     est = mcsim.estimate_probs(cfg.spec, sim)
     write_mc_csv(out / "mc_estimates.csv", est)
 

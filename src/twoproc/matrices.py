@@ -21,6 +21,7 @@ integrates that variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ class WeightSequence:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.delta1 <= 1.0:
-            raise ValueError("delta1 must exceed 1")
-        if self.delta <= 1.0:
-            raise ValueError("delta must exceed 1")
+        if not 1.0 < self.delta1 < math.inf:
+            raise ValueError("delta1 must be finite and exceed 1")
+        if not 1.0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and exceed 1")
 
     def d(self, m: int) -> np.ndarray:
         """The first m >= 2 weights as an array (d[0] is d1)."""

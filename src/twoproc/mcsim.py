@@ -45,19 +45,19 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Simulation controls."""
+    """Simulation controls: at least 100 paths, finite sample times."""
 
     n_paths: int
     seed: int
     sample_times: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
+        if self.n_paths < 100:
+            raise ValueError(f"at least 100 paths are required, got {self.n_paths}")
         if not self.sample_times:
             raise ValueError("at least one sample time is required")
-        if any(t < 0.0 for t in self.sample_times):
-            raise ValueError("sample times must be nonnegative")
+        if not all(0.0 <= t < math.inf for t in self.sample_times):
+            raise ValueError(f"sample times must be finite and nonnegative, got {self.sample_times}")
         if list(self.sample_times) != sorted(self.sample_times):
             raise ValueError("sample times must be increasing")
 
@@ -198,13 +198,11 @@ class SimEstimate:
 
 
 def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
-    """State probabilities at the sample times from n_paths >= 100 paths.
+    """State probabilities at the sample times from settings.n_paths >= 100 paths.
 
     Standard errors use the Laplace-smoothed frequency (c + 0.5)/(n + 1) so
     that empty cells still carry a usable scale.
     """
-    if settings.n_paths < 100:
-        raise ValueError("estimate_probs needs at least 100 paths")
     bound = compute_rate_bound(spec)
     times = np.asarray(settings.sample_times, dtype=float)
     budget = _candidate_budget(bound, float(times.max()))

@@ -103,15 +103,11 @@ class RateFunction:
 
     @classmethod
     def trig(cls, constant: float, harmonics) -> "RateFunction":
-        terms = tuple(
-            h if isinstance(h, Harmonic) else Harmonic(float(h[0]), str(h[1]), int(h[2]))
-            for h in harmonics
-        )
-        return cls(constant=float(constant), harmonics=terms)
+        return cls(constant=constant, harmonics=tuple(Harmonic(*h) for h in harmonics))
 
     @classmethod
     def piecewise(cls, pairs) -> "RateFunction":
-        return cls(table=tuple((float(b), float(v)) for b, v in pairs))
+        return cls(table=tuple((b, v) for b, v in pairs))
 
     # -- evaluation ------------------------------------------------------
 

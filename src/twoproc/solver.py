@@ -69,12 +69,12 @@ class SolveSettings:
     tol_mix: float = 1e-5
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
         if self.n is not None and self.n < 5:
             raise ValueError("truncation must keep at least 5 states")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        for name in ("step", "horizon", "tol_truncation", "tol_mix"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import reference_trajectory_csv
 import twoproc
-from twoproc import solver
+from twoproc import bounds, cli, solver
 from twoproc.cli import ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "twoproc" / "configs"
@@ -67,6 +67,99 @@ class TestConfigLoading:
             "mu2": {"constant": 2.0},
         }))
         assert cfg.spec.lam.mean() == pytest.approx(1.0, abs=1e-15)
+
+
+VALID_MODEL = {
+    "lambda": {"constant": 1.0, "harmonics": [{"amplitude": 0.5, "kind": "sin", "harmonic": 1}]},
+    "mu1": {"constant": 2.0},
+    "mu2": {"table": [[0.0, 1.5], [0.5, 2.0]]},
+    "weights": {"epsilon": 0.1, "delta1": 1.5, "delta": 1.5},
+    "solve": {"n": 16, "step": 0.01, "horizon": 10.0, "tol_truncation": 1e-6, "tol_mix": 1e-5},
+    "simulate": {"paths": 200, "seed": 3, "sample_times": [1.0, 5.0]},
+}
+# key path -> (container path, key) in VALID_MODEL, for every number in the file
+NUMBER_KEYS = {
+    **{f"{section}.{key}": ((section,), key) for section in ("weights", "solve", "simulate")
+       for key in VALID_MODEL[section] if key != "sample_times"},
+    "simulate.sample_times[1]": (("simulate", "sample_times"), 1),
+    "lambda.constant": (("lambda",), "constant"),
+    "lambda.harmonics[0].amplitude": (("lambda", "harmonics", 0), "amplitude"),
+    "lambda.harmonics[0].harmonic": (("lambda", "harmonics", 0), "harmonic"),
+    "mu2.table[1][0]": (("mu2", "table", 1), 0),
+    "mu2.table[1][1]": (("mu2", "table", 1), 1),
+}
+MALFORMED = [
+    *[(path, value) for path in NUMBER_KEYS for value in ([16], "16", True)],
+    *[(path, 16.7) for path in ("solve.n", "simulate.paths", "simulate.seed")],
+    ("lambda.harmonics[0].harmonic", 1.5),
+]
+
+
+def with_value(container: tuple, key, value) -> dict:
+    """A copy of VALID_MODEL with model[container...][key] = value."""
+    model = json.loads(json.dumps(VALID_MODEL))
+    node = model
+    for step in container:
+        node = node[step]
+    node[key] = value
+    return model
+
+
+def run_each_command(model: Path, tmp_path: Path, capsys) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of every command that reads the model file."""
+    results = []
+    for command in ("bound", "solve", "simulate", "compare", "dump"):
+        out = [] if command == "dump" else ["--out", str(tmp_path / command)]
+        rc = main([command, "--model", str(model), *out])
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+class TestMalformedModelFiles:
+    def test_valid_model_loads_every_key(self, tmp_path):
+        cfg = load_model_file(write_json(tmp_path / "ok.json", VALID_MODEL))
+        assert cfg.solve == {"n": 16, "step": 0.01, "horizon": 10.0, "tol_truncation": 1e-6, "tol_mix": 1e-5}
+        assert cfg.simulate == {"paths": 200, "seed": 3, "sample_times": (1.0, 5.0)}
+        assert cfg.spec.lam.harmonics[0].harmonic == 1
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        model = with_value(*NUMBER_KEYS["lambda.harmonics[0].harmonic"], 2.0)
+        model["solve"]["n"] = 16.0
+        cfg = load_model_file(write_json(tmp_path / "ok.json", model))
+        assert type(cfg.solve["n"]) is int and cfg.solve["n"] == 16
+        assert type(cfg.spec.lam.harmonics[0].harmonic) is int
+
+    @pytest.mark.parametrize("path,value", MALFORMED, ids=[f"{p}={json.dumps(v)}" for p, v in MALFORMED])
+    def test_wrong_type_exits_one_naming_the_key(self, path, value, tmp_path, capsys):
+        model = write_json(tmp_path / "bad.json", with_value(*NUMBER_KEYS[path], value))
+        for rc, out, err in run_each_command(model, tmp_path, capsys):
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"error: {path} must be ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("container,key,value", [
+        ((), "weights", 5), ((), "solve", ["n"]), ((), "simulate", "paths"), ((), "lambda", 1.0), ((), "name", 5),
+        (("lambda",), "harmonics", {"amplitude": 0.5}), (("mu2",), "table", [[0.0, 1.5, 2.0]]),
+        (("simulate",), "sample_times", 5),
+    ])
+    def test_wrong_structure_exits_one_naming_the_key(self, container, key, value, tmp_path, capsys):
+        bad = write_json(tmp_path / "bad.json", with_value(container, key, value))
+        for rc, out, err in run_each_command(bad, tmp_path, capsys):
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"error: {'.'.join((*container, key))}") and err.count("\n") == 1, err
+
+    def test_docs_list_exactly_the_accepted_keys(self):
+        docs = (CONFIG_DIR.parents[2] / "docs" / "config.md").read_text()
+        tables = {}
+        for block in re.split(r"^#+ ", docs, flags=re.M)[1:]:
+            heading, body = block.split("\n", 1)
+            tables[heading.strip().strip("`")] = set(re.findall(r"^\| `(\w+)`", body, flags=re.M))
+        schema = cli._SCHEMA
+        assert tables["Top-level keys"] == set(schema)
+        assert tables["Rate objects"] == set(schema["lambda"])
+        assert tables["Harmonic terms"] == set(schema["lambda"]["harmonics"][0])
+        for section in {section for section, _, _ in cli.FLAGS.values() if section}:
+            assert tables[section] == set(schema[section]), section
 
 
 class TestBoundCommand:
@@ -241,6 +334,17 @@ class TestCompareCommand:
             "lambda": {"constant": 1.0}, "mu1": {"constant": 1.0}, "mu2": {"constant": 2.0}})
         assert main(["compare", "--model", str(model), "--out", str(tmp_path / "o")]) == 1
 
+    def test_simulation_settings_checked_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the settings were checked")
+
+        monkeypatch.setattr(solver, "limiting_regime", fail)
+        monkeypatch.setattr(bounds, "make_certificate", fail)
+        out = tmp_path / "o"
+        assert main(["compare", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(out), "--paths", "0"]) == 1
+        assert capsys.readouterr().err == "error: at least 100 paths are required, got 0\n"
+        assert not out.exists()
+
 
 class TestDumpCommand:
     def test_generator_dump_matches_builder(self, tmp_path, capsys):
@@ -288,9 +392,22 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["bound", "--out", "o"], "the following arguments are required: --model"),
-        (["simulate", "--model", EXAMPLE1, "--out", "o", "--paths", "0"], "n_paths must be positive"),
+        (["simulate", "--model", EXAMPLE1, "--out", "o", "--paths", "0"], "at least 100 paths are required, got 0"),
         (["dump", "--model", EXAMPLE1, "--n", "0"], "truncation must keep at least 5 states"),
-    ], ids=["missing-model", "paths-0", "dump-n-0"])
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--tol-trunc", "0"],
+         "tol_truncation must be finite and positive, got 0"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--tol-trunc=-1e-6"],
+         "tol_truncation must be finite and positive, got -1e-06"),
+        (["compare", "--model", EXAMPLE1, "--out", "o", "--tol-mix", "0"],
+         "tol_mix must be finite and positive, got 0"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--horizon", "nan"],
+         "horizon must be finite and positive, got nan"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--horizon", "inf"],
+         "horizon must be finite and positive, got inf"),
+        (["simulate", "--model", EXAMPLE1, "--out", "o", "--horizon", "inf"],
+         "sample times must be finite and nonnegative, got (1.0, 5.0, inf)"),
+    ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
+            "horizon-nan", "horizon-inf", "simulate-horizon-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

@@ -123,6 +123,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="probability"):
             integrate(ex1_spec, SolveSettings(n=16, horizon=1.0), bad)
 
+    @pytest.mark.parametrize("name", ["step", "horizon", "tol_truncation", "tol_mix"])
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_settings_must_be_finite_and_positive(self, name, value):
+        # a zero or negative tol_truncation would double the truncation to
+        # TRUNCATION_CAP, and a NaN horizon fail only in the step count
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value:g}$"):
+            SolveSettings(**{name: value})
+
     def test_stiff_rates_trigger_step_failure_and_halving_recovers(self):
         spec = ModelSpec(RateFunction.fixed(100.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
         st = SolveSettings(n=16, step=0.02, horizon=1.0)
