@@ -423,9 +423,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    t = args.t
+    if not np.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t:g}")
     cfg = load_model_file(args.model)
     n = 12 if args.n is None else args.n
-    t = args.t
     if args.what == "A":
         sys.stdout.write(format_matrix(build_A(cfg.spec, t, n, conservative=args.conservative)))
     elif args.what == "B":

@@ -15,6 +15,11 @@ trajectory is bit-identical to calling the rates at every stage.
 Truncation level is controlled empirically by doubling the state count until
 the mean curve stops moving.  `limiting_regime` runs that search itself when
 no n is given and reuses the empty-start trajectory it ends with.
+
+The step is one for the whole solve: every trajectory of a search or a
+limiting regime is integrated at it, so all of them share one sample grid.
+A StepSizeError anywhere restarts the whole solve at h/2, at most
+STEP_HALVINGS times, so a halved solve is the solve started at the final step.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ STEP_DEFECT_LIMIT = 1e-6
 TRUNCATION_CAP = 4096
 SAMPLE_TARGET = 8000
 RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
-STEP_HALVINGS = 6  # step halvings `integrate_with_halving` tries before giving up
+STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
 
 
 class StepSizeError(RuntimeError):
@@ -45,10 +50,6 @@ class TruncationLimitError(RuntimeError):
 
 class MixingHorizonError(RuntimeError):
     """Trajectories did not merge within the horizon."""
-
-    def __init__(self, message: str, measured_rate: float | None = None):
-        super().__init__(message)
-        self.measured_rate = measured_rate
 
 
 class FitWindowError(RuntimeError):
@@ -216,16 +217,6 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
     )
 
 
-def integrate_with_halving(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
-    """Integrate from t = 0, halving the step on step-size failures."""
-    for _ in range(STEP_HALVINGS + 1):
-        try:
-            return integrate(spec, settings, p0)
-        except StepSizeError:
-            settings = replace(settings, step=settings.step / 2.0)
-    raise StepSizeError(f"step halved {STEP_HALVINGS} times without meeting the defect limit")
-
-
 def empty_start(n: int) -> np.ndarray:
     p = np.zeros(n)
     p[0] = 1.0
@@ -238,24 +229,27 @@ def far_start(n: int) -> np.ndarray:
     return p
 
 
-def _truncation_search(spec: ModelSpec, settings: SolveSettings) -> Trajectory:
-    """Empty-start trajectory at the state count the doubling search accepts.
+def _at_one_step(solve, spec: ModelSpec, settings: SolveSettings):
+    """solve(spec, settings), restarted at half the step on each StepSizeError."""
+    for _ in range(STEP_HALVINGS + 1):
+        try:
+            return solve(spec, settings)
+        except StepSizeError:
+            settings = replace(settings, step=settings.step / 2.0)
+    raise StepSizeError(f"step halved {STEP_HALVINGS} times without meeting the defect limit")
 
-    Each level is integrated with step halving.  Once a level needs a smaller
-    step, that step carries forward, and the previous level is integrated
-    again at it, so the n and 2n means are always compared on one grid.
-    """
+
+def _truncation_search(spec: ModelSpec, settings: SolveSettings) -> Trajectory:
+    """Empty-start trajectory at the state count the doubling search accepts."""
     n = 16
-    prev = integrate_with_halving(spec, replace(settings, n=n), empty_start(n))
+    prev = integrate(spec, replace(settings, n=n), empty_start(n))
     while True:
         if 2 * n > TRUNCATION_CAP:
             raise TruncationLimitError(
                 f"no truncation up to {TRUNCATION_CAP} states met tol {settings.tol_truncation:g}; "
                 "the system is likely overloaded"
             )
-        cur = integrate_with_halving(spec, replace(settings, n=2 * n, step=prev.step), empty_start(2 * n))
-        if cur.step != prev.step:
-            prev = integrate(spec, replace(settings, n=n, step=cur.step), empty_start(n))
+        cur = integrate(spec, replace(settings, n=2 * n), empty_start(2 * n))
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
             return prev
@@ -269,7 +263,16 @@ def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
     Accepts n once sup_t |E_n(t) - E_2n(t)| < tol_truncation over the horizon
     (from the empty start).  Raises TruncationLimitError past 4096 states.
     """
-    return _truncation_search(spec, settings).n
+    return _at_one_step(_truncation_search, spec, settings).n
+
+
+def _both_starts(spec: ModelSpec, settings: SolveSettings) -> tuple[Trajectory, Trajectory]:
+    """Empty- and far-start trajectories; the search picks n when it is None."""
+    if settings.n is None:
+        traj0 = _truncation_search(spec, settings)
+    else:
+        traj0 = integrate(spec, settings, empty_start(settings.n))
+    return traj0, integrate(spec, replace(settings, n=traj0.n), far_start(traj0.n))
 
 
 @dataclass(frozen=True)
@@ -300,19 +303,9 @@ def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
     t_mix is the first sample time with ||p1 - p2||_1 < tol_mix; the returned
     cycle is the window [ceil(t_mix), ceil(t_mix)+1] of the empty-start
     trajectory.  With settings.n None the truncation search runs first and
-    its empty-start trajectory at the accepted n is reused.  Both starts are
-    integrated at one common step: when the far start needs a smaller step,
-    the empty start is integrated again at that step.
+    its empty-start trajectory at the accepted n is reused.
     """
-    if settings.n is None:
-        traj0 = _truncation_search(spec, settings)
-        settings = replace(settings, n=traj0.n)
-    else:
-        traj0 = integrate_with_halving(spec, settings, empty_start(settings.n))
-    n = settings.n
-    trajf = integrate_with_halving(spec, replace(settings, step=traj0.step), far_start(n))
-    if trajf.step != traj0.step:
-        traj0 = integrate(spec, replace(settings, step=trajf.step), empty_start(n))
+    traj0, trajf = _at_one_step(_both_starts, spec, settings)
     gap = np.sum(np.abs(traj0.probs - trajf.probs), axis=1)
     below = np.nonzero(gap < settings.tol_mix)[0]
     if len(below) == 0:
@@ -323,15 +316,13 @@ def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
             rate = -float(slope)
         raise MixingHorizonError(
             f"trajectories did not merge to {settings.tol_mix:g} within horizon {settings.horizon:g}"
-            + (f" (decay rate so far ~{rate:.4g})" if rate else ""),
-            measured_rate=rate,
+            + (f" (decay rate so far ~{rate:.4g})" if rate else "")
         )
     t_mix = float(traj0.times[below[0]])
     a = math.ceil(t_mix)
     if a + 1 > traj0.times[-1] + 1e-9:
         raise MixingHorizonError(
-            f"merged at t={t_mix:g} but no full period remains before the horizon",
-            measured_rate=None,
+            f"merged at t={t_mix:g} but no full period remains before the horizon"
         )
     cycle = _slice_trajectory(traj0, a, a + 1)
     return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf, l1_gap=gap)

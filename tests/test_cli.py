@@ -406,8 +406,11 @@ class TestUsageErrors:
          "horizon must be finite and positive, got inf"),
         (["simulate", "--model", EXAMPLE1, "--out", "o", "--horizon", "inf"],
          "sample times must be finite and nonnegative, got (1.0, 5.0, inf)"),
+        (["dump", "--model", EXAMPLE1, "--t", "nan"], "t must be finite, got nan"),
+        (["dump", "--model", EXAMPLE1, "--t", "inf"], "t must be finite, got inf"),
+        (["dump", "--model", EXAMPLE1, "--t=-inf"], "t must be finite, got -inf"),
     ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
-            "horizon-nan", "horizon-inf", "simulate-horizon-inf"])
+            "horizon-nan", "horizon-inf", "simulate-horizon-inf", "dump-t-nan", "dump-t-inf", "dump-t-minus-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

@@ -21,15 +21,31 @@ from twoproc.solver import (
     far_initial_state,
     far_start,
     integrate,
-    integrate_with_halving,
     limiting_regime,
-    _truncation_search,
 )
 
 
 @pytest.fixture(scope="module")
 def ex1_regime(ex1_spec):
     return limiting_regime(ex1_spec, SolveSettings(n=16, horizon=50.0))
+
+
+def record_integrate(monkeypatch, fail_at=None):
+    """List of (n, step, initial state) per `solver.integrate` call.
+
+    The first call at the (n, step) pair fail_at raises StepSizeError.
+    """
+    calls = []
+    run = solver.integrate
+
+    def recording(spec, settings, p0):
+        calls.append((settings.n, settings.step, int(np.argmax(p0))))
+        if calls[-1][:2] == fail_at and calls.count(calls[-1]) == 1:
+            raise StepSizeError("forced")
+        return run(spec, settings, p0)
+
+    monkeypatch.setattr(solver, "integrate", recording)
+    return calls
 
 
 class TestMeanOf:
@@ -131,14 +147,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value:g}$"):
             SolveSettings(**{name: value})
 
-    def test_stiff_rates_trigger_step_failure_and_halving_recovers(self):
+    def test_stiff_rates_trigger_step_failure(self):
         spec = ModelSpec(RateFunction.fixed(100.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
-        st = SolveSettings(n=16, step=0.02, horizon=1.0)
         with pytest.raises(StepSizeError):
-            integrate(spec, st, empty_start(16))
-        traj = integrate_with_halving(spec, st, empty_start(16))
-        assert traj.step < 0.02
-        assert traj.defect_per_unit_time < 1e-8
+            integrate(spec, SolveSettings(n=16, step=0.02, horizon=1.0), empty_start(16))
 
 
 class TestChunkedRates:
@@ -210,39 +222,6 @@ class TestChooseTruncation:
         assert gaps[1] <= gaps[0]
 
 
-    def test_search_halves_the_step(self):
-        # stiff enough that step 0.02 overshoots at every level; the search
-        # used to raise StepSizeError instead of halving
-        spec = ModelSpec(RateFunction.fixed(60.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
-        st = SolveSettings(step=0.02, horizon=3.0)
-        with pytest.raises(StepSizeError):
-            integrate(spec, replace(st, n=16), empty_start(16))
-        traj = _truncation_search(spec, st)
-        assert traj.step == 0.005
-        # the same search started at the halved step: same n, same trajectory
-        direct = _truncation_search(spec, replace(st, step=traj.step))
-        assert direct.n == traj.n == choose_truncation(spec, st)
-        assert np.array_equal(direct.probs, traj.probs)
-
-    def test_halving_at_a_later_level_reintegrates_the_previous_one(self, monkeypatch):
-        spec = ModelSpec(RateFunction.fixed(1.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
-        st = SolveSettings(step=0.01, horizon=2.0, tol_truncation=1e-12)
-        run = solver.integrate
-        levels = []
-
-        def fail_first_32(spec, settings, p0):
-            levels.append((settings.n, settings.step))
-            if settings.n == 32 and settings.step == 0.01:
-                raise StepSizeError("forced")
-            return run(spec, settings, p0)
-
-        monkeypatch.setattr(solver, "integrate", fail_first_32)
-        traj = _truncation_search(spec, st)
-        assert levels[:4] == [(16, 0.01), (32, 0.01), (32, 0.005), (16, 0.005)]
-        assert all(step == 0.005 for _, step in levels[2:])
-        assert traj.step == 0.005
-
-
 class TestLimitingRegime:
     def test_light_traffic_merges_before_horizon(self, ex1_regime):
         assert ex1_regime.t_mix <= 50.0
@@ -263,8 +242,8 @@ class TestLimitingRegime:
         reg = limiting_regime(ex1_spec.averaged(), SolveSettings(n=16, horizon=25.0))
         assert np.max(np.abs(reg.cycle.probs - reg.cycle.probs[0])) < 1e-8
 
-    def test_short_horizon_raises_with_measured_rate(self, ex1_spec):
-        with pytest.raises(MixingHorizonError):
+    def test_short_horizon_raises_with_decay_rate_hint(self, ex1_spec):
+        with pytest.raises(MixingHorizonError, match="decay rate so far"):
             limiting_regime(ex1_spec, SolveSettings(n=16, horizon=5.0))
 
     def test_search_trajectory_reused(self, ex1_spec):
@@ -276,21 +255,55 @@ class TestLimitingRegime:
         assert np.array_equal(reg.from_empty.probs, ref.probs)
         assert np.array_equal(reg.from_empty.times, ref.times)
 
-    def test_far_start_halving_halves_both_starts(self):
-        # stiff service with 1/step not an integer: only the far start fails at
-        # step 0.03, and the two sample grids used to differ (101 vs 201 rows)
-        spec = ModelSpec(RateFunction.fixed(0.5), RateFunction.fixed(20.0), RateFunction.fixed(20.0))
-        reg = limiting_regime(spec, SolveSettings(n=16, step=0.03, horizon=3.0))
-        assert reg.from_empty.step == reg.from_far.step < 0.03
-        assert np.array_equal(reg.from_empty.times, reg.from_far.times)
-        ref = integrate(spec, SolveSettings(n=16, step=reg.from_far.step, horizon=3.0), empty_start(16))
-        assert np.array_equal(reg.from_empty.probs, ref.probs)
+    def test_search_reuse_keeps_three_integrations(self, ex1_spec, monkeypatch):
+        # solve-light: n = 16 and 32 from empty, then n = 16 from far
+        calls = record_integrate(monkeypatch)
+        st = SolveSettings(step=0.004, horizon=20.0)
+        limiting_regime(ex1_spec, st)
+        assert calls == [(16, 0.004, 0), (32, 0.004, 0), (16, 0.004, 15)]
+        calls.clear()
+        choose_truncation(ex1_spec, st)
+        assert calls == [(16, 0.004, 0), (32, 0.004, 0)]
 
     def test_far_initial_state_rule(self):
         assert far_initial_state(16) == 15
         assert far_initial_state(101) == 100
         assert far_initial_state(128) == 100
         assert far_start(128)[100] == 1.0
+
+
+class TestStepHalving:
+    STIFF = ModelSpec(RateFunction.fixed(60.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
+    FAST_SERVICE = ModelSpec(RateFunction.fixed(0.5), RateFunction.fixed(20.0), RateFunction.fixed(20.0))
+    LIGHT = ModelSpec(RateFunction.fixed(1.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
+    # spec, settings, the step the solve ends at, the accepted n
+    CASES = {
+        # steps 0.02 and 0.01 overshoot at the first search level
+        "stiff-search": (STIFF, SolveSettings(step=0.02, horizon=8.0), 0.005, 64),
+        # 1/step is not an integer and only the far start fails at 0.03
+        "far-start-n16": (FAST_SERVICE, SolveSettings(n=16, step=0.03, horizon=3.0), 0.015, 16),
+        "far-start-search": (FAST_SERVICE, SolveSettings(step=0.03, horizon=3.0), 0.015, 16),
+        # a failure at the second search level, after the first one passed
+        "forced-at-n32": (LIGHT, SolveSettings(step=0.01, horizon=20.0), 0.005, 16),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_halved_solve_equals_solve_started_at_final_step(self, case, monkeypatch):
+        spec, st, final_step, n = self.CASES[case]
+        calls = record_integrate(monkeypatch, fail_at=(32, 0.01) if case == "forced-at-n32" else None)
+        halved = limiting_regime(spec, st)
+        if case == "forced-at-n32":
+            assert calls == [(16, 0.01, 0), (32, 0.01, 0), (16, 0.005, 0), (32, 0.005, 0), (16, 0.005, 15)]
+        direct = limiting_regime(spec, replace(st, step=final_step))
+        assert np.array_equal(halved.from_empty.times, halved.from_far.times)
+        for got, want in ((halved.from_empty, direct.from_empty), (halved.from_far, direct.from_far)):
+            assert got.n == want.n == n
+            assert got.step == final_step
+            assert got.defect_per_unit_time < 1e-8
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.probs, want.probs)
+        if st.n is None:
+            assert choose_truncation(spec, st) == n
 
 
 class TestDecayFit:
