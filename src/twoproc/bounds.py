@@ -53,13 +53,12 @@ def fixed_alphas(lam, mu1, mu2, d) -> np.ndarray:
     return np.stack([a1, a2, a3, a4, a5])
 
 
-def pointwise_alphas(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
-    """Pointwise-route alpha_1..alpha_5 at the times ts, for mu1 = mu2.
+def pointwise_alphas(lam, mu1, mu2, epsilon: float) -> np.ndarray:
+    """Pointwise-route alpha_1..alpha_5 at the rates (lam, mu1, mu2), for mu1 = mu2.
 
-    The geometric ratio is the locally optimal sqrt(mu(t)/lambda(t)), so only
+    The geometric ratio is the locally optimal sqrt(mu/lambda), so only
     epsilon remains free.
     """
-    lam, mu1, mu2 = spec.rates(ts)
     mu = mu1 + mu2
     root = np.sqrt(lam * mu)
     gap = (np.sqrt(lam) - np.sqrt(mu)) ** 2
@@ -73,7 +72,7 @@ def pointwise_alphas(spec: ModelSpec, epsilon: float, ts) -> np.ndarray:
 
 def alphas_averaged(spec: ModelSpec, weights: WeightSequence) -> np.ndarray:
     """Fixed-weight alpha_1..alpha_5 evaluated at the exact period means."""
-    return fixed_alphas(*spec.averaged().rates(0.0), weights.d(6))
+    return fixed_alphas(*spec.mean_rates()[:3], weights.d(6))
 
 
 def cumulative_trapezoid(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -81,45 +80,22 @@ def cumulative_trapezoid(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) / 2.0 * np.diff(ts))])
 
 
-@dataclass(frozen=True)
-class BetaCurve:
-    """beta*(t) sampled on a grid plus its exact-period integral."""
-
-    times: np.ndarray
-    values: np.ndarray
-    inf: float
-    integral: float  # integral of beta*(tau) over one period
-
-
-def _period_curve(beta) -> BetaCurve:
-    """beta(ts) on the _PERIOD_PANELS Simpson grid of [0, 1], with its composite Simpson integral."""
-    n = _PERIOD_PANELS
-    ts = np.linspace(0.0, 1.0, n + 1)
-    values = beta(ts)
+def _simpson(values: np.ndarray) -> float:
+    """Composite Simpson integral over [0, 1] of values sampled at an even number of equal panels."""
+    n = len(values) - 1
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return BetaCurve(times=ts, values=values, inf=float(np.min(values)),
-                     integral=float(np.sum(w * values) / (3.0 * n)))
+    return float(np.sum(w * values) / (3.0 * n))
 
 
-def _fixed_curve(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
-    """beta*(t) with fixed weights, whose period average is exactly beta*_0 when one alpha binds."""
-    d = weights.d(6)
-    return _period_curve(lambda ts: np.min(fixed_alphas(*spec.rates(ts), d), axis=0))
-
-
-def _route_beta(spec: ModelSpec, weights: WeightSequence, ts) -> np.ndarray:
-    """beta*(t) = min_i alpha_i(t) at the times ts on the certificate's route:
-    the pointwise closed forms for equal service rates, else the fixed-weight forms."""
+def _route_beta(spec: ModelSpec, weights: WeightSequence, rates, fixed: np.ndarray) -> np.ndarray:
+    """beta*(t) on the certificate's route, from the rates at some times and the
+    fixed-weight beta*(t) there: the pointwise closed forms for equal service
+    rates, else the fixed-weight curve itself."""
     if spec.is_equal_service:
-        return np.min(pointwise_alphas(spec, weights.epsilon, ts), axis=0)
-    return np.min(fixed_alphas(*spec.rates(ts), weights.d(6)), axis=0)
-
-
-def beta_star_time(spec: ModelSpec, weights: WeightSequence) -> BetaCurve:
-    """beta*(t) over one period on the certificate's route (`_route_beta`)."""
-    return _period_curve(lambda ts: _route_beta(spec, weights, ts))
+        return np.min(pointwise_alphas(*rates, weights.epsilon), axis=0)
+    return fixed
 
 
 def geometric_ratio(spec: ModelSpec) -> float:
@@ -151,7 +127,7 @@ def tune_weights(spec: ModelSpec) -> WeightSequence:
     d1_grid = sorted(x for x in set(np.linspace(1.01, hi, 40)) | {13.0 / 8.0, delta} if x > 1.0)
     eps = np.repeat(eps_grid, len(d1_grid))
     d1 = np.tile(d1_grid, len(eps_grid))
-    scores = np.min(fixed_alphas(*spec.averaged().rates(0.0), weight_columns(eps, d1, delta, 6)), axis=0)
+    scores = np.min(fixed_alphas(*spec.mean_rates()[:3], weight_columns(eps, d1, delta, 6)), axis=0)
     best, best_score = None, -math.inf
     for i, score in enumerate(scores.tolist()):
         if score > best_score + 1e-15:
@@ -205,21 +181,6 @@ class NoCertificate:
     reason: str
 
 
-def analytic_prefactor(curve: BetaCurve, beta0: float):
-    """Prefactor exp(sup deficit) for the averaged-route bound, when valid.
-
-    With fixed weights (`curve` is the fixed-weight curve) the per-period
-    integral of beta*(t) is compared with beta*_0; when they agree the
-    within-period deficit is bounded and its exponential is a rigorous
-    prefactor.  Returns None when the integral falls short (different alphas
-    bind at different times).
-    """
-    if curve.integral < beta0 - 1e-9:
-        return None
-    deficit = beta0 * curve.times - cumulative_trapezoid(curve.times, curve.values)
-    return float(np.exp(np.max(deficit)))
-
-
 def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
     """Build a ConvergenceCertificate, or a NoCertificate result.
 
@@ -240,19 +201,28 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
         return NoCertificate(
             reason=f"ergodicity not certified: averaged decay rate {beta0:g} <= 0 for these weights"
         )
-    curve = beta_star_time(spec, weights)
-    fixed = _fixed_curve(spec, weights) if spec.is_equal_service else curve
-    periodic_rate = curve.inf if curve.inf > 0.0 else None
+    ts = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
+    rates = spec.rates(ts)
+    fixed = np.min(fixed_alphas(*rates, weights.d(6)), axis=0)
+    route = _route_beta(spec, weights, rates, fixed)
+    fixed_integral = _simpson(fixed)
+    # With fixed weights, a period integral of beta*(t) that reaches beta*_0
+    # bounds the within-period deficit, and its exponential is a rigorous
+    # prefactor; it falls short when different alphas bind at different times.
+    prefactor = None
+    if fixed_integral >= beta0 - 1e-9:
+        prefactor = float(np.exp(np.max(beta0 * ts - cumulative_trapezoid(ts, fixed))))
+    inf = float(np.min(route))
     return ConvergenceCertificate(
         regime="periodic" if spec.is_periodic else "constant-rate",
         weights=weights,
         beta_star_avg=beta0,
         binding_alpha=binding + 1,
-        beta_star_periodic=periodic_rate,
-        beta_integral=curve.integral,
-        beta_integral_fixed=fixed.integral,
+        beta_star_periodic=inf if inf > 0.0 else None,
+        beta_integral=_simpson(route),
+        beta_integral_fixed=fixed_integral,
         norm_chain_constant=chain_constant(weights),
-        prefactor_analytic=analytic_prefactor(fixed, beta0),
+        prefactor_analytic=prefactor,
     )
 
 
@@ -287,8 +257,9 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     lines.append("  alpha table (fixed weights), t in [0,1]:")
     lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")
     ts = np.linspace(0.0, 1.0, 101)
-    table = fixed_alphas(*spec.rates(ts), w.d(6))
-    route_vals = _route_beta(spec, w, ts)
+    rates = spec.rates(ts)
+    table = fixed_alphas(*rates, w.d(6))
+    route_vals = _route_beta(spec, w, rates, np.min(table, axis=0))
     for i, t in enumerate(ts):
         row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
         lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}")

@@ -169,9 +169,17 @@ def _setting(cfg: ModelConfig, args, dest: str, default=None):
 
 
 def resolve_weights(cfg: ModelConfig, args) -> WeightSequence | None:
-    """Weights from flags/config, or None to let the engine tune them."""
+    """Weights from flags/config, or None to let the engine tune them.
+
+    delta1 and delta shape the weights only next to epsilon; one given
+    without it is refused rather than dropped for the tuned weights.
+    """
     eps = _setting(cfg, args, "epsilon")
     if eps is None:
+        for dest in ("delta1", "delta"):
+            if _setting(cfg, args, dest) is not None:
+                raise ConfigError(f"{dest} is set but epsilon is not; "
+                                  f"set epsilon too, or drop {dest} to tune the weights")
         return None
     lam_m, _, _, mu_m = cfg.spec.mean_rates()
     if not lam_m < mu_m:
@@ -188,10 +196,13 @@ def resolve_solve_settings(cfg: ModelConfig, args) -> SolveSettings:
 
 def _resolve_sim(cfg: ModelConfig, args) -> mcsim.SimSettings:
     horizon = _setting(cfg, args, "horizon", SolveSettings.horizon)
+    if not horizon > 0.0:  # NaN too; an infinite horizon is refused as a sample time
+        raise ConfigError(f"horizon must be finite and positive, got {horizon:g}")
+    default_times = tuple(t for t in (1.0, 5.0) if t < horizon) + (horizon,)
     return mcsim.SimSettings(
         n_paths=_setting(cfg, args, "paths", DEFAULT_PATHS),
         seed=_setting(cfg, args, "seed", DEFAULT_SEED),
-        sample_times=_setting(cfg, args, "sample_times", (1.0, 5.0, horizon)),
+        sample_times=_setting(cfg, args, "sample_times", default_times),
     )
 
 
@@ -243,8 +254,9 @@ def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
 
 def cmd_bound(args) -> int:
     cfg = load_model_file(args.model)
+    weights = resolve_weights(cfg, args)
     out = _out_dir(args)
-    result = bounds.make_certificate(cfg.spec, resolve_weights(cfg, args))
+    result = bounds.make_certificate(cfg.spec, weights)
     if isinstance(result, bounds.NoCertificate):
         print(result.reason)
         (out / "certificate.txt").write_text(result.reason + "\n")
@@ -259,11 +271,6 @@ def cmd_bound(args) -> int:
     return 0
 
 
-# Solver failures that main reports as "<command> failed: ..." (exit 1).
-SOLVE_ERRORS = (solver.MixingHorizonError, solver.TruncationLimitError, solver.StepSizeError,
-                solver.FitWindowError)
-
-
 def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
     """Certify the model and compute its limiting regime and decay fit.
 
@@ -271,8 +278,9 @@ def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
     in settings.n, or None once a refusal is printed; with --force a refused
     model is solved and cert is None.
     """
+    weights = resolve_weights(cfg, args)
     out = _out_dir(args)
-    cert = bounds.make_certificate(cfg.spec, resolve_weights(cfg, args))
+    cert = bounds.make_certificate(cfg.spec, weights)
     if isinstance(cert, bounds.NoCertificate):
         print(cert.reason)
         if not getattr(args, "force", False):
@@ -488,7 +496,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except SOLVE_ERRORS as exc:
+    except solver.SolveError as exc:
         print(f"{args.command} failed: {exc}")
         return 1
     except bounds.NotErgodicError as exc:

@@ -191,7 +191,6 @@ class SimEstimate:
     """Monte-Carlo state frequencies with binomial standard errors."""
 
     times: np.ndarray        # sample times
-    n_paths: int
     counts: np.ndarray       # len(times) x n_states occupation counts
     estimates: np.ndarray    # counts / n_paths
     stderrs: np.ndarray      # Laplace-smoothed binomial standard errors
@@ -225,4 +224,4 @@ def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     estimates = counts / n
     smoothed = (counts + 0.5) / (n + 1.0)
     stderrs = np.sqrt(smoothed * (1.0 - smoothed) / n)
-    return SimEstimate(times=times, n_paths=n, counts=counts, estimates=estimates, stderrs=stderrs)
+    return SimEstimate(times=times, counts=counts, estimates=estimates, stderrs=stderrs)

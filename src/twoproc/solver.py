@@ -40,19 +40,23 @@ RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 Ki
 STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
 
 
-class StepSizeError(RuntimeError):
+class SolveError(RuntimeError):
+    """The solver gave up on a valid model and settings."""
+
+
+class StepSizeError(SolveError):
     """Per-step conservation defect exceeded STEP_DEFECT_LIMIT."""
 
 
-class TruncationLimitError(RuntimeError):
+class TruncationLimitError(SolveError):
     """Doubling passed TRUNCATION_CAP states without converging."""
 
 
-class MixingHorizonError(RuntimeError):
+class MixingHorizonError(SolveError):
     """Trajectories did not merge within the horizon."""
 
 
-class FitWindowError(RuntimeError):
+class FitWindowError(SolveError):
     """Too few usable points in the decay-fit window."""
 
 
@@ -85,11 +89,9 @@ class Trajectory:
     times: np.ndarray          # sample grid, increasing
     probs: np.ndarray          # len(times) x n, projected (stochastic) vectors
     mean: np.ndarray           # E(t) on the sample grid
-    l1_defect: np.ndarray      # pre-projection |1 - sum(p)| at each sample
     n: int
     step: float
-    defect_total: float        # sum of per-step pre-projection defects
-    defect_per_unit_time: float
+    defect_per_unit_time: float  # per-step pre-projection |1 - sum(p)|, summed, over the horizon
     min_entry_pre: float       # most negative pre-projection entry seen
 
     def prob_at(self, t: float) -> np.ndarray:
@@ -163,20 +165,17 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
     times = np.empty(len(sample_idx))
     probs = np.empty((len(sample_idx), n))
     means = np.empty(len(sample_idx))
-    defects = np.empty(len(sample_idx))
 
     p = p0.copy()
     _project(p)
-    defect_total = 0.0
+    defect_sum = 0.0
     min_entry = float(np.min(p0))
     si = 0
-    step_defect = 0.0
     for i in range(n_steps + 1):
         if si < len(sample_idx) and i == sample_idx[si]:
             times[si] = i * h
             probs[si] = p
             means[si] = counts @ p
-            defects[si] = step_defect
             si += 1
         if i == n_steps:
             break
@@ -201,18 +200,16 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
             )
         if m < min_entry:
             min_entry = m
-        defect_total += step_defect
+        defect_sum += step_defect
         _project(p)
 
     return Trajectory(
         times=times,
         probs=probs,
         mean=means,
-        l1_defect=defects,
         n=n,
         step=h,
-        defect_total=defect_total,
-        defect_per_unit_time=defect_total / settings.horizon,
+        defect_per_unit_time=defect_sum / settings.horizon,
         min_entry_pre=min_entry,
     )
 
@@ -283,18 +280,11 @@ class LimitingRegime:
     cycle: Trajectory
     from_empty: Trajectory
     from_far: Trajectory
-    l1_gap: np.ndarray  # ||p1(t) - p2(t)||_1 on the sample grid
 
 
 def _slice_trajectory(traj: Trajectory, lo: float, hi: float) -> Trajectory:
     mask = (traj.times >= lo - 1e-9) & (traj.times <= hi + 1e-9)
-    return replace(
-        traj,
-        times=traj.times[mask],
-        probs=traj.probs[mask],
-        mean=traj.mean[mask],
-        l1_defect=traj.l1_defect[mask],
-    )
+    return replace(traj, times=traj.times[mask], probs=traj.probs[mask], mean=traj.mean[mask])
 
 
 def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
@@ -325,7 +315,7 @@ def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
             f"merged at t={t_mix:g} but no full period remains before the horizon"
         )
     cycle = _slice_trajectory(traj0, a, a + 1)
-    return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf, l1_gap=gap)
+    return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf)
 
 
 @dataclass(frozen=True)

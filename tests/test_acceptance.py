@@ -144,7 +144,7 @@ def test_acceptance_2_alpha_column_duality():
         local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
         M = build_transformed(spec, local, t, 12)
         cols = -log_norm_columns(M)[:5]
-        vals = pointwise_alphas(spec, eps, t)
+        vals = pointwise_alphas(lam, mu1, mu2, eps)
         assert np.max(np.abs(cols - np.asarray(vals))) <= 1e-12
         checked += 1
 

@@ -21,7 +21,6 @@ from twoproc.bounds import (
     NoCertificate,
     NotErgodicError,
     alphas_averaged,
-    beta_star_time,
     chain_constant,
     fixed_alphas,
     make_certificate,
@@ -33,6 +32,15 @@ from twoproc.model import ModelSpec, RateFunction
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
+PERIOD_GRID = np.linspace(0.0, 1.0, 2049)  # the certificate's Simpson grid
+
+
+def simpson(values: np.ndarray) -> float:
+    """Composite Simpson integral over [0, 1] of values on PERIOD_GRID."""
+    w = np.ones(len(values))
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return float(np.sum(w * values) / (3.0 * (len(values) - 1)))
 
 
 class TestAlphaFormulas:
@@ -53,7 +61,7 @@ class TestAlphaFormulas:
             assert fixed_alphas(*spec.rates(t), w.d(6))[1] == pytest.approx(lam + mu2, abs=1e-12)
 
     def test_pointwise_closed_form_at_quarter_period(self, ex1_spec):
-        assert pointwise_alphas(ex1_spec, 0.01, 0.25)[2] == pytest.approx(4.0 - 2.0 * SQ2, abs=1e-12)
+        assert pointwise_alphas(*ex1_spec.rates(0.25), 0.01)[2] == pytest.approx(4.0 - 2.0 * SQ2, abs=1e-12)
 
     def test_pointwise_equals_general_with_local_ratio(self, ex1_spec):
         # At each time the pointwise form is the general form evaluated with
@@ -63,13 +71,13 @@ class TestAlphaFormulas:
             lam, mu1, mu2 = ex1_spec.rates(t)
             mu = mu1 + mu2
             local = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
-            a_pt = pointwise_alphas(ex1_spec, eps, t)
+            a_pt = pointwise_alphas(lam, mu1, mu2, eps)
             a_gen = fixed_alphas(lam, mu1, mu2, local.d(6))
             assert np.allclose(a_pt, a_gen, atol=1e-12)
 
     def test_critical_load_tail_alpha_vanishes(self):
         spec = ModelSpec(RateFunction.fixed(4.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
-        assert pointwise_alphas(spec, 0.01, 0.0)[4] == pytest.approx(0.0, abs=1e-14)
+        assert pointwise_alphas(*spec.rates(0.0), 0.01)[4] == pytest.approx(0.0, abs=1e-14)
 
     def test_heterogeneous_averaged_values(self, ex3_weights):
         a1, a2, a3, a4, a5 = alphas_hetero(8.0, 5.0, 0.2, ex3_weights)
@@ -109,7 +117,8 @@ class TestAlphaFormulas:
             eps = float(rng.uniform(0.01, 0.5))
             mu = 2.0 * mu_half
             w = WeightSequence(eps, math.sqrt(mu / lam), math.sqrt(mu / lam))
-            assert np.allclose(fixed_alphas(*spec.rates(0.0), w.d(6)), pointwise_alphas(spec, eps, 0.0), atol=1e-12)
+            rates = spec.rates(0.0)
+            assert np.allclose(fixed_alphas(*rates, w.d(6)), pointwise_alphas(*rates, eps), atol=1e-12)
 
 
 weight_sequences = st.builds(
@@ -153,33 +162,36 @@ class TestBetaStar:
         assert make_certificate(ex1_spec, ex1_weights).binding_alpha == int(np.argmin(alphas)) + 1 == 4
 
     def test_light_traffic_periodic_floor(self, ex1_spec, ex1_weights):
-        curve = beta_star_time(ex1_spec, ex1_weights)
-        assert np.array_equal(curve.values, np.min(pointwise_alphas(ex1_spec, 0.01, curve.times), axis=0))
-        assert curve.inf >= 0.3
-        assert curve.inf == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
+        cert = make_certificate(ex1_spec, ex1_weights)
+        pointwise = np.min(pointwise_alphas(*ex1_spec.rates(PERIOD_GRID), 0.01), axis=0)
+        assert cert.beta_star_periodic == float(np.min(pointwise))
+        assert cert.beta_integral == pytest.approx(simpson(pointwise), rel=1e-14)
+        assert cert.beta_star_periodic >= 0.3
+        assert cert.beta_star_periodic == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
 
     def test_heavy_traffic_averaged_rate(self, ex2_spec, ex2_weights):
         beta0 = float(np.min(alphas_averaged(ex2_spec, ex2_weights)))
         assert 0.065 <= beta0 <= 0.075
         assert beta0 == pytest.approx(7.0 - 4.0 * SQ3 - 0.001 * SQ3, abs=1e-12)
         # the pointwise route fails here: the curve dips negative near peak load
-        assert beta_star_time(ex2_spec, ex2_weights).inf < 0.0
+        assert make_certificate(ex2_spec, ex2_weights).beta_star_periodic is None
 
     def test_heterogeneous_averaged_rate(self, ex3_spec, ex3_weights):
         alphas = alphas_averaged(ex3_spec, ex3_weights)
         assert float(np.min(alphas)) == pytest.approx((math.sqrt(11.0) - math.sqrt(8.0)) ** 2, abs=1e-12)
         assert int(np.argmin(alphas)) + 1 == 5
         # unequal service rates take the fixed-weight route
-        curve = beta_star_time(ex3_spec, ex3_weights)
-        fixed = fixed_alphas(*ex3_spec.rates(curve.times), ex3_weights.d(6))
-        assert np.array_equal(curve.values, np.min(fixed, axis=0))
+        cert = make_certificate(ex3_spec, ex3_weights)
+        fixed = np.min(fixed_alphas(*ex3_spec.rates(PERIOD_GRID), ex3_weights.d(6)), axis=0)
+        assert cert.beta_integral == cert.beta_integral_fixed == pytest.approx(simpson(fixed), rel=1e-14)
+        assert np.min(fixed) < 0.0
+        assert cert.beta_star_periodic is None
 
     def test_fixed_route_period_average_is_averaged_rate(self, ex1_spec, ex1_weights):
         # fixed-weight alphas are linear in the rates, so when one alpha binds
         # everywhere the period integral equals beta*_0 exactly.
         assert make_certificate(ex1_spec, ex1_weights).beta_integral_fixed == pytest.approx(0.99, abs=1e-9)
-        grid = np.linspace(0.0, 1.0, 2049)
-        fixed = np.min(fixed_alphas(*ex1_spec.rates(grid), ex1_weights.d(6)), axis=0)
+        fixed = np.min(fixed_alphas(*ex1_spec.rates(PERIOD_GRID), ex1_weights.d(6)), axis=0)
         assert float(np.min(fixed)) == pytest.approx(-0.01, abs=1e-9)  # pointwise floor useless here
 
 
@@ -243,6 +255,17 @@ class TestCertificates:
         # different alphas bind at different times, so no analytic prefactor
         assert cert.prefactor_analytic is None
         assert cert.beta_integral_fixed < cert.beta_star_avg
+
+    def test_samples_the_period_once_and_builds_no_model(self, ex1_spec, ex1_weights, monkeypatch):
+        sizes, built = [], []
+        rates, post_init = ModelSpec.rates, ModelSpec.__post_init__
+        monkeypatch.setattr(ModelSpec, "rates", lambda self, t: sizes.append(np.size(t)) or rates(self, t))
+        monkeypatch.setattr(ModelSpec, "__post_init__", lambda self: built.append(self) or post_init(self))
+        for weights in (ex1_weights, None):  # given and tuned weights
+            sizes.clear()
+            assert isinstance(make_certificate(ex1_spec, weights), ConvergenceCertificate)
+            assert sizes == [len(PERIOD_GRID)]
+        assert built == []
 
     def test_overloaded_yields_no_certificate(self):
         spec = ModelSpec(RateFunction.fixed(5.0), RateFunction.fixed(1.0), RateFunction.fixed(1.0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -204,6 +205,23 @@ class TestBoundCommand:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["beta_star_avg"] == pytest.approx(0.95, abs=1e-14)
 
+    @pytest.mark.parametrize("flags,weights,name", [
+        (["--delta1", "1.5"], {}, "delta1"),
+        ([], {"delta1": 1.5}, "delta1"),
+        ([], {"delta": 1.5}, "delta"),
+    ], ids=["flag-delta1", "file-delta1", "file-delta"])
+    def test_weight_without_epsilon_exits_one(self, flags, weights, name, tmp_path, capsys):
+        # the tuner picks every weight, so a delta1 or delta without epsilon would go unread
+        model = write_json(tmp_path / "m.json", {
+            "lambda": {"constant": 1.0}, "mu1": {"constant": 2.0}, "mu2": {"constant": 2.0}, "weights": weights})
+        out = tmp_path / "o"
+        assert main(["bound", "--model", str(model), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {name} is set but epsilon is not; "
+                                f"set epsilon too, or drop {name} to tune the weights\n")
+        assert not out.exists()
+
 
 class TestSolveCommand:
     EXPECTED_FILES = (
@@ -287,8 +305,7 @@ class TestTrajectoryCsv:
         times = np.arange(rows) * 0.001
         mean = probs @ np.arange(n)
         return solver.Trajectory(
-            times=times, probs=probs, mean=mean, l1_defect=np.zeros(rows), n=n, step=0.001,
-            defect_total=0.0, defect_per_unit_time=0.0, min_entry_pre=0.0,
+            times=times, probs=probs, mean=mean, n=n, step=0.001, defect_per_unit_time=0.0, min_entry_pre=0.0,
         )
 
     @pytest.mark.parametrize("rows", [7, 2500])
@@ -311,6 +328,21 @@ class TestSimulateCommand:
         body = (out1 / "mc_estimates.csv").read_text()
         assert body.splitlines()[0] == "t,state,estimate,stderr"
         assert body == (out2 / "mc_estimates.csv").read_text()
+
+    @pytest.mark.parametrize("horizon,times", [
+        (0.5, (0.5,)), (3.0, (1.0, 3.0)), (5.0, (1.0, 5.0)), (5.5, (1.0, 5.0, 5.5)), (50.0, (1.0, 5.0, 50.0)),
+    ])
+    def test_default_sample_times_end_at_the_horizon(self, horizon, times, light_model):
+        # simulate and compare both sample at 1 and 5 when they fall before the horizon, then at it
+        cfg = load_model_file(light_model)
+        assert cli._resolve_sim(cfg, argparse.Namespace(horizon=horizon)).sample_times == times
+
+    def test_short_horizon_reports_each_sample_time_once(self, light_model, tmp_path, capsys):
+        for horizon in ("3", "5"):
+            argv = ["simulate", "--model", str(light_model), "--out", str(tmp_path / horizon), "--paths", "100"]
+            assert main([*argv, "--horizon", horizon]) == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert [row.split(":")[0] for row in rows] == ["t=1", f"t={horizon}"]
 
     def test_too_few_paths_exits_one(self, light_model, tmp_path, capsys):
         rc = main(["simulate", "--model", str(light_model), "--out", str(tmp_path / "o"), "--paths", "10"])
@@ -406,11 +438,14 @@ class TestUsageErrors:
          "horizon must be finite and positive, got inf"),
         (["simulate", "--model", EXAMPLE1, "--out", "o", "--horizon", "inf"],
          "sample times must be finite and nonnegative, got (1.0, 5.0, inf)"),
+        (["simulate", "--model", EXAMPLE1, "--out", "o", "--horizon", "0"],
+         "horizon must be finite and positive, got 0"),
         (["dump", "--model", EXAMPLE1, "--t", "nan"], "t must be finite, got nan"),
         (["dump", "--model", EXAMPLE1, "--t", "inf"], "t must be finite, got inf"),
         (["dump", "--model", EXAMPLE1, "--t=-inf"], "t must be finite, got -inf"),
     ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
-            "horizon-nan", "horizon-inf", "simulate-horizon-inf", "dump-t-nan", "dump-t-inf", "dump-t-minus-inf"])
+            "horizon-nan", "horizon-inf", "simulate-horizon-inf", "simulate-horizon-0", "dump-t-nan", "dump-t-inf",
+            "dump-t-minus-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

@@ -179,8 +179,7 @@ class TestChunkedRates:
         assert idx[-1] == len(states) - 1
         assert np.array_equal(traj.times, idx * step)
         assert np.array_equal(traj.probs, states[idx])
-        assert np.array_equal(traj.l1_defect, defects[idx])
-        assert traj.defect_total == sum(defects[1:].tolist())
+        assert traj.defect_per_unit_time == sum(defects[1:].tolist()) / horizon
 
     def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch):
         sizes = []
@@ -225,7 +224,8 @@ class TestChooseTruncation:
 class TestLimitingRegime:
     def test_light_traffic_merges_before_horizon(self, ex1_regime):
         assert ex1_regime.t_mix <= 50.0
-        assert ex1_regime.l1_gap[0] == pytest.approx(2.0, abs=1e-12)
+        first_gap = np.sum(np.abs(ex1_regime.from_empty.probs[0] - ex1_regime.from_far.probs[0]))
+        assert first_gap == pytest.approx(2.0, abs=1e-12)
 
     def test_cycle_window_is_one_period(self, ex1_regime):
         cyc = ex1_regime.cycle
