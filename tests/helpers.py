@@ -234,12 +234,14 @@ def stationary_vector(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, b)
 
 
-def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0):
+def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modulo_period: bool = False):
     """Projected RK4 states after every step, with one scalar rate call per stage.
 
     Oracle for the chunked rate evaluation of `integrate`: returns the
     (n_steps + 1) x n projected states and the pre-projection defects
-    |1 - sum(p)| of every step (0 at the start).
+    |1 - sum(p)| of every step (0 at the start).  With modulo_period, step i
+    takes its stage times from step i mod (1/step), the times at which the
+    period propagators evaluate the rates.
     """
     R = rate_parts(n, conservative=True).reshape(3 * n, n)
 
@@ -259,8 +261,9 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0):
     states = np.empty((n_steps + 1, n))
     defects = np.zeros(n_steps + 1)
     states[0] = p
+    per_unit = round(1.0 / h)
     for i in range(n_steps):
-        t = i * h
+        t = (i % per_unit if modulo_period else i) * h
         k1 = rhs(t, p)
         k2 = rhs(t + h / 2, p + (h / 2) * k1)
         k3 = rhs(t + h / 2, p + (h / 2) * k2)

@@ -9,6 +9,7 @@ from twoproc.matrices import build_A, rate_parts
 from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
 from twoproc.solver import (
+    MIN_PERIODS,
     RATE_CHUNK,
     FitWindowError,
     MixingHorizonError,
@@ -46,6 +47,28 @@ def record_integrate(monkeypatch, fail_at=None):
 
     monkeypatch.setattr(solver, "integrate", recording)
     return calls
+
+
+def record_paths(monkeypatch):
+    """Names of the paths `solver.integrate` takes, "steps" or "periods", one per call."""
+    taken = []
+    for name in ("steps", "periods"):
+        run = getattr(solver, f"_by_{name}")
+
+        def recording(*args, _run=run, _name=name):
+            taken.append(_name)
+            return _run(*args)
+
+        monkeypatch.setattr(solver, f"_by_{name}", recording)
+    return taken
+
+
+def vector_path(spec, n, step, horizon, p0):
+    """Projected samples and means of `solver._by_steps`, the one-step-at-a-time path."""
+    n_steps = round(horizon / step)
+    R = rate_parts(n, conservative=True).reshape(3 * n, n)
+    probs, _, _ = solver._by_steps(spec, R, step, n_steps, solver._sample_stride(n_steps, step), p0.copy())
+    return probs, probs @ job_counts(n)
 
 
 class TestMeanOf:
@@ -152,6 +175,19 @@ class TestIntegrate:
         with pytest.raises(StepSizeError):
             integrate(spec, SolveSettings(n=16, step=0.02, horizon=1.0), empty_start(16))
 
+    def test_stiff_rates_fail_on_period_propagators_and_halving_recovers(self, monkeypatch):
+        spec = ModelSpec(RateFunction.fixed(100.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
+        st = SolveSettings(n=16, step=0.02, horizon=5.0)
+        taken = record_paths(monkeypatch)
+        with pytest.raises(StepSizeError, match="halve the step"):
+            integrate(spec, st, empty_start(16))
+        assert taken == ["periods"]
+        taken.clear()
+        reg = limiting_regime(spec, st)
+        assert reg.from_empty.step == reg.from_far.step == 0.005
+        assert taken[-2:] == ["periods", "periods"]
+        assert reg.t_mix == pytest.approx(2.67, abs=0.01)
+
 
 class TestChunkedRates:
     SPECS = {
@@ -169,11 +205,14 @@ class TestChunkedRates:
     }
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
-    def test_bit_identical_to_scalar_stage_rates(self, kind):
+    def test_bit_identical_to_scalar_stage_rates(self, kind, monkeypatch):
         spec = self.SPECS[kind]
-        n, step, horizon = 16, 1e-3, 5.0
+        # 1/step is not an integer, so the steps do not repeat each period
+        n, step, horizon = 16, 0.0015, 3.0
         assert round(horizon / step) > RATE_CHUNK
+        taken = record_paths(monkeypatch)
         traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert taken == ["steps"]
         states, defects = reference_rk4(spec, n, step, horizon, far_start(n))
         idx = np.round(traj.times / step).astype(int)
         assert idx[-1] == len(states) - 1
@@ -181,7 +220,22 @@ class TestChunkedRates:
         assert np.array_equal(traj.probs, states[idx])
         assert traj.defect_per_unit_time == sum(defects[1:].tolist()) / horizon
 
-    def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch):
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_period_propagators_match_scalar_stage_rates(self, kind, monkeypatch):
+        spec = self.SPECS[kind]
+        n, step, horizon = 16, 1e-3, 5.0
+        taken = record_paths(monkeypatch)
+        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert taken == ["periods"]
+        # a table breakpoint that a stage time hits falls on the same side in every period
+        states, _ = reference_rk4(spec, n, step, horizon, far_start(n), modulo_period=kind == "table")
+        idx = np.round(traj.times / step).astype(int)
+        assert idx[-1] == len(states) - 1
+        assert np.array_equal(traj.times, idx * step)
+        assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
+
+    @pytest.mark.parametrize("path, n, step, per_period", [("steps", 16, 1e-3, None), ("periods", 8, 1e-4, 10_000)])
+    def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch, path, n, step, per_period):
         sizes = []
         original = RateFunction.__call__
 
@@ -190,9 +244,52 @@ class TestChunkedRates:
             return original(self, t, waves)
 
         monkeypatch.setattr(RateFunction, "__call__", counting)
-        n_steps = 2 * RATE_CHUNK + 100
-        integrate(ex3_spec, SolveSettings(n=16, step=1e-3, horizon=n_steps * 1e-3), empty_start(16))
-        assert sizes == [3 * RATE_CHUNK] * 6 + [3 * 100] * 3
+        taken = record_paths(monkeypatch)
+        # the steps path evaluates every step's rates, the periods path one period's
+        n_steps = 2 * RATE_CHUNK + 100 if per_period is None else 4 * per_period
+        integrate(ex3_spec, SolveSettings(n=n, step=step, horizon=n_steps * step), empty_start(n))
+        assert taken == [path]
+        full, rest = divmod(n_steps if per_period is None else per_period, RATE_CHUNK)
+        assert sizes == [3 * RATE_CHUNK] * (3 * full) + [3 * rest] * 3
+
+
+class TestPeriodPropagators:
+    @pytest.mark.parametrize("n, step, horizon, path", [
+        (16, 0.003, 6.0, "steps"),  # 1/step is not an integer
+        (16, 1e-3, MIN_PERIODS, "steps"),  # too few periods to pay for the build
+        (16, 1e-3, MIN_PERIODS + 1, "periods"),
+        (128, 0.02, 40.0, "steps"),  # 50 propagators at n = 128 exceed the budget
+        (64, 0.02, 40.0, "periods"),
+    ])
+    def test_path_selection(self, ex1_spec, monkeypatch, n, step, horizon, path):
+        taken = record_paths(monkeypatch)
+        integrate(ex1_spec, SolveSettings(n=n, step=step, horizon=horizon), empty_start(n))
+        assert taken == [path]
+
+    def test_grid_off_the_period_takes_steps(self):
+        # 50,500 steps are 6,312 sample intervals of 8 steps and 4 steps more
+        assert solver._sample_stride(50_500, 1e-3) == 8
+        assert not solver._use_propagators(16, 1e-3, 50_500, 8)
+        assert solver._use_propagators(16, 1e-3, 50_000, 8)
+        # a stride of two periods does not divide the period
+        assert solver._sample_stride(500_000, 0.02) == 100
+        assert not solver._use_propagators(16, 0.02, 500_000, 100)
+
+    @pytest.mark.parametrize("example, n, step, horizon", [
+        ("ex1_spec", 16, 0.004, 10.0),
+        ("ex3_spec", 64, 0.01, 12.0),
+    ])
+    @pytest.mark.parametrize("start", [empty_start, far_start])
+    def test_matches_vector_path(self, request, monkeypatch, example, n, step, horizon, start):
+        spec = request.getfixturevalue(example)
+        taken = record_paths(monkeypatch)
+        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), start(n))
+        assert taken == ["periods"]
+        probs, mean = vector_path(spec, n, step, horizon, start(n))
+        assert np.max(np.abs(traj.probs - probs)) <= 1e-12
+        assert np.all(np.abs(traj.mean - mean) <= 1e-12 * np.maximum(1.0, np.abs(mean)))
+        assert traj.defect_per_unit_time < 1e-8
+        assert traj.min_entry_pre >= -1e-9
 
 
 class TestChooseTruncation:
