@@ -206,7 +206,7 @@ def _by_steps(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: in
 
     Samples are taken every stride steps and at the last step.
     """
-    probs = np.empty((n_steps // stride + 1 + (n_steps % stride > 0), len(p)))
+    probs = np.empty((-(-n_steps // stride) + 1, len(p)))
     probs[0] = p
     si = 1
     defect_sum = 0.0
@@ -299,12 +299,8 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
     _project(p)
     by = _by_periods if _use_propagators(n, h, n_steps, stride) else _by_steps
     probs, defect_sum, min_entry = by(spec, R, h, n_steps, stride, p)
-
-    sample_idx = np.arange(0, n_steps + 1, stride)
-    if sample_idx[-1] != n_steps:
-        sample_idx = np.append(sample_idx, n_steps)
     return Trajectory(
-        times=sample_idx * h,
+        times=np.minimum(np.arange(len(probs)) * stride, n_steps) * h,
         probs=probs,
         mean=probs @ job_counts(n),
         n=n,
