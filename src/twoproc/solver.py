@@ -157,8 +157,12 @@ def _project(p: np.ndarray) -> None:
     """Clip negatives, renormalize, and zero out the rounding residue of each row."""
     np.maximum(p, 0.0, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    rows = p.reshape(-1, p.shape[-1])
-    rows[np.arange(len(rows)), np.argmax(rows, axis=1)] -= rows.sum(axis=1) - 1.0
+    top = np.argmax(p, axis=-1)
+    residue = p.sum(axis=-1) - 1.0
+    if p.ndim == 1:  # a plain index is half the cost of a fancy one on the per-step path
+        p[top] -= residue
+    else:
+        p[np.arange(len(p)), top] -= residue
 
 
 def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
