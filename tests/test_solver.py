@@ -234,7 +234,8 @@ class TestChunkedRates:
         assert np.array_equal(traj.times, idx * step)
         assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
 
-    @pytest.mark.parametrize("path, n, step, per_period", [("steps", 16, 1e-3, None), ("periods", 8, 1e-4, 10_000)])
+    @pytest.mark.parametrize("path, n, step, per_period", [("steps", 16, 1e-3, None), ("periods", 8, 1e-4, 10_000)],
+                             ids=["steps", "periods"])
     def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch, path, n, step, per_period):
         sizes = []
         original = RateFunction.__call__
