@@ -1,7 +1,7 @@
 """Convergence bounds and transient analysis for a non-stationary
 two-processor heterogeneous queue."""
 
-from .bounds import ConvergenceCertificate, NoCertificate, NotErgodicError, make_certificate
+from .bounds import ConvergenceCertificate, NotCertifiedError, make_certificate
 from .matrices import WeightSequence
 from .model import ModelSpec, RateFunction
 from .solver import SolveSettings
@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceCertificate",
     "ModelSpec",
-    "NoCertificate",
-    "NotErgodicError",
+    "NotCertifiedError",
     "RateFunction",
     "SolveSettings",
     "WeightSequence",

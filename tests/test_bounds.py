@@ -18,9 +18,9 @@ from helpers import (
 )
 from twoproc.bounds import (
     ConvergenceCertificate,
-    NoCertificate,
-    NotErgodicError,
+    NotCertifiedError,
     alphas_averaged,
+    certificate_report,
     chain_constant,
     fixed_alphas,
     make_certificate,
@@ -209,7 +209,7 @@ class TestTuning:
 
     def test_overloaded_model_refused(self):
         spec = ModelSpec(RateFunction.fixed(5.0), RateFunction.fixed(1.0), RateFunction.fixed(1.0))
-        with pytest.raises(NotErgodicError):
+        with pytest.raises(NotCertifiedError, match="mean arrival rate 5 >= mean service rate 2"):
             tune_weights(spec)
 
     def test_deterministic(self, ex3_spec):
@@ -269,13 +269,32 @@ class TestCertificates:
 
     def test_overloaded_yields_no_certificate(self):
         spec = ModelSpec(RateFunction.fixed(5.0), RateFunction.fixed(1.0), RateFunction.fixed(1.0))
-        result = make_certificate(spec)
-        assert isinstance(result, NoCertificate)
-        assert "not certified" in result.reason
+        with pytest.raises(NotCertifiedError,
+                           match=r"^ergodicity not certified: mean arrival rate 5 >= mean service rate 2$"):
+            make_certificate(spec)
+        # given weights have delta > 1, so alpha_5 = (delta - 1)(mu/delta - lambda) < 0 refuses them
+        with pytest.raises(NotCertifiedError, match=r"averaged decay rate -\d.* <= 0 for these weights$"):
+            make_certificate(spec, WeightSequence(epsilon=0.1, delta1=2.0, delta=1.5))
 
     def test_critical_load_yields_no_certificate(self):
         spec = ModelSpec(RateFunction.fixed(4.0), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
-        assert isinstance(make_certificate(spec), NoCertificate)
+        with pytest.raises(NotCertifiedError, match="mean arrival rate 4 >= mean service rate 4"):
+            make_certificate(spec)
+
+    def test_ergodic_model_without_positive_rate_refused(self):
+        # no arrivals with mu1 > mu2: alpha_2 = -(mu1 - mu2) / epsilon + mu2 < 0 for every
+        # tuned epsilon < 1, so the weights certify nothing though the model is ergodic
+        spec = ModelSpec(RateFunction.fixed(0.0), RateFunction.fixed(2.0), RateFunction.fixed(1.0))
+        with pytest.raises(NotCertifiedError, match=r"averaged decay rate -1 <= 0 for these weights$"):
+            make_certificate(spec)
+
+    @pytest.mark.parametrize("mu1,line", [
+        (2.0, "  beta* (pointwise):   0.599795769562"),
+        (2.4, "  beta* (fixed weights): 0.761906968534"),  # unequal service: the fixed-weight infimum
+    ])
+    def test_report_names_the_route(self, mu1, line):
+        spec = ModelSpec(RateFunction.fixed(1.5), RateFunction.fixed(mu1), RateFunction.fixed(2.0))
+        assert certificate_report(make_certificate(spec), spec).splitlines()[4] == line
 
     def test_chain_constant_is_dense_column_norm_maximum(self):
         # sup ||p' - p''||_1 / ||z' - z''||_1D is the largest column l1 norm of

@@ -1,9 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,9 @@ import pytest
 
 from helpers import reference_trajectory_csv
 import twoproc
-from twoproc import bounds, cli, solver
+from twoproc import bounds, cli, mcsim, solver
 from twoproc.cli import ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
+from twoproc.model import ModelSpec, RateFunction
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "twoproc" / "configs"
 
@@ -377,6 +381,43 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "error: at least 100 paths are required, got 0\n"
         assert not out.exists()
 
+    def test_sample_times_beyond_the_horizon_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        model = write_json(tmp_path / "late.json", {
+            "lambda": {"constant": 1.0}, "mu1": {"constant": 2.0}, "mu2": {"constant": 2.0},
+            "solve": {"horizon": 20.0}, "simulate": {"paths": 100, "sample_times": [1.0, 30.0]}})
+        assert main(["simulate", "--model", str(model), "--out", str(tmp_path / "sim")]) == 0  # no solve to pass
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the sample times were checked")
+
+        monkeypatch.setattr(solver, "limiting_regime", fail)
+        monkeypatch.setattr(mcsim, "estimate_probs", fail)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["compare", "--model", str(model), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sample time 30 is beyond the solve horizon 20\n"
+        assert not out.exists()
+
+    GATES = ("MC/ODE agreement", "decay-rate equality", "fitted rate", "weighted contraction")
+    # gate -> (owner, name, change to the result): each moves the one input of one gate past its threshold
+    GATE_BREAKERS = {
+        "MC/ODE agreement": (mcsim, "estimate_probs", lambda est: replace(est, estimates=est.estimates + 0.2)),
+        "decay-rate equality": (ModelSpec, "averaged", lambda avg: ModelSpec(
+            *(RateFunction.fixed(2.0 * rate.mean()) for rate in (avg.lam, avg.mu1, avg.mu2)))),
+        "fitted rate": (bounds, "make_certificate", lambda cert: replace(cert, beta_star_avg=cert.beta_star_avg + 1.0)),
+        "weighted contraction": (solver, "contraction_check", lambda check: replace(check, ratio_certified_max=1.06)),
+    }
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_each_gate_can_fail(self, gate, light_model, tmp_path, monkeypatch, capsys):
+        owner, name, change = self.GATE_BREAKERS[gate]
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: change(original(*args, **kwargs)))
+        assert main(["compare", "--model", str(light_model), "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().out.splitlines()[1:5]
+        assert [line[:6] for line in lines] == ["[FAIL]" if g == gate else "[PASS]" for g in self.GATES]
+        assert lines[self.GATES.index(gate)].startswith(f"[FAIL] {gate}")
+
 
 class TestDumpCommand:
     def test_generator_dump_matches_builder(self, tmp_path, capsys):
@@ -469,6 +510,41 @@ class TestUsageErrors:
             assert exit_info.value.code == 0
             listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, flags=re.M)
             assert listed == ["--help", *expected]
+
+
+@pytest.mark.parametrize("weights", [[], ["--epsilon", "0.1"]], ids=["tuned", "given"])
+def test_every_command_refuses_with_the_same_line(weights, tmp_path, capsys):
+    model = write_json(tmp_path / "over.json", {
+        "lambda": {"constant": 5.0}, "mu1": {"constant": 2.0}, "mu2": {"constant": 2.0},
+        "solve": {"n": 16, "horizon": 2.0}})
+    refusal = "ergodicity not certified: mean arrival rate 5 >= mean service rate 4\n"
+    for command, stream in (("bound", "out"), ("solve", "out"), ("compare", "out"), ("dump", "err")):
+        out = tmp_path / command
+        flags = ["--what", "transformed"] if command == "dump" else ["--out", str(out)]
+        assert main([command, "--model", str(model), *weights, *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ((refusal, "") if stream == "out" else ("", refusal)), command
+        if command == "bound":
+            assert (out / "certificate.txt").read_text() == refusal
+        else:
+            assert not out.exists(), command
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path, monkeypatch):
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    model = str(CONFIG_DIR / "example1.json")
+    assert main(["bound", "--model", model, "--out", str(tmp_path / "a")]) == 1
+    assert err.getvalue() == ""
+    # a redirected stdout that stays open, as perfbench's in-process runs use, still works
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        assert main(["bound", "--model", model, "--out", str(tmp_path / "b")]) == 0
+    assert buffer.getvalue().startswith("convergence certificate\n")
 
 
 def test_successive_calls_match_separate_runs(tmp_path):
