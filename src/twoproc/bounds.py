@@ -153,11 +153,11 @@ def chain_constant(weights: WeightSequence) -> float:
 class ConvergenceCertificate:
     """A machine-checked exponential-merging statement.
 
-    `beta_star_avg` is the averaged-route rate beta*_0 (prefactor measured by
-    the solver, never certified here).  `beta_star_periodic` is the
-    unconditional rate inf_t beta*(t) on the certificate's route (see
-    `_route_beta`) when it is positive.  The chain constant C
-    closes ||p' - p''||_1 <= C * ||z' - z''||_1D exactly (see `chain_constant`).
+    A function of the model and the weights alone.  The chain constant C
+    closes ||p' - p''||_1 <= C * ||z' - z''||_1D exactly (see `chain_constant`),
+    and the deficit prefactor P, when set, makes C * P * exp(-beta*_0 t) a
+    proven bound.  `beta_star_periodic` is the unconditional rate inf_t beta*(t)
+    on the certificate's route (see `_route_beta`) when it is positive.
     """
 
     regime: str  # "periodic" | "constant-rate"
@@ -169,7 +169,6 @@ class ConvergenceCertificate:
     beta_integral_fixed: float
     norm_chain_constant: float
     prefactor_analytic: float | None = None
-    prefactor_N: float | None = None
 
     @property
     def beta_star(self) -> float:
@@ -242,16 +241,12 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
     lines.append(f"  norm chain constant: {cert.norm_chain_constant:.12g} (exact: 2/epsilon)")
     if cert.prefactor_analytic is not None:
         lines.append(f"  prefactor (analytic, within-period deficit): {cert.prefactor_analytic:.12g}")
+        lines.append(f"  bound: ||p'(t)-p''(t)||_1 <= {cert.norm_chain_constant * cert.prefactor_analytic:.12g}"
+                     f" * exp(-{cert.beta_star_avg:.12g} t) * ||z'(0)-z''(0)||_1D")
     else:
         lines.append("  prefactor (analytic): n/a (mixed binding alphas over the period)")
-    if cert.prefactor_N is not None:
-        lines.append(f"  prefactor N (measured from trajectories): {cert.prefactor_N:.12g}")
-    else:
-        lines.append("  prefactor N (measured): not measured; run the compare pipeline")
-    bound_rate = cert.beta_star_avg
-    lines.append(
-        f"  bound: ||p'(t)-p''(t)||_1 <= {cert.norm_chain_constant:.6g} * N * exp(-{bound_rate:.6g} t) * ||z'(0)-z''(0)||_1D"
-    )
+        lines.append(f"  bound: no bound at beta*_0 is proven for these weights (fixed-weight period integral "
+                     f"{cert.beta_integral_fixed:.6g} < beta*_0 = {cert.beta_star_avg:.6g})")
     lines.append("")
     lines.append("  alpha table (fixed weights), t in [0,1]:")
     lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")

@@ -253,6 +253,15 @@ def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
 # -- commands ---------------------------------------------------------------
 
 
+def _write_certificate(out: Path, cert: bounds.ConvergenceCertificate, spec: ModelSpec) -> str:
+    """Write certificate.txt and certificate.json, the same for every command; returns the text."""
+    report = bounds.certificate_report(cert, spec)
+    (out / "certificate.txt").write_text(report)
+    record = {**asdict(cert), "beta_star": cert.beta_star}
+    (out / "certificate.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return report
+
+
 def cmd_bound(args) -> int:
     cfg = load_model_file(args.model)
     try:
@@ -262,18 +271,14 @@ def cmd_bound(args) -> int:
         (_out_dir(args) / "certificate.txt").write_text(f"{exc}\n")
         return 2
     out = _out_dir(args)
-    report = bounds.certificate_report(cert, cfg.spec)
-    (out / "certificate.txt").write_text(report)
-    (out / "certificate.json").write_text(
-        json.dumps({**asdict(cert), "beta_star": cert.beta_star}, indent=2, sort_keys=True) + "\n"
-    )
-    print("\n".join(report.splitlines()[:12]))
+    report = _write_certificate(out, cert, cfg.spec)
+    print(report.split("\n\n", 1)[0])  # the header block, through the bound line
     print(f"full report: {out / 'certificate.txt'}")
     return 0
 
 
 def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
-    """Certify the model and compute its limiting regime and decay fit.
+    """Certify the model, write its certificate, and compute its limiting regime and decay fit.
 
     Returns (out, cert, settings, regime, fit) with the accepted truncation
     in settings.n, or None once a refusal is printed; with --force a refused
@@ -287,6 +292,8 @@ def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
             return None
         cert = None
     out = _out_dir(args)
+    if cert is not None:
+        _write_certificate(out, cert, cfg.spec)
     regime = solver.limiting_regime(cfg.spec, settings)
     fit = solver.decay_fit(regime.from_empty, regime.from_far, cert.weights if cert else None)
     return out, cert, replace(settings, n=regime.from_empty.n), regime, fit
@@ -340,10 +347,8 @@ def cmd_solve(args) -> int:
         check = solver.contraction_check(
             regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
         )
-        cert = replace(cert, prefactor_N=check.prefactor_measured)
         lines.append(f"certified beta*_0: {cert.beta_star_avg:.6g}  measured prefactor N: {check.prefactor_measured:.6g}")
         lines.append(f"certified-route ratio max (should stay near/below 1): {check.ratio_certified_max:.6g}")
-        (out / "certificate.txt").write_text(bounds.certificate_report(cert, cfg.spec))
     report = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(report)
     print(report, end="")
@@ -375,6 +380,9 @@ def cmd_compare(args) -> int:
     sim = _resolve_sim(cfg, args)
     if sim.sample_times[-1] > settings.horizon:
         raise ConfigError(f"sample time {sim.sample_times[-1]:g} is beyond the solve horizon {settings.horizon:g}")
+    *_, grid = solver.sample_grid(settings.horizon, settings.step)
+    for t in sim.sample_times:  # ValueError off the grid; after a step halving prob_at checks again
+        solver.grid_index(grid, settings.step, t)
     solved = _certified_regime(cfg, args, settings)
     if solved is None:
         return 2
@@ -412,8 +420,6 @@ def cmd_compare(args) -> int:
             fh.write(f"{CSV_FLOAT % t},{lbl},{CSV_FLOAT % mc},"
                      f"{CSV_FLOAT % ode},{CSV_FLOAT % se},{int(ok)}\n")
 
-    cert = replace(cert, prefactor_N=check.prefactor_measured)
-    (out / "certificate.txt").write_text(bounds.certificate_report(cert, cfg.spec))
     lines = [
         f"model: {cfg.name}   n: {settings.n}   horizon: {settings.horizon:g}   paths: {sim.n_paths}",
         f"[{'PASS' if agree_ok else 'FAIL'}] MC/ODE agreement: {hits}/{len(rows)} tracked cells within 3 SE",
@@ -507,6 +513,9 @@ def main(argv=None) -> int:
     except bounds.NotCertifiedError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:  # valid input that needs more memory than the host has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # ConfigError (usage errors too) and invalid values such as --paths 0 or --n 3
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -62,9 +62,15 @@ def weight_columns(epsilon, delta1, delta: float, m: int) -> np.ndarray:
     return out
 
 
-def _require_size(n: int) -> None:
+TRUNCATION_CAP = 4096  # most states any truncation keeps; the doubling search stops here too
+
+
+def require_truncation(n: int) -> None:
+    """Refuse a truncation level outside 5 <= n <= TRUNCATION_CAP, before anything is allocated."""
     if n < 5:
         raise ValueError("truncation must keep at least 5 states")
+    if n > TRUNCATION_CAP:
+        raise ValueError(f"truncation must keep at most {TRUNCATION_CAP} states, got {n}")
 
 
 # Every transition as (part, source, target) for part 0 = arrival, 1 = main
@@ -81,7 +87,7 @@ def rate_parts(n: int, conservative: bool) -> np.ndarray:
     at (target, source).  A move past the last state keeps its outflow, so
     probability leaks at the boundary, unless `conservative` drops the move.
     """
-    _require_size(n)
+    require_truncation(n)
     moves = list(_HEAD_MOVES)
     moves += [(0, k, k + 1) for k in range(3, n)]
     moves += [(part, k, k - 1) for k in range(4, n) for part in (1, 2)]
@@ -113,9 +119,10 @@ def build_B(spec: ModelSpec, t: float, n: int):
     Reduced coordinates are z = (p10, p01, p11, p12, ...).  Substituting
     p00 = 1 - sum(z) into rows 1..n of A(t) on n+1 states gives
     B = A[1:, 1:] - A[1:, 0] 1^T and f = A[1:, 0]; row 0 is dense because
-    the empty state feeds p10 at rate lambda.
+    the empty state feeds p10 at rate lambda.  A on n+1 states caps n at
+    TRUNCATION_CAP - 1.
     """
-    _require_size(n)
+    require_truncation(n)
     A = build_A(spec, t, n + 1)
     return A[1:, 1:] - A[1:, :1], A[1:, 0]
 
@@ -133,7 +140,7 @@ def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int
     with r_ij = d_i/d_j, then a tridiagonal tail with sub-diagonal
     r_{k,k-1}*lambda and super-diagonal r_{k,k+1}*mu.
     """
-    _require_size(n)
+    require_truncation(n)
     lam, mu1, mu2 = spec.rates(t)
     mu = mu1 + mu2
     d = weights.d(n)

@@ -48,11 +48,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import cumulative_trapezoid, fixed_alphas
-from .matrices import WeightSequence, rate_parts, weighted_norm
+from .matrices import TRUNCATION_CAP, WeightSequence, rate_parts, require_truncation, weighted_norm
 from .model import ModelSpec, job_counts
 
 STEP_DEFECT_LIMIT = 1e-6
-TRUNCATION_CAP = 4096
 SAMPLE_TARGET = 8000
 RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
 STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
@@ -99,8 +98,8 @@ class SolveSettings:
     tol_mix: float = 1e-5
 
     def __post_init__(self):
-        if self.n is not None and self.n < 5:
-            raise ValueError("truncation must keep at least 5 states")
+        if self.n is not None:
+            require_truncation(self.n)
         for name in ("step", "horizon", "tol_truncation", "tol_mix"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -121,11 +120,16 @@ class Trajectory:
 
     def prob_at(self, t: float) -> np.ndarray:
         """State vector at a sample time (within half a step of t)."""
-        idx = int(np.searchsorted(self.times, t))
-        for j in (idx - 1, idx):  # times[idx] >= t, so idx + 1 is never nearer
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= self.step / 2 + 1e-12:
-                return self.probs[j]
-        raise ValueError(f"t={t:g} is not on the sample grid")
+        return self.probs[grid_index(self.times, self.step, t)]
+
+
+def grid_index(times: np.ndarray, step: float, t: float) -> int:
+    """Index of the sample time within half a step of t; ValueError when there is none."""
+    idx = int(np.searchsorted(times, t))
+    for j in (idx - 1, idx):  # times[idx] >= t, so idx + 1 is never nearer
+        if 0 <= j < len(times) and abs(times[j] - t) <= step / 2 + 1e-12:
+            return j
+    raise ValueError(f"t={t:g} is not on the sample grid")
 
 
 def far_initial_state(n: int) -> int:
@@ -148,6 +152,17 @@ def _sample_stride(n_steps: int, step: float) -> int:
     if want >= per_unit:
         return per_unit * math.ceil(want / per_unit)
     return next(stride for stride in range(want, per_unit + 1) if per_unit % stride == 0)
+
+
+def sample_grid(horizon: float, step: float) -> tuple[int, int, np.ndarray]:
+    """Step count, sample stride and the sample times `integrate` records over [0, horizon].
+
+    The samples are every stride steps from 0, and the last step.
+    """
+    n_steps = int(round(horizon / step))
+    stride = _sample_stride(n_steps, step)
+    # in floats, exact below 2**53, so that a step count past int64 does not overflow
+    return n_steps, stride, np.minimum(np.arange(-(-n_steps // stride) + 1) * float(stride), n_steps) * step
 
 
 def _project(p: np.ndarray) -> None:
@@ -205,7 +220,7 @@ def _step_failure(defect: float, overshoot: float, t: float) -> StepSizeError:
 def _by_steps(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: int, p: np.ndarray):
     """Projected samples, defect sum and pre-projection minimum, one RK4 step at a time.
 
-    Samples are taken every stride steps and at the last step.
+    Samples are taken every stride steps and at the last step (see `sample_grid`).
     """
     probs = np.empty((-(-n_steps // stride) + 1, len(p)))
     probs[0] = p
@@ -293,15 +308,14 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
         raise ValueError("p0 must be a probability vector")
 
     h = settings.step
-    n_steps = int(round(settings.horizon / h))
-    stride = _sample_stride(n_steps, h)
+    n_steps, stride, times = sample_grid(settings.horizon, h)
     R = rate_parts(n, conservative=True).reshape(3 * n, n)
     p = p0.copy()
     _project(p)
     by = _by_periods if _use_propagators(n, h, n_steps, stride) else _by_steps
     probs, defect_sum, min_entry = by(spec, R, h, n_steps, stride, p)
     return Trajectory(
-        times=np.minimum(np.arange(len(probs)) * stride, n_steps) * h,
+        times=times,
         probs=probs,
         mean=probs @ job_counts(n),
         n=n,
@@ -473,7 +487,6 @@ class ContractionCheck:
 
     prefactor_measured: float   # sup of ||z1(t) - z2(t)||_1D * exp(beta0 t) / its t = 0 value
     ratio_certified_max: float  # sup of ||z1 - z2||_1D * exp(int beta_fixed) / its t = 0 value
-    p_chain_ratio_max: float    # sup of ||p1 - p2||_1 / ||z1 - z2||_1D, at most the chain constant 2/epsilon
 
 
 GAP_NOISE_FLOOR = 1e-13
@@ -498,9 +511,7 @@ def contraction_check(
     wn_k = wn[keep]
     betas = np.min(fixed_alphas(*spec.rates(ts_k), weights.d(6)), axis=0)
     ratio_cert = wn_k * np.exp(cumulative_trapezoid(ts_k, betas)) / wn[0]
-    p_gap = np.sum(np.abs(traj1.probs[keep] - traj2.probs[keep]), axis=1)
     return ContractionCheck(
         prefactor_measured=float(np.max(wn_k * np.exp(beta0 * (ts_k - ts[0])) / wn[0])),
         ratio_certified_max=float(np.max(ratio_cert)),
-        p_chain_ratio_max=float(np.max(p_gap / wn_k)),
     )

@@ -1,6 +1,7 @@
 """The package's public names and the README's library example stay in step."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -45,3 +46,18 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and node.name not in used]
     assert unused == []
+
+
+def test_every_perfbench_trace_target_exists():
+    # perfbench/run.py only lists a missing target in its info line, so a rename
+    # would silently zero that layer's per-layer metrics
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    assert targets
+    for module, cls, attr, _, _ in targets:
+        names = vars(importlib.import_module(f"twoproc.{module}"))
+        if cls is not None:
+            assert cls in names, (module, cls)
+            names = vars(names[cls])
+        assert attr in names, (module, cls, attr)

@@ -167,6 +167,13 @@ class TestMalformedModelFiles:
             assert tables[section] == set(schema[section]), section
 
 
+def assert_same_certificate_as_bound(model: Path, out: Path, bound_out: Path) -> None:
+    """The certificate files in out are byte-identical to those `bound` writes for the model."""
+    assert main(["bound", "--model", str(model), "--out", str(bound_out)]) == 0
+    for name in ("certificate.txt", "certificate.json"):
+        assert (out / name).read_bytes() == (bound_out / name).read_bytes(), name
+
+
 class TestBoundCommand:
     def test_light_traffic_certificate_values(self, tmp_path):
         out = tmp_path / "out"
@@ -176,6 +183,21 @@ class TestBoundCommand:
         assert cert["beta_star_avg"] == pytest.approx(0.99, abs=1e-14)
         assert cert["beta_star_periodic"] >= 0.3
         assert (out / "certificate.txt").read_text().startswith("convergence certificate")
+
+    @pytest.mark.parametrize("example,bound_line", [
+        ("example1", "  bound: ||p'(t)-p''(t)||_1 <= 274.960376838 * exp(-0.99 t) * ||z'(0)-z''(0)||_1D"),
+        ("example3", "  bound: no bound at beta*_0 is proven for these weights "
+                     "(fixed-weight period integral -4.88735 < beta*_0 = 0.238337)"),
+    ])
+    def test_bound_line_is_proven_or_says_none_is(self, example, bound_line, tmp_path, capsys):
+        # example1: C * P = 200 * 1.37480188419; example3: mixed binding alphas leave P unset
+        out = tmp_path / "out"
+        assert main(["bound", "--model", str(CONFIG_DIR / f"{example}.json"), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == [bound_line, f"full report: {out / 'certificate.txt'}"]
+        assert printed[:-1] == (out / "certificate.txt").read_text().split("\n\n")[0].splitlines()
+        assert " N " not in "\n".join(printed)
+        assert "prefactor_N" not in json.loads((out / "certificate.json").read_text())
 
     def test_overloaded_model_exits_two(self, tmp_path):
         model = write_json(tmp_path / "over.json", {
@@ -231,7 +253,7 @@ class TestSolveCommand:
     EXPECTED_FILES = (
         "trajectory_x0.csv", "trajectory_xfar.csv", "limit_cycle.csv", "report.txt",
         "p00.svg", "p01.svg", "p10.svg", "p11.svg", "mean.svg", "mean_cycle.svg",
-        "certificate.txt",
+        "certificate.txt", "certificate.json",
     )
 
     def test_artifacts_and_determinism(self, light_model, tmp_path):
@@ -246,6 +268,7 @@ class TestSolveCommand:
         assert main(["solve", "--model", str(light_model), "--out", str(out2)]) == 0
         for name in ("trajectory_x0.csv", "trajectory_xfar.csv", "limit_cycle.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert_same_certificate_as_bound(light_model, out1, tmp_path / "bound")
 
     def test_trajectory_rows_are_stochastic(self, light_model, tmp_path):
         out = tmp_path / "o"
@@ -364,6 +387,7 @@ class TestCompareCommand:
         report = (out / "compare_report.txt").read_text()
         assert report.count("[PASS]") == 4
         assert (out / "agreement.csv").exists()
+        assert_same_certificate_as_bound(light_model, out, tmp_path / "bound")
 
     def test_validation_error_before_any_run(self, tmp_path, capsys):
         model = write_json(tmp_path / "bad.json", {
@@ -396,6 +420,24 @@ class TestCompareCommand:
         out = tmp_path / "o"
         assert main(["compare", "--model", str(model), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: sample time 30 is beyond the solve horizon 20\n"
+        assert not out.exists()
+
+    def test_sample_times_off_the_grid_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # horizon 30 at step 0.001 samples every 0.004 (stride 4), so 1.002 falls between samples
+        model = write_json(tmp_path / "off.json", {
+            "lambda": {"constant": 1.0, "harmonics": [{"amplitude": 1.0, "kind": "sin", "harmonic": 1}]},
+            "mu1": {"constant": 2.0}, "mu2": {"constant": 2.0}, "weights": {"epsilon": 0.01},
+            "solve": {"horizon": 30.0, "step": 0.001}, "simulate": {"sample_times": [1.002, 5.0]}})
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the sample times were checked")
+
+        monkeypatch.setattr(bounds, "make_certificate", fail)
+        monkeypatch.setattr(solver, "limiting_regime", fail)
+        monkeypatch.setattr(mcsim, "estimate_probs", fail)
+        out = tmp_path / "o"
+        assert main(["compare", "--model", str(model), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: t=1.002 is not on the sample grid\n")
         assert not out.exists()
 
     GATES = ("MC/ODE agreement", "decay-rate equality", "fitted rate", "weighted contraction")
@@ -481,11 +523,15 @@ class TestUsageErrors:
          "sample times must be finite and nonnegative, got (1.0, 5.0, inf)"),
         (["simulate", "--model", EXAMPLE1, "--out", "o", "--horizon", "0"],
          "horizon must be finite and positive, got 0"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--n", "4097"],
+         "truncation must keep at most 4096 states, got 4097"),
+        (["dump", "--model", EXAMPLE1, "--n", "4097"], "truncation must keep at most 4096 states, got 4097"),
         (["dump", "--model", EXAMPLE1, "--t", "nan"], "t must be finite, got nan"),
         (["dump", "--model", EXAMPLE1, "--t", "inf"], "t must be finite, got inf"),
         (["dump", "--model", EXAMPLE1, "--t=-inf"], "t must be finite, got -inf"),
     ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
-            "horizon-nan", "horizon-inf", "simulate-horizon-inf", "simulate-horizon-0", "dump-t-nan", "dump-t-inf",
+            "horizon-nan", "horizon-inf", "simulate-horizon-inf", "simulate-horizon-0", "solve-n-4097",
+            "dump-n-4097", "dump-t-nan", "dump-t-inf",
             "dump-t-minus-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -528,6 +574,20 @@ def test_every_command_refuses_with_the_same_line(weights, tmp_path, capsys):
             assert (out / "certificate.txt").read_text() == refusal
         else:
             assert not out.exists(), command
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 90.3 GiB for an array with shape (1, 12121245664) and data type float64"),
+     "error: Unable to allocate 90.3 GiB for an array with shape (1, 12121245664) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_one_with_one_line(error, line, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(mcsim, "estimate_probs", fail)
+    assert main(["simulate", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr() == ("", line)
 
 
 def test_closed_stdout_exits_one_without_traceback(tmp_path, monkeypatch):

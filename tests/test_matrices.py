@@ -84,6 +84,16 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             build_A(ex1_spec, 0.0, 4)
 
+    def test_too_large_truncation_rejected_before_allocating(self, ex1_spec, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the size was checked")
+
+        monkeypatch.setattr(np, "zeros", fail)
+        for build in (build_A, build_transformed):
+            args = (ex1_spec, WeightSequence(0.1, 2.0, 2.0)) if build is build_transformed else (ex1_spec,)
+            with pytest.raises(ValueError, match="^truncation must keep at most 4096 states, got 100000$"):
+                build(*args, 0.0, 100_000)
+
 
 class TestReducedMatrix:
     def test_first_row(self, ex1_spec):

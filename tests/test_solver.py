@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import expm_series, reference_rk4, stationary_vector
-from twoproc.bounds import chain_constant
 from twoproc.matrices import build_A, rate_parts
 from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
@@ -151,6 +150,31 @@ class TestIntegrate:
             assert traj.prob_at(t) is not None
         with pytest.raises(ValueError):
             traj.prob_at(0.0101)
+
+    @pytest.mark.parametrize("horizon,step,spacing", [
+        (20.0, 1e-3, 0.004),
+        (20.0, 5e-4, 0.0025),  # halving the step does not refine the 0.004 grid
+        (3.0, 0.0015, 0.0015),  # 1/step is not an integer: every step is a sample
+        (40.5, 0.02, 0.02),  # the last sample is the horizon
+    ])
+    def test_sample_grid_is_what_integrate_records(self, ex1_spec, horizon, step, spacing):
+        *_, grid = solver.sample_grid(horizon, step)
+        assert grid[1] == pytest.approx(spacing, rel=1e-12)
+        assert grid[-1] == pytest.approx(horizon, rel=1e-12)
+        traj = integrate(ex1_spec, SolveSettings(n=5, step=step, horizon=horizon), empty_start(5))
+        assert np.array_equal(traj.times, grid)
+
+    def test_sample_grid_past_int64_steps(self):
+        # 1e20 steps would overflow int64 sample indices; compare builds this grid before any run
+        n_steps, stride, grid = solver.sample_grid(1e17, 1e-3)
+        assert (n_steps, len(grid), grid[-1]) == (10**20, 8001, 1e17)
+        assert np.all(np.diff(grid) > 0)
+
+    def test_truncation_range(self):
+        for n in (4, solver.TRUNCATION_CAP + 1):
+            with pytest.raises(ValueError, match="truncation must keep at"):
+                SolveSettings(n=n)
+        assert SolveSettings(n=solver.TRUNCATION_CAP).n == 4096
 
     def test_input_validation(self, ex1_spec):
         with pytest.raises(ValueError, match="choose_truncation"):
@@ -429,4 +453,3 @@ class TestContraction:
         )
         assert check.ratio_certified_max <= 1.0 + 1e-9
         assert check.prefactor_measured >= 1.0  # ratio is 1 at t = 0
-        assert check.p_chain_ratio_max <= chain_constant(ex1_weights)
