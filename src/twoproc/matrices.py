@@ -1,9 +1,13 @@
 """Finite truncations of the queue's generator and its norm machinery.
 
-`rate_parts` is the one statement of the transition pattern: the constant
-matrices L, M1, M2 whose combination lam*L + mu1*M1 + mu2*M2 is the
-transposed intensity matrix A(t) of the forward Kolmogorov system
-dp/dt = A(t) p on the first n states.  `build_A` forms that combination and
+`_moves` is the one statement of the transition pattern.  `rate_parts`
+turns it into the constant matrices L, M1, M2 whose combination
+lam*L + mu1*M1 + mu2*M2 is the transposed intensity matrix A(t) of the
+forward Kolmogorov system dp/dt = A(t) p on the first n states.  Every move
+changes the state index by at most 2, so A(t) is pentadiagonal, and
+`_rate_bands` stores the same parts as their five diagonals, O(n) numbers
+where the dense parts take 3n^2; the solver applies the bands for large n
+(`solver.BAND_MIN_N`).  `build_A` forms the dense combination and
 `build_B` the reduced system dz/dt = B(t) z + f(t) obtained from it by
 eliminating the empty state through the normalization p00 = 1 - sum(z).
 `build_transformed` assembles D T B(t) T^-1 D^-1 where T is the
@@ -80,12 +84,10 @@ def require_truncation(n: int) -> None:
 _HEAD_MOVES = ((0, 0, 1), (0, 1, 3), (0, 2, 3), (1, 1, 0), (1, 3, 2), (2, 2, 0), (2, 3, 1))
 
 
-def rate_parts(n: int, conservative: bool) -> np.ndarray:
-    """Constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1.
+def _moves(n: int, conservative: bool) -> np.ndarray:
+    """Rows (part, source, target) of every move out of states 0..n-1.
 
-    Each move out of a retained state puts -1 on its part's diagonal and +1
-    at (target, source).  A move past the last state keeps its outflow, so
-    probability leaks at the boundary, unless `conservative` drops the move.
+    A move past the last state is kept, unless `conservative` drops it.
     """
     require_truncation(n)
     moves = list(_HEAD_MOVES)
@@ -94,12 +96,36 @@ def rate_parts(n: int, conservative: bool) -> np.ndarray:
     moves = np.array(moves).T
     if conservative:
         moves = moves[:, moves[2] < n]
-    part, source, target = moves
+    return moves
+
+
+def rate_parts(n: int, conservative: bool) -> np.ndarray:
+    """Constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1.
+
+    Each move out of a retained state puts -1 on its part's diagonal and +1
+    at (target, source).  A move past the last state keeps its outflow, so
+    probability leaks at the boundary, unless `conservative` drops the move.
+    """
+    part, source, target = _moves(n, conservative)
     parts = np.zeros((3, n, n))
     parts[part, source, source] = -1.0
     inside = target < n
     parts[part[inside], target[inside], source[inside]] = 1.0
     return parts
+
+
+def _rate_bands(n: int) -> np.ndarray:
+    """The conservative `rate_parts(n, True)` as a (3, 5, n) stack of diagonals.
+
+    bands[part, 2 + d, j] is the entry of the part at (j + d, j), so row
+    2 + d holds diagonal d = -2..2 indexed by column: A(t) p gets
+    (rates @ bands)[2 + d, j] * p[j] added at state j + d.  Each column sums to 0.
+    """
+    part, source, target = _moves(n, conservative=True)
+    bands = np.zeros((3, 5, n))
+    bands[part, 2, source] = -1.0
+    bands[part, 2 + target - source, source] = 1.0
+    return bands
 
 
 def build_A(spec: ModelSpec, t: float, n: int, conservative: bool = False) -> np.ndarray:
@@ -122,6 +148,8 @@ def build_B(spec: ModelSpec, t: float, n: int):
     the empty state feeds p10 at rate lambda.  A on n+1 states caps n at
     TRUNCATION_CAP - 1.
     """
+    if n > TRUNCATION_CAP - 1:
+        raise ValueError(f"B keeps at most {TRUNCATION_CAP - 1} states (A on n + 1), got {n}")
     require_truncation(n)
     A = build_A(spec, t, n + 1)
     return A[1:, 1:] - A[1:, :1], A[1:, 0]

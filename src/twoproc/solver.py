@@ -10,7 +10,11 @@ threshold signals a step size that is genuinely too coarse.
 The rates are evaluated as arrays, in chunks of RATE_CHUNK steps, on the
 three stage grids t, t + h/2 and t + h, built with the same expressions as a
 scalar evaluation.  One RK4 step definition serves a vector and an (n, m)
-block of columns.  There are two paths:
+block of columns.  Its right-hand side A(t) X multiplies by the dense
+(3n x n) stack of the constant parts below BAND_MIN_N states; from
+BAND_MIN_N on, A(t) is applied as a band: one (3,) x (3, 5n) product gives
+its five diagonals and five shifted multiply-adds apply them, O(n) work and
+memory where the dense stack takes O(n^2).  There are two paths:
 
 * Period propagators.  The rates have period 1, so when 1/h is an integer the
   step maps repeat every period.  RK4 on the n x n identity over [0, 1],
@@ -48,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import cumulative_trapezoid, fixed_alphas
-from .matrices import TRUNCATION_CAP, WeightSequence, rate_parts, require_truncation, weighted_norm
+from .matrices import TRUNCATION_CAP, WeightSequence, _rate_bands, rate_parts, require_truncation, weighted_norm
 from .model import ModelSpec, job_counts
 
 STEP_DEFECT_LIMIT = 1e-6
@@ -62,6 +66,12 @@ STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
 MIN_PERIODS = 3  # covers n = 16-32 more than twice over
 BUILD_PERIODS_N2 = 512  # n**2 / 512 + 3 is 11 periods at n = 64 and 35 at n = 128
 PROPAGATOR_BUDGET = 4 << 20  # bytes; 50 propagators at n = 128 would add 6.5 MB to a ~50 MB process
+# `integrate` applies A(t) as a band from BAND_MIN_N states on, and the dense stack below.
+# Microseconds per right-hand side, dense / banded (1 BLAS thread, medians): on a vector
+# 6.5 / 11.6 at n = 64, 8.7 / 12.0 at 96, 10.5 / 8.3 at 128, 36.6 / 8.9 at 256; on an
+# (n, 64) block 42.7 / 41.6 at 64, 79.4 / 48.4 at 96, 135.7 / 45.0 at 128.
+BAND_MIN_N = 128
+MAX_STEPS = 10**8  # RK4 steps a solve may plan; the largest bundled solve takes 2.4e5
 
 
 class SolveError(RuntimeError):
@@ -104,6 +114,8 @@ class SolveSettings:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value:g}")
+        if self.horizon / self.step > MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS:g} steps, got {self.horizon / self.step:.3g}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +208,24 @@ def _step_rates(spec: ModelSpec, h: float, n_steps: int):
         yield from zip(chunk[:span], chunk[span:2 * span], chunk[2 * span:])
 
 
+def _generator(n: int) -> np.ndarray:
+    """The constant parts of A(t) as `_rhs` takes them: the (3, 5, n) band from BAND_MIN_N on, else (3n, n)."""
+    return _rate_bands(n) if n >= BAND_MIN_N else rate_parts(n, conservative=True).reshape(3 * n, n)
+
+
 def _rhs(R: np.ndarray, rates: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return (rates @ (R @ X).reshape(3, -1)).reshape(X.shape)
+    """A(t) X for the stage rates (lambda, mu1, mu2), with R from `_generator`."""
+    if R.ndim == 2:
+        return (rates @ (R @ X).reshape(3, -1)).reshape(X.shape)
+    # bands[2 + d, j] * X[j] goes to row j + d; a trailing axis spans a block's columns
+    bands = (rates @ R.reshape(3, -1)).reshape((5, -1) + (1,) * (X.ndim - 1))
+    Y = bands * X
+    out = Y[2]
+    out[:-2] += Y[0, 2:]
+    out[:-1] += Y[1, 1:]
+    out[1:] += Y[3, :-1]
+    out[2:] += Y[4, :-2]
+    return out
 
 
 def _rk4_step(R: np.ndarray, stage: tuple, h: float, X: np.ndarray) -> np.ndarray:
@@ -250,7 +278,7 @@ def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, per_unit: in
 
     RK4 on the identity block over one period [0, 1]; Q[-1] is the period map.
     """
-    n = R.shape[1]
+    n = R.shape[-1]
     Q = np.empty((per_unit // stride, n, n))
     X = np.eye(n)
     for i, stage in enumerate(_step_rates(spec, h, per_unit)):
@@ -309,7 +337,7 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
 
     h = settings.step
     n_steps, stride, times = sample_grid(settings.horizon, h)
-    R = rate_parts(n, conservative=True).reshape(3 * n, n)
+    R = _generator(n)
     p = p0.copy()
     _project(p)
     by = _by_periods if _use_propagators(n, h, n_steps, stride) else _by_steps

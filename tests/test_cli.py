@@ -526,12 +526,16 @@ class TestUsageErrors:
         (["solve", "--model", EXAMPLE1, "--out", "o", "--n", "4097"],
          "truncation must keep at most 4096 states, got 4097"),
         (["dump", "--model", EXAMPLE1, "--n", "4097"], "truncation must keep at most 4096 states, got 4097"),
+        (["dump", "--model", EXAMPLE1, "--what", "B", "--n", "4096"],
+         "B keeps at most 4095 states (A on n + 1), got 4096"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--n", "16", "--horizon", "1e17"],
+         "horizon / step must be at most 1e+08 steps, got 1e+20"),
         (["dump", "--model", EXAMPLE1, "--t", "nan"], "t must be finite, got nan"),
         (["dump", "--model", EXAMPLE1, "--t", "inf"], "t must be finite, got inf"),
         (["dump", "--model", EXAMPLE1, "--t=-inf"], "t must be finite, got -inf"),
     ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
             "horizon-nan", "horizon-inf", "simulate-horizon-inf", "simulate-horizon-0", "solve-n-4097",
-            "dump-n-4097", "dump-t-nan", "dump-t-inf",
+            "dump-n-4097", "dump-B-n-4096", "solve-steps-past-cap", "dump-t-nan", "dump-t-inf",
             "dump-t-minus-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

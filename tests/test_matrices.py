@@ -16,7 +16,9 @@ from helpers import (
 )
 from twoproc.bounds import fixed_alphas
 from twoproc.matrices import (
+    TRUNCATION_CAP,
     WeightSequence,
+    _rate_bands,
     build_A,
     build_B,
     build_transformed,
@@ -95,6 +97,25 @@ class TestGeneratorMatrix:
                 build(*args, 0.0, 100_000)
 
 
+class TestRateBands:
+    @pytest.mark.parametrize("n", [5, 6, 16, 127, 128, 300])
+    def test_bands_are_the_diagonals_of_the_conservative_parts(self, n):
+        parts = rate_parts(n, conservative=True)
+        bands = _rate_bands(n)
+        assert bands.shape == (3, 5, n)
+        for d in range(-2, 3):
+            # bands[:, 2 + d, j] is the entry at (j + d, j); columns j + d outside 0..n-1 hold 0
+            inside = slice(max(0, -d), n - max(0, d))
+            assert np.array_equal(bands[:, 2 + d, inside], np.diagonal(parts, -d, axis1=1, axis2=2))
+            assert not bands[:, 2 + d, :max(0, -d)].any() and not bands[:, 2 + d, n - max(0, d):].any()
+        # and the parts have no entry off the five diagonals
+        assert np.count_nonzero(bands) == np.count_nonzero(parts)
+
+    @pytest.mark.parametrize("n", [5, 16, 300, TRUNCATION_CAP])
+    def test_band_columns_sum_to_zero(self, n):
+        assert np.all(_rate_bands(n).sum(axis=1) == 0.0)
+
+
 class TestReducedMatrix:
     def test_first_row(self, ex1_spec):
         B, f = build_B(ex1_spec, 0.0, 6)
@@ -103,6 +124,12 @@ class TestReducedMatrix:
         assert B[0, 2] == 1.0  # mu2 - lambda
         assert np.all(B[0, 3:] == -1.0)
         assert f[0] == 1.0 and np.all(f[1:] == 0.0)
+
+    def test_cap_names_the_requested_n(self, ex1_spec):
+        # B is cut from A on n + 1 states, so its own cap is one below TRUNCATION_CAP
+        for n in (TRUNCATION_CAP, 100_000):
+            with pytest.raises(ValueError, match=rf"^B keeps at most 4095 states \(A on n \+ 1\), got {n}$"):
+                build_B(ex1_spec, 0.0, n)
 
     def test_forcing_vector(self, ex2_spec):
         _, f = build_B(ex2_spec, 0.25, 8)

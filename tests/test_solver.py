@@ -1,13 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import expm_series, reference_rk4, stationary_vector
-from twoproc.matrices import build_A, rate_parts
+from twoproc.matrices import TRUNCATION_CAP, _rate_bands, build_A, rate_parts
 from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
 from twoproc.solver import (
+    BAND_MIN_N,
+    MAX_STEPS,
     MIN_PERIODS,
     RATE_CHUNK,
     FitWindowError,
@@ -60,6 +63,19 @@ def record_paths(monkeypatch):
 
         monkeypatch.setattr(solver, f"_by_{name}", recording)
     return taken
+
+
+def record_generators(monkeypatch):
+    """Set of the shapes of the constant parts `solver._rhs` is called with."""
+    shapes = set()
+    run = solver._rhs
+
+    def recording(R, rates, X):
+        shapes.add(R.shape)
+        return run(R, rates, X)
+
+    monkeypatch.setattr(solver, "_rhs", recording)
+    return shapes
 
 
 def vector_path(spec, n, step, horizon, p0):
@@ -194,6 +210,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value:g}$"):
             SolveSettings(**{name: value})
 
+    def test_step_count_capped(self):
+        assert SolveSettings(step=0.5, horizon=MAX_STEPS * 0.5).horizon == MAX_STEPS * 0.5
+        with pytest.raises(ValueError, match=r"^horizon / step must be at most 1e\+08 steps, got 1e\+20$"):
+            SolveSettings(n=16, horizon=1e17)
+        for step, horizon in ((0.5, (MAX_STEPS + 1) * 0.5), (5e-324, 1.0)):
+            with pytest.raises(ValueError, match="^horizon / step must be at most"):
+                SolveSettings(step=step, horizon=horizon)
+
     def test_stiff_rates_trigger_step_failure(self):
         spec = ModelSpec(RateFunction.fixed(100.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
         with pytest.raises(StepSizeError):
@@ -315,6 +339,74 @@ class TestPeriodPropagators:
         assert np.all(np.abs(traj.mean - mean) <= 1e-12 * np.maximum(1.0, np.abs(mean)))
         assert traj.defect_per_unit_time < 1e-8
         assert traj.min_entry_pre >= -1e-9
+
+
+class TestBandedGenerator:
+    # rho = 0.95: the doubling search runs to n = 256 on this model
+    HEAVY = ModelSpec(RateFunction.trig(3.8, [(3.8, "sin", 1)]), RateFunction.fixed(2.0), RateFunction.fixed(2.0))
+
+    def test_crossover(self):
+        assert solver._generator(BAND_MIN_N - 1).shape == (3 * (BAND_MIN_N - 1), BAND_MIN_N - 1)
+        assert solver._generator(BAND_MIN_N).shape == (3, 5, BAND_MIN_N)
+
+    @pytest.mark.parametrize("n", [5, 16, BAND_MIN_N - 1, BAND_MIN_N, 300])
+    @pytest.mark.parametrize("shape", [(), (7,), (64,)], ids=["vector", "block7", "block64"])
+    def test_band_product_matches_dense(self, n, shape):
+        rng = np.random.default_rng(n)
+        L, M1, M2 = rate_parts(n, conservative=True)
+        bands = _rate_bands(n)
+        for _ in range(5):
+            rates = rng.uniform(0.0, 10.0, 3)
+            X = rng.standard_normal((n,) + shape)
+            A = rates[0] * L + rates[1] * M1 + rates[2] * M2
+            dense = A @ X
+            banded = solver._rhs(bands, rates, X)
+            assert banded.shape == X.shape
+            assert np.max(np.abs(banded - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("start", [empty_start, far_start])
+    def test_step_path_matches_dense_oracle(self, monkeypatch, n, start):
+        step, horizon = 0.02, 3.0
+        taken = record_paths(monkeypatch)
+        shapes = record_generators(monkeypatch)
+        traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), start(n))
+        assert taken == ["steps"] and shapes == {(3, 5, n)}
+        states, _ = reference_rk4(self.HEAVY, n, step, horizon, start(n))
+        idx = np.round(traj.times / step).astype(int)
+        assert idx[-1] == len(states) - 1
+        assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
+
+    def test_period_propagators_on_the_band(self, monkeypatch):
+        # 10,000 steps at stride 2: 25 propagators of 128 x 128 fit the budget
+        n, step, horizon = 128, 0.02, 200.0
+        taken = record_paths(monkeypatch)
+        shapes = record_generators(monkeypatch)
+        traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert taken == ["periods"] and shapes == {(3, 5, n)}
+        states, _ = reference_rk4(self.HEAVY, n, step, horizon, far_start(n))
+        idx = np.round(traj.times / step).astype(int)
+        assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
+
+    def test_search_accepts_128(self, monkeypatch):
+        shapes = record_generators(monkeypatch)
+        assert choose_truncation(self.HEAVY, SolveSettings(step=0.02, horizon=40.0)) == 128
+        assert {(3, 5, 128), (3, 5, 256)} <= shapes
+
+    def test_operator_and_one_step_take_linear_memory(self):
+        n, step = TRUNCATION_CAP, 0.02
+        stage = next(solver._step_rates(self.HEAVY, step, 1))
+        p = far_start(n)
+        tracemalloc.start()
+        try:
+            R = solver._generator(n)
+            q = solver._rk4_step(R, stage, step, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.shape == (3, 5, n)
+        assert abs(q.sum() - 1.0) < 1e-12
+        assert peak < 4e6  # the dense (3n, n) stack alone would take 403 MB
 
 
 class TestChooseTruncation:
