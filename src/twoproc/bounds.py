@@ -171,11 +171,11 @@ class ConvergenceCertificate:
     prefactor_analytic: float | None = None
 
     @property
-    def beta_star(self) -> float:
-        """The headline certified rate."""
+    def beta_star(self) -> float | None:
+        """The headline certified rate, or None when the certificate proves no bound."""
         if self.beta_star_periodic is not None:
             return self.beta_star_periodic
-        return self.beta_star_avg
+        return self.beta_star_avg if self.prefactor_analytic is not None else None
 
 
 def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None) -> ConvergenceCertificate:

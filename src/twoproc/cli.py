@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bounds, mcsim, solver
 from .charts import write_chart
-from .matrices import WeightSequence, build_A, build_B, build_transformed, format_matrix
+from .matrices import WeightSequence, _forcing, build_A, build_B, build_transformed, format_matrix
 from .model import ModelSpec, RateFunction, state_label
 from .solver import SolveSettings
 
@@ -295,7 +295,7 @@ def _certified_regime(cfg: ModelConfig, args, settings: SolveSettings):
     if cert is not None:
         _write_certificate(out, cert, cfg.spec)
     regime = solver.limiting_regime(cfg.spec, settings)
-    fit = solver.decay_fit(regime.from_empty, regime.from_far, cert.weights if cert else None)
+    fit = solver.decay_fit(regime.from_empty, regime.from_far)
     return out, cert, replace(settings, n=regime.from_empty.n), regime, fit
 
 
@@ -338,7 +338,6 @@ def cmd_solve(args) -> int:
         f"truncation n: {settings.n}   step: {regime.from_empty.step:g}   horizon: {settings.horizon:g}",
         f"t_mix (l1 gap < {settings.tol_mix:g}): {regime.t_mix:g}",
         f"fitted decay rate: {fit.beta_hat:.6g} over t in [{fit.window[0]:g}, {fit.window[1]:g}] ({fit.n_points} samples)",
-        f"fitted prefactor: {fit.prefactor_hat:.6g}",
         f"defect per unit time (empty start): {regime.from_empty.defect_per_unit_time:.3g}",
         f"defect per unit time (far start):   {regime.from_far.defect_per_unit_time:.3g}",
         f"limit-cycle mean range: [{regime.cycle.mean.min():.6g}, {regime.cycle.mean.max():.6g}]",
@@ -347,7 +346,8 @@ def cmd_solve(args) -> int:
         check = solver.contraction_check(
             regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
         )
-        lines.append(f"certified beta*_0: {cert.beta_star_avg:.6g}  measured prefactor N: {check.prefactor_measured:.6g}")
+        label = "certified beta*_0" if cert.beta_star is not None else "beta*_0 (averaged; no bound proven for these weights)"
+        lines.append(f"{label}: {cert.beta_star_avg:.6g}  measured prefactor N: {check.prefactor_measured:.6g}")
         lines.append(f"certified-route ratio max (should stay near/below 1): {check.ratio_certified_max:.6g}")
     report = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(report)
@@ -388,7 +388,7 @@ def cmd_compare(args) -> int:
         return 2
     out, cert, settings, regime, fit = solved
     regime_avg = solver.limiting_regime(cfg.spec.averaged(), settings)
-    fit_avg = solver.decay_fit(regime_avg.from_empty, regime_avg.from_far, cert.weights)
+    fit_avg = solver.decay_fit(regime_avg.from_empty, regime_avg.from_far)
     check = solver.contraction_check(
         regime.from_empty, regime.from_far, cfg.spec, cert.weights, cert.beta_star_avg
     )
@@ -445,16 +445,15 @@ def cmd_dump(args) -> int:
     cfg = load_model_file(args.model)
     n = 12 if args.n is None else args.n
     if args.what == "A":
-        sys.stdout.write(format_matrix(build_A(cfg.spec, t, n, conservative=args.conservative)))
+        M = build_A(cfg.spec, t, n, conservative=args.conservative)
     elif args.what == "B":
-        B, _ = build_B(cfg.spec, t, n)
-        sys.stdout.write(format_matrix(B))
+        M, _ = build_B(cfg.spec, t, n)
     elif args.what == "f":
-        _, f = build_B(cfg.spec, t, n)
-        sys.stdout.write(format_matrix(f[None, :]))
+        M = _forcing(cfg.spec, t, n)[None, :]
     else:
         weights = resolve_weights(cfg, args) or bounds.tune_weights(cfg.spec)
-        sys.stdout.write(format_matrix(build_transformed(cfg.spec, weights, t, n)))
+        M = build_transformed(cfg.spec, weights, t, n)
+    sys.stdout.writelines(format_matrix(M))
     return 0
 
 

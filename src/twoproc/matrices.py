@@ -1,14 +1,15 @@
 """Finite truncations of the queue's generator and its norm machinery.
 
-`_moves` is the one statement of the transition pattern.  `rate_parts`
-turns it into the constant matrices L, M1, M2 whose combination
-lam*L + mu1*M1 + mu2*M2 is the transposed intensity matrix A(t) of the
-forward Kolmogorov system dp/dt = A(t) p on the first n states.  Every move
-changes the state index by at most 2, so A(t) is pentadiagonal, and
-`_rate_bands` stores the same parts as their five diagonals, O(n) numbers
-where the dense parts take 3n^2; the solver applies the bands for large n
-(`solver.BAND_MIN_N`).  `build_A` forms the dense combination and
-`build_B` the reduced system dz/dt = B(t) z + f(t) obtained from it by
+`_moves` is the one statement of the transition pattern and `_rate_bands`
+its one reader: it scatters the moves into the constant parts L, M1, M2,
+whose combination lam*L + mu1*M1 + mu2*M2 is the transposed intensity
+matrix A(t) of the forward Kolmogorov system dp/dt = A(t) p on the first n
+states.  Every move changes the state index by at most 2, so A(t) is
+pentadiagonal and the parts are stored as their five diagonals, O(n)
+numbers.  `_layout` writes bands out as dense matrices: the solver's stack
+of the parts below `solver.BAND_MIN_N`, and `build_A`, which combines the
+rates on the bands and lays the result out once.  `build_B` is the reduced
+system dz/dt = B(t) z + f(t) obtained from A(t) on one more state by
 eliminating the empty state through the normalization p00 = 1 - sum(z).
 `build_transformed` assembles D T B(t) T^-1 D^-1 where T is the
 upper-triangular all-ones matrix (suffix sums) and D = diag(d) a positive
@@ -99,44 +100,56 @@ def _moves(n: int, conservative: bool) -> np.ndarray:
     return moves
 
 
-def rate_parts(n: int, conservative: bool) -> np.ndarray:
-    """Constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1.
+def _rate_bands(n: int, conservative: bool) -> np.ndarray:
+    """Constant parts (L, M1, M2) of A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1, as diagonals.
 
-    Each move out of a retained state puts -1 on its part's diagonal and +1
-    at (target, source).  A move past the last state keeps its outflow, so
-    probability leaks at the boundary, unless `conservative` drops the move.
+    bands[part, 2 + d, j] is the part's entry at (j + d, j): diagonal d = -2..2
+    indexed by column.  Each move out of a retained state puts -1 on its part's
+    diagonal and +1 at (target, source).  A move past the last state keeps its
+    outflow, so probability leaks at the boundary, unless `conservative` drops it.
     """
     part, source, target = _moves(n, conservative)
-    parts = np.zeros((3, n, n))
-    parts[part, source, source] = -1.0
-    inside = target < n
-    parts[part[inside], target[inside], source[inside]] = 1.0
-    return parts
-
-
-def _rate_bands(n: int) -> np.ndarray:
-    """The conservative `rate_parts(n, True)` as a (3, 5, n) stack of diagonals.
-
-    bands[part, 2 + d, j] is the entry of the part at (j + d, j), so row
-    2 + d holds diagonal d = -2..2 indexed by column: A(t) p gets
-    (rates @ bands)[2 + d, j] * p[j] added at state j + d.  Each column sums to 0.
-    """
-    part, source, target = _moves(n, conservative=True)
     bands = np.zeros((3, 5, n))
     bands[part, 2, source] = -1.0
-    bands[part, 2 + target - source, source] = 1.0
+    inside = target < n
+    bands[part[inside], 2 + target[inside] - source[inside], source[inside]] = 1.0
     return bands
 
 
+def _layout(bands: np.ndarray) -> np.ndarray:
+    """The (..., n, n) matrices whose five diagonals are the (..., 5, n) bands."""
+    n = bands.shape[-1]
+    out = np.zeros(bands.shape[:-2] + (n, n))
+    for d in range(-2, 3):
+        j = np.arange(max(0, -d), n - max(0, d))
+        out[..., j + d, j] = bands[..., 2 + d, j]
+    return out
+
+
+def _generator_bands(spec: ModelSpec, t: float, n: int, conservative: bool) -> np.ndarray:
+    """The (5, n) diagonals of A(t), each entry summed as lam*L + mu1*M1 + mu2*M2."""
+    lam, mu1, mu2 = spec.rates(t)
+    L, M1, M2 = _rate_bands(n, conservative)
+    return lam * L + mu1 * M1 + mu2 * M2
+
+
 def build_A(spec: ModelSpec, t: float, n: int, conservative: bool = False) -> np.ndarray:
-    """Truncated A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1 (see `rate_parts`).
+    """Truncated A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1 (see `_rate_bands`).
 
     With `conservative=True` the last state's arrival rate is dropped so every
     column sums to zero.
     """
-    lam, mu1, mu2 = spec.rates(t)
-    L, M1, M2 = rate_parts(n, conservative)
-    return lam * L + mu1 * M1 + mu2 * M2
+    return _layout(_generator_bands(spec, t, n, conservative))
+
+
+def _forcing(spec: ModelSpec, t: float, n: int) -> np.ndarray:
+    """f(t) = A[1:, 0] of `build_B`, read off column 0 of the bands of A on n + 1 states."""
+    if n > TRUNCATION_CAP - 1:
+        raise ValueError(f"B keeps at most {TRUNCATION_CAP - 1} states (A on n + 1), got {n}")
+    require_truncation(n)
+    f = np.zeros(n)
+    f[:2] = _generator_bands(spec, t, n + 1, conservative=False)[3:, 0]
+    return f
 
 
 def build_B(spec: ModelSpec, t: float, n: int):
@@ -145,14 +158,13 @@ def build_B(spec: ModelSpec, t: float, n: int):
     Reduced coordinates are z = (p10, p01, p11, p12, ...).  Substituting
     p00 = 1 - sum(z) into rows 1..n of A(t) on n+1 states gives
     B = A[1:, 1:] - A[1:, 0] 1^T and f = A[1:, 0]; row 0 is dense because
-    the empty state feeds p10 at rate lambda.  A on n+1 states caps n at
-    TRUNCATION_CAP - 1.
+    the empty state feeds p10 at rate lambda, its only move, so f is 0
+    below row 0.  B is a view of that A, which caps n at TRUNCATION_CAP - 1.
     """
-    if n > TRUNCATION_CAP - 1:
-        raise ValueError(f"B keeps at most {TRUNCATION_CAP - 1} states (A on n + 1), got {n}")
-    require_truncation(n)
-    A = build_A(spec, t, n + 1)
-    return A[1:, 1:] - A[1:, :1], A[1:, 0]
+    f = _forcing(spec, t, n)
+    B = build_A(spec, t, n + 1)[1:, 1:]
+    B[0] -= f[0]
+    return B, f
 
 
 def build_transformed(spec: ModelSpec, weights: WeightSequence, t: float, n: int) -> np.ndarray:
@@ -200,7 +212,7 @@ def weighted_norm(x, weights: WeightSequence) -> np.ndarray:
     return np.abs(suffix) @ weights.d(x.shape[1])
 
 
-def format_matrix(M: np.ndarray) -> str:
-    """Plain-text dense dump, row-major, 17 significant digits."""
-    rows = [" ".join(f"{v:.17g}" for v in row) for row in np.asarray(M, dtype=float)]
-    return "\n".join(rows) + "\n"
+def format_matrix(M: np.ndarray):
+    """Plain-text dense dump, one line per row as it is formatted, 17 significant digits."""
+    for row in np.asarray(M, dtype=float):
+        yield " ".join(f"{v:.17g}" for v in row.tolist()) + "\n"

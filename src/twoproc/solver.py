@@ -11,7 +11,8 @@ The rates are evaluated as arrays, in chunks of RATE_CHUNK steps, on the
 three stage grids t, t + h/2 and t + h, built with the same expressions as a
 scalar evaluation.  One RK4 step definition serves a vector and an (n, m)
 block of columns.  Its right-hand side A(t) X multiplies by the dense
-(3n x n) stack of the constant parts below BAND_MIN_N states; from
+(3n x n) stack of the constant parts (the layout of their bands, see
+`matrices`) below BAND_MIN_N states; from
 BAND_MIN_N on, A(t) is applied as a band: one (3,) x (3, 5n) product gives
 its five diagonals and five shifted multiply-adds apply them, O(n) work and
 memory where the dense stack takes O(n^2).  There are two paths:
@@ -52,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import cumulative_trapezoid, fixed_alphas
-from .matrices import TRUNCATION_CAP, WeightSequence, _rate_bands, rate_parts, require_truncation, weighted_norm
+from .matrices import TRUNCATION_CAP, WeightSequence, _layout, _rate_bands, require_truncation, weighted_norm
 from .model import ModelSpec, job_counts
 
 STEP_DEFECT_LIMIT = 1e-6
@@ -210,7 +211,8 @@ def _step_rates(spec: ModelSpec, h: float, n_steps: int):
 
 def _generator(n: int) -> np.ndarray:
     """The constant parts of A(t) as `_rhs` takes them: the (3, 5, n) band from BAND_MIN_N on, else (3n, n)."""
-    return _rate_bands(n) if n >= BAND_MIN_N else rate_parts(n, conservative=True).reshape(3 * n, n)
+    bands = _rate_bands(n, conservative=True)
+    return bands if n >= BAND_MIN_N else _layout(bands).reshape(3 * n, n)
 
 
 def _rhs(R: np.ndarray, rates: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -460,7 +462,6 @@ def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
 @dataclass(frozen=True)
 class DecayFit:
     beta_hat: float
-    prefactor_hat: float
     n_points: int
     window: tuple[float, float]
 
@@ -469,34 +470,22 @@ FIT_NORM_LO = 1e-8
 FIT_NORM_HI = 1e-2
 
 
-def decay_fit(traj1: Trajectory, traj2: Trajectory, weights: WeightSequence | None = None) -> DecayFit:
+def decay_fit(traj1: Trajectory, traj2: Trajectory) -> DecayFit:
     """Least-squares decay rate of log ||p1(t) - p2(t)||_1.
 
     Uses samples with the norm inside [1e-8, 1e-2] (above rounding noise,
-    below transient contamination).  The prefactor is the fitted intercept
-    relative to the initial gap, in the weighted norm when weights are given.
+    below transient contamination).
     """
     if traj1.times.shape != traj2.times.shape or not np.allclose(traj1.times, traj2.times, atol=1e-12):
         raise ValueError("decay_fit needs a common sample grid")
     gap = np.sum(np.abs(traj1.probs - traj2.probs), axis=1)
     mask = (gap >= FIT_NORM_LO) & (gap <= FIT_NORM_HI)
-    if np.count_nonzero(mask) < 10:
-        raise FitWindowError(
-            f"only {int(np.count_nonzero(mask))} samples inside the fit window [{FIT_NORM_LO:g}, {FIT_NORM_HI:g}]"
-        )
+    count = int(np.count_nonzero(mask))
+    if count < 10:
+        raise FitWindowError(f"only {count} samples inside the fit window [{FIT_NORM_LO:g}, {FIT_NORM_HI:g}]")
     ts = traj1.times[mask]
-    slope, intercept = np.polyfit(ts, np.log(gap[mask]), 1)
-    if weights is not None:
-        x0 = (traj1.probs[0] - traj2.probs[0])[1:]
-        ref = weighted_norm(x0[None, :], weights)[0]
-    else:
-        ref = float(np.sum(np.abs(traj1.probs[0] - traj2.probs[0])))
-    return DecayFit(
-        beta_hat=-float(slope),
-        prefactor_hat=float(np.exp(intercept) / ref),
-        n_points=int(np.count_nonzero(mask)),
-        window=(float(ts[0]), float(ts[-1])),
-    )
+    slope = np.polyfit(ts, np.log(gap[mask]), 1)[0]
+    return DecayFit(beta_hat=-float(slope), n_points=count, window=(float(ts[0]), float(ts[-1])))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Independent oracles and randomized model generators shared by the tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
 
-from twoproc.matrices import WeightSequence, build_B, rate_parts
+from twoproc.matrices import WeightSequence, build_B
 from twoproc.mcsim import SimSettings, _candidate_budget, _run_block, compute_rate_bound
 from twoproc.model import ModelSpec, RateFunction
 
@@ -232,6 +233,38 @@ def stationary_vector(A: np.ndarray) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(M, b)
+
+
+def rate_parts(n: int, conservative: bool) -> np.ndarray:
+    """Dense constant matrices (L, M1, M2) with A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1.
+
+    Oracle for `matrices._rate_bands`, with the moves restated from the
+    state diagram: arrivals move 0->1, 1->3, 2->3 and k->k+1 for k >= 3; the
+    main server returns 1->0 and 3->2, the backup 2->0 and 3->1; above state
+    3 either completion moves k->k-1.  Each move puts -1 on its part's
+    diagonal and +1 at (target, source); the arrival out of the last state
+    only leaks its outflow, or is dropped when conservative.
+    """
+    moves = [(0, 0, 1), (0, 1, 3), (0, 2, 3), (1, 1, 0), (1, 3, 2), (2, 2, 0), (2, 3, 1)]
+    moves += [(0, k, k + 1) for k in range(3, n)]
+    moves += [(part, k, k - 1) for part in (1, 2) for k in range(4, n)]
+    parts = np.zeros((3, n, n))
+    for part, source, target in moves:
+        if target == n and conservative:
+            continue
+        parts[part, source, source] = -1.0
+        if target < n:
+            parts[part, target, source] = 1.0
+    return parts
+
+
+def traced_peak(build):
+    """build() and the peak bytes tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modulo_period: bool = False):

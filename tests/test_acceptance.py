@@ -75,11 +75,11 @@ def pipelines(examples):
     out = {}
     for name, ex in examples.items():
         regime = limiting_regime(ex["spec"], ex["settings"])
-        fit_p = decay_fit(regime.from_empty, regime.from_far, ex["weights"])
+        fit_p = decay_fit(regime.from_empty, regime.from_far)
         avg_spec = ex["spec"].averaged()
         avg_empty = integrate(avg_spec, ex["settings"], empty_start(ex["settings"].n))
         avg_far = integrate(avg_spec, ex["settings"], far_start(ex["settings"].n))
-        fit_a = decay_fit(avg_empty, avg_far, ex["weights"])
+        fit_a = decay_fit(avg_empty, avg_far)
         check = contraction_check(
             regime.from_empty, regime.from_far, ex["spec"], ex["weights"], ex["beta0"]
         )

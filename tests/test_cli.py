@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_trajectory_csv
+from helpers import reference_trajectory_csv, traced_peak
 import twoproc
 from twoproc import bounds, cli, mcsim, solver
 from twoproc.cli import ConfigError, _csv_order, load_model_file, main, write_trajectory_csv
@@ -310,6 +310,31 @@ class TestSolveCommand:
         assert rc == 1
         assert "merge" in capsys.readouterr().out
 
+    REPORT_KEYS = ["model", "truncation n", "t_mix (l1 gap < 1e-05)", "fitted decay rate",
+                   "defect per unit time (empty start)", "defect per unit time (far start)", "limit-cycle mean range"]
+
+    def test_proven_rate_keeps_its_lines_on_example1(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in report] == self.REPORT_KEYS + [
+            "certified beta*_0", "certified-route ratio max (should stay near/below 1)"]
+        assert report[-2].startswith("certified beta*_0: 0.99  measured prefactor N: ")
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["beta_star"] == cert["beta_star_periodic"] >= 0.3
+
+    def test_unproven_rate_is_labelled_on_example3(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", "--model", str(CONFIG_DIR / "example3.json"), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in report] == self.REPORT_KEYS + [
+            "beta*_0 (averaged; no bound proven for these weights)",
+            "certified-route ratio max (should stay near/below 1)"]
+        assert report[-2].startswith("beta*_0 (averaged; no bound proven for these weights): 0.238337  measured")
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["beta_star_periodic"] is None and cert["prefactor_analytic"] is None
+        assert cert["beta_star"] is None
+        assert cert["beta_star_avg"] == pytest.approx(0.238337, abs=1e-6)
 
     def test_report_shows_the_step_used(self, tmp_path):
         model = write_json(tmp_path / "stiff.json", {
@@ -472,6 +497,14 @@ class TestDumpCommand:
 
         cfg = load_model_file(CONFIG_DIR / "example1.json")
         assert np.array_equal(M, build_A(cfg.spec, 0.0, 6))
+
+    def test_forcing_dump_lays_no_matrix_out(self, capsys):
+        args = ["dump", "--model", str(CONFIG_DIR / "example3.json"), "--what", "f", "--n", "4095", "--t", "0.37"]
+        rc, peak = traced_peak(lambda: main(args))
+        assert rc == 0
+        row = [float(v) for v in capsys.readouterr().out.split()]
+        assert len(row) == 4095 and row[0] > 0.0 and not any(row[1:])
+        assert peak <= 5e6  # one 4095 x 4095 array would take 134 MB
 
     def test_forcing_vector_dump(self, capsys):
         rc = main(["dump", "--model", str(CONFIG_DIR / "example2.json"), "--what", "f",

@@ -10,6 +10,8 @@ from helpers import (
     log_norm_l1,
     random_general_spec,
     random_weights,
+    rate_parts,
+    traced_peak,
     transform_product,
     upper_ones,
     upper_ones_inv,
@@ -18,12 +20,13 @@ from twoproc.bounds import fixed_alphas
 from twoproc.matrices import (
     TRUNCATION_CAP,
     WeightSequence,
+    _forcing,
+    _layout,
     _rate_bands,
     build_A,
     build_B,
     build_transformed,
     format_matrix,
-    rate_parts,
     weighted_norm,
 )
 
@@ -66,8 +69,6 @@ class TestGeneratorMatrix:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(admissible_models(), st.floats(0.0, 2.0), st.integers(5, 40))
     def test_column_sums(self, spec, t, n):
-        for part in rate_parts(n, conservative=True):
-            assert np.all(part.sum(axis=0) == 0.0)
         A = build_A(spec, t, n)
         sums = A.sum(axis=0)
         lam, mu1, mu2 = spec.rates(t)
@@ -77,6 +78,10 @@ class TestGeneratorMatrix:
         off = A - np.diag(np.diag(A))
         assert np.min(off) >= 0.0
         assert np.max(np.diag(A)) <= 0.0
+
+    def test_peak_memory_is_the_output(self, ex3_spec):
+        A, peak = traced_peak(lambda: build_A(ex3_spec, 0.3, 1024))
+        assert peak <= 1.5 * A.nbytes  # forming the three parts densely peaked at 42 MB for 8.4 MB
 
     def test_conservative_variant_conserves_everywhere(self, ex2_spec):
         A = build_A(ex2_spec, 0.3, 9, conservative=True)
@@ -98,10 +103,11 @@ class TestGeneratorMatrix:
 
 
 class TestRateBands:
+    @pytest.mark.parametrize("conservative", [True, False])
     @pytest.mark.parametrize("n", [5, 6, 16, 127, 128, 300])
-    def test_bands_are_the_diagonals_of_the_conservative_parts(self, n):
-        parts = rate_parts(n, conservative=True)
-        bands = _rate_bands(n)
+    def test_bands_are_the_diagonals_of_the_parts(self, n, conservative):
+        parts = rate_parts(n, conservative)
+        bands = _rate_bands(n, conservative)
         assert bands.shape == (3, 5, n)
         for d in range(-2, 3):
             # bands[:, 2 + d, j] is the entry at (j + d, j); columns j + d outside 0..n-1 hold 0
@@ -110,10 +116,25 @@ class TestRateBands:
             assert not bands[:, 2 + d, :max(0, -d)].any() and not bands[:, 2 + d, n - max(0, d):].any()
         # and the parts have no entry off the five diagonals
         assert np.count_nonzero(bands) == np.count_nonzero(parts)
+        assert np.array_equal(_layout(bands), parts)
 
     @pytest.mark.parametrize("n", [5, 16, 300, TRUNCATION_CAP])
     def test_band_columns_sum_to_zero(self, n):
-        assert np.all(_rate_bands(n).sum(axis=1) == 0.0)
+        assert np.all(_rate_bands(n, True).sum(axis=1) == 0.0)
+        # the plain truncation keeps only the outflow of the arrival past the last state
+        sums = _rate_bands(n, False).sum(axis=1)
+        assert sums[0, -1] == -1.0
+        sums[0, -1] = 0.0
+        assert np.all(sums == 0.0)
+
+    def test_layout_places_each_diagonal(self):
+        bands = np.arange(1.0, 2 * 5 * 6 + 1).reshape(2, 5, 6)
+        M = _layout(bands)
+        assert M.shape == (2, 6, 6)
+        for d in range(-2, 3):
+            j = np.arange(max(0, -d), 6 - max(0, d))
+            assert np.array_equal(M[:, j + d, j], bands[:, 2 + d, j])
+        assert np.count_nonzero(M) == 2 * (6 + 2 * 5 + 2 * 4)
 
 
 class TestReducedMatrix:
@@ -134,6 +155,20 @@ class TestReducedMatrix:
     def test_forcing_vector(self, ex2_spec):
         _, f = build_B(ex2_spec, 0.25, 8)
         assert f[0] == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 12, 130])
+    def test_elimination_of_the_empty_state(self, ex3_spec, n):
+        for t in (0.0, 0.37):
+            A = build_A(ex3_spec, t, n + 1)
+            B, f = build_B(ex3_spec, t, n)
+            assert np.array_equal(B, A[1:, 1:] - A[1:, :1])
+            assert np.array_equal(f, A[1:, 0])
+            assert np.array_equal(_forcing(ex3_spec, t, n), f)
+
+    def test_peak_memory_is_the_output(self, ex3_spec):
+        (B, f), peak = traced_peak(lambda: build_B(ex3_spec, 0.3, 1024))
+        assert B.shape == (1024, 1024) and f.shape == (1024,)
+        assert peak <= 1.5 * B.nbytes  # the dense parts and full-size temporaries peaked at 42 MB for 8.4 MB
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(admissible_models(), st.floats(0.0, 2.0), st.integers(5, 13), st.integers(0, 2**32 - 1))
@@ -246,6 +281,8 @@ class TestLogNorm:
 def test_format_matrix_roundtrips_exactly():
     rng = np.random.default_rng(9)
     M = rng.normal(size=(5, 5)) * 10.0 ** rng.integers(-8, 8, size=(5, 5))
-    text = format_matrix(M)
+    lines = list(format_matrix(M))
+    assert len(lines) == 5 and all(line.endswith("\n") for line in lines)
+    text = "".join(lines)
     back = np.array([[float(v) for v in line.split()] for line in text.strip().splitlines()])
     assert np.array_equal(back, M)
