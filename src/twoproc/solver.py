@@ -10,12 +10,13 @@ threshold signals a step size that is genuinely too coarse.
 The rates are evaluated as arrays, in chunks of RATE_CHUNK steps, on the
 three stage grids t, t + h/2 and t + h, built with the same expressions as a
 scalar evaluation.  One RK4 step definition serves a vector and an (n, m)
-block of columns.  Its right-hand side A(t) X multiplies by the dense
-(3n x n) stack of the constant parts (the layout of their bands, see
-`matrices`) below BAND_MIN_N states; from
-BAND_MIN_N on, A(t) is applied as a band: one (3,) x (3, 5n) product gives
-its five diagonals and five shifted multiply-adds apply them, O(n) work and
-memory where the dense stack takes O(n^2).  There are two paths:
+block of columns.  Below BAND_MIN_N states its right-hand side A(t) X
+multiplies by the dense (3n x n) stack of the constant parts (the layout of
+their bands, see `matrices`).  From BAND_MIN_N on, A(t) is applied as a band:
+one (3, 3) x (3, 5n) product per step gives its five diagonals at the
+step's three stage times, and each stage is one product with the diagonals
+and one sum, O(n) work and memory where the dense stack takes O(n^2).
+There are two paths:
 
 * Period propagators.  The rates have period 1, so when 1/h is an integer the
   step maps repeat every period.  RK4 on the n x n identity over [0, 1],
@@ -25,7 +26,8 @@ memory where the dense stack takes O(n^2).  There are two paths:
   evaluated once, for the first period, so a stage time on a table
   breakpoint falls on the same side in every period.
   `defect_per_unit_time` sums the mass change per sample interval and
-  `min_entry_pre` is the minimum over the unprojected samples.
+  `min_entry_pre` is the minimum over the unprojected samples.  With n
+  given, `limiting_regime` builds the propagators once for both starts.
 * One step at a time, projecting after every step, with the chunked stage
   rates bit-identical to calling the rates at every stage;
   `defect_per_unit_time` sums the per-step mass change.  This path runs
@@ -48,6 +50,7 @@ STEP_HALVINGS times, so a halved solve is the solve started at the final step.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,16 +65,27 @@ RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 Ki
 STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
 # `integrate` reuses one period's propagators when the horizon holds at least
 # MIN_PERIODS + n**2 / BUILD_PERIODS_N2 periods and their stack fits PROPAGATOR_BUDGET.
-# Break-even (build time / time saved per period, 1 BLAS thread, 50 and 250 steps
-# a period): 0.7 periods at n = 16, 1.1-1.2 at 32, 3.7-4.4 at 64, 21-25 at 128.
-MIN_PERIODS = 3  # covers n = 16-32 more than twice over
-BUILD_PERIODS_N2 = 512  # n**2 / 512 + 3 is 11 periods at n = 64 and 35 at n = 128
-PROPAGATOR_BUDGET = 4 << 20  # bytes; 50 propagators at n = 128 would add 6.5 MB to a ~50 MB process
+# Break-even in periods (build time / time saved per period) on the rho = 0.95 model
+# lambda = 3.8 (1 + sin 2 pi t), mu1 = mu2 = 2, with the sample stride of a horizon of 40
+# (1, 1, 2, 5) and the stack in MiB in brackets; 1 BLAS thread, best of 5:
+#   n     h = 0.02      0.01          0.004         1e-3
+#   16    0.9 (0.1)     0.9 (0.2)     0.8 (0.2)     0.7 (0.4)
+#   32    1.4 (0.4)     1.4 (0.8)     1.4 (1.0)     1.3 (1.6)
+#   64    4.3 (1.6)     4.4 (3.1)     4.1 (3.9)     4.0 (6.3)
+#   96    8.0 (3.5)     13 (7.0)      8.5 (8.8)     6.8 (14)
+#   128   16 (6.3)      29 (12.5)     17 (15.6)     12 (25)
+#   192   38 (14)       67 (28)       29 (35)       32 (56)
+#   256   never (25)    never (50)    151 (63)      82 (100)
+# At stride 1 from n = 256 the period products stream the stack from memory and cost as much
+# as the steps they replace; the byte budget also bounds the memory the stack adds.
+MIN_PERIODS = 3  # 3 + n**2 / 1024: 3.3 periods at n = 16, 7 at 64, 12 at 96, 19 at 128
+BUILD_PERIODS_N2 = 1024
+PROPAGATOR_BUDGET = 8 << 20  # bytes: 50 propagators at n = 128 (6.25 MiB), not 125 (15.6 MiB)
 # `integrate` applies A(t) as a band from BAND_MIN_N states on, and the dense stack below.
-# Microseconds per right-hand side, dense / banded (1 BLAS thread, medians): on a vector
-# 6.5 / 11.6 at n = 64, 8.7 / 12.0 at 96, 10.5 / 8.3 at 128, 36.6 / 8.9 at 256; on an
-# (n, 64) block 42.7 / 41.6 at 64, 79.4 / 48.4 at 96, 135.7 / 45.0 at 128.
-BAND_MIN_N = 128
+# Microseconds per RK4 step, dense / banded (1 BLAS thread, medians of 5 interleaved runs):
+# on a vector 49.6 / 47.9 at n = 64, 65.6 / 54.3 at 96, 70.1 / 43.0 at 128, 230.9 / 60.1
+# at 256; on an (n, 64) block 246 / 575 at 64, 593 / 551 at 96, 868 / 674 at 128.
+BAND_MIN_N = 128  # the doubling search visits 64 and 128, not 96
 MAX_STEPS = 10**8  # RK4 steps a solve may plan; the largest bundled solve takes 2.4e5
 
 
@@ -202,41 +216,56 @@ def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
 
 
 def _step_rates(spec: ModelSpec, h: float, n_steps: int):
-    """(start, half-step, end) rate rows of steps 0..n_steps-1, RATE_CHUNK steps per evaluation."""
+    """(3, 3) stage rates of steps 0..n_steps-1, RATE_CHUNK steps per evaluation.
+
+    Each row is (lambda, mu1, mu2); the rows are the step's start, half step and end.
+    """
     for lo in range(0, n_steps, RATE_CHUNK):
         chunk = _stage_rates(spec, h, lo, min(lo + RATE_CHUNK, n_steps))
-        span = len(chunk) // 3
-        yield from zip(chunk[:span], chunk[span:2 * span], chunk[2 * span:])
+        yield from np.ascontiguousarray(chunk.reshape(3, -1, 3).swapaxes(0, 1))
 
 
 def _generator(n: int) -> np.ndarray:
-    """The constant parts of A(t) as `_rhs` takes them: the (3, 5, n) band from BAND_MIN_N on, else (3n, n)."""
+    """The constant parts of A(t) as `_rk4_step` takes them: the (3, 5, n) band from BAND_MIN_N on, else (3n, n)."""
     bands = _rate_bands(n, conservative=True)
     return bands if n >= BAND_MIN_N else _layout(bands).reshape(3 * n, n)
 
 
-def _rhs(R: np.ndarray, rates: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A(t) X for the stage rates (lambda, mu1, mu2), with R from `_generator`."""
+def _band_stages(R: np.ndarray, stage: np.ndarray, shape: tuple):
+    """rhs(i, Y) = A(t_i) Y at the stage times of `stage`, for the band R and Y of the given shape.
+
+    One (3, 3) x (3, 5n) product gives the five diagonals of A at all three
+    stage times.  bands[2 + d, j] * Y[j] belongs in row j + d: it is written
+    at [d + 2, j] of a zero-padded (5, n + 5) buffer, which read as rows of
+    n + 4 puts it at column j + d + 2, so one sum over the rows gives A Y.
+    A trailing axis of Y spans a block's columns.
+    """
+    n, tail = shape[0], shape[1:]
+    bands = (stage @ R.reshape(3, -1)).reshape((3, 5, n) + (1,) * len(tail))
+    buf = np.zeros((5, n + 5) + tail)
+    skewed = buf.reshape(-1)[:5 * (n + 4) * math.prod(tail)].reshape((5, n + 4) + tail)[:, 2:n + 2]
+
+    def rhs(i: int, Y: np.ndarray) -> np.ndarray:
+        np.multiply(bands[i], Y, out=buf[:, :n])
+        return skewed.sum(axis=0)
+
+    return rhs
+
+
+def _rk4_step(R: np.ndarray, stage: np.ndarray, h: float, X: np.ndarray) -> np.ndarray:
+    """One RK4 step of a vector or of an (n, m) block of columns, with R from `_generator`.
+
+    stage holds the rates at the step's start, half step and end; k2 and k3 share the half step.
+    """
     if R.ndim == 2:
-        return (rates @ (R @ X).reshape(3, -1)).reshape(X.shape)
-    # bands[2 + d, j] * X[j] goes to row j + d; a trailing axis spans a block's columns
-    bands = (rates @ R.reshape(3, -1)).reshape((5, -1) + (1,) * (X.ndim - 1))
-    Y = bands * X
-    out = Y[2]
-    out[:-2] += Y[0, 2:]
-    out[:-1] += Y[1, 1:]
-    out[1:] += Y[3, :-1]
-    out[2:] += Y[4, :-2]
-    return out
-
-
-def _rk4_step(R: np.ndarray, stage: tuple, h: float, X: np.ndarray) -> np.ndarray:
-    """One RK4 step of a vector or of an (n, m) block of columns."""
-    rates, half_rates, end_rates = stage
-    k1 = _rhs(R, rates, X)
-    k2 = _rhs(R, half_rates, X + (h / 2) * k1)
-    k3 = _rhs(R, half_rates, X + (h / 2) * k2)
-    k4 = _rhs(R, end_rates, X + h * k3)
+        def rhs(i, Y):
+            return (stage[i] @ (R @ Y).reshape(3, -1)).reshape(Y.shape)
+    else:
+        rhs = _band_stages(R, stage, X.shape)
+    k1 = rhs(0, X)
+    k2 = rhs(1, X + (h / 2) * k1)
+    k3 = rhs(1, X + (h / 2) * k2)
+    k4 = rhs(2, X + h * k3)
     return X + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -290,10 +319,19 @@ def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, per_unit: in
     return Q
 
 
+# While `_both_starts` integrates both starts at a given n: the propagator builds they share,
+# by (n, step, stride).  Scoped to that call, so nothing outlives the solve.
+_SHARED_BUILDS: ContextVar[dict | None] = ContextVar("_SHARED_BUILDS", default=None)
+
+
 def _by_periods(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: int, p: np.ndarray):
     """As `_by_steps`, with each period one product of the interval propagators and its start."""
     n = len(p)
-    Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
+    builds = _SHARED_BUILDS.get()
+    builds = {} if builds is None else builds
+    if (n, h, stride) not in builds:
+        builds[n, h, stride] = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
+    Q = builds[n, h, stride]
     n_samples = n_steps // stride
     probs = np.empty((n_samples + 1, n))
     probs[0] = p
@@ -405,12 +443,18 @@ def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
 
 
 def _both_starts(spec: ModelSpec, settings: SolveSettings) -> tuple[Trajectory, Trajectory]:
-    """Empty- and far-start trajectories; the search picks n when it is None."""
+    """Empty- and far-start trajectories; the search picks n when it is None.
+
+    At a given n both integrations apply one build of the period propagators.
+    """
     if settings.n is None:
         traj0 = _truncation_search(spec, settings)
-    else:
-        traj0 = integrate(spec, settings, empty_start(settings.n))
-    return traj0, integrate(spec, replace(settings, n=traj0.n), far_start(traj0.n))
+        return traj0, integrate(spec, replace(settings, n=traj0.n), far_start(traj0.n))
+    token = _SHARED_BUILDS.set({})
+    try:
+        return integrate(spec, settings, empty_start(settings.n)), integrate(spec, settings, far_start(settings.n))
+    finally:
+        _SHARED_BUILDS.reset(token)
 
 
 @dataclass(frozen=True)

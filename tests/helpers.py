@@ -410,3 +410,29 @@ def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np
     times = np.asarray(settings.sample_times, dtype=float)
     budget = _candidate_budget(bound, float(times.max()))
     return _run_block(spec, bound, times, settings.seed, np.array([path_index]), budget)[0]
+
+
+def band_rhs(bands: np.ndarray, rates: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A(t) X from the (3, 5, n) bands of `matrices._rate_bands` and one rate row (lambda, mu1, mu2).
+
+    Oracle for the fused band step of `solver._rk4_step`: one (3,) x (3, 5n)
+    product gives the five diagonals of A(t) and five shifted multiply-adds
+    apply them; a trailing axis of X spans a block's columns.
+    """
+    diagonals = (rates @ bands.reshape(3, -1)).reshape((5, -1) + (1,) * (X.ndim - 1))
+    Y = diagonals * X
+    out = Y[2].copy()
+    out[:-2] += Y[0, 2:]
+    out[:-1] += Y[1, 1:]
+    out[1:] += Y[3, :-1]
+    out[2:] += Y[4, :-2]
+    return out
+
+
+def reference_band_step(bands: np.ndarray, stage: np.ndarray, h: float, X: np.ndarray) -> np.ndarray:
+    """One RK4 step with a `band_rhs` product per stage, the half-step rates used twice."""
+    k1 = band_rhs(bands, stage[0], X)
+    k2 = band_rhs(bands, stage[1], X + (h / 2) * k1)
+    k3 = band_rhs(bands, stage[1], X + (h / 2) * k2)
+    k4 = band_rhs(bands, stage[2], X + h * k3)
+    return X + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import expm_series, rate_parts, reference_rk4, stationary_vector
+from helpers import expm_series, rate_parts, reference_band_step, reference_rk4, stationary_vector
 from twoproc.matrices import TRUNCATION_CAP, _rate_bands, build_A
 from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
@@ -66,16 +66,29 @@ def record_paths(monkeypatch):
 
 
 def record_generators(monkeypatch):
-    """Set of the shapes of the constant parts `solver._rhs` is called with."""
+    """Set of the shapes of the constant parts `solver._rk4_step` is called with."""
     shapes = set()
-    run = solver._rhs
+    run = solver._rk4_step
 
-    def recording(R, rates, X):
+    def recording(R, stage, h, X):
         shapes.add(R.shape)
-        return run(R, rates, X)
+        return run(R, stage, h, X)
 
-    monkeypatch.setattr(solver, "_rhs", recording)
+    monkeypatch.setattr(solver, "_rk4_step", recording)
     return shapes
+
+
+def record_builds(monkeypatch):
+    """List of (n, step) per `solver._interval_propagators` call."""
+    builds = []
+    run = solver._interval_propagators
+
+    def recording(spec, R, h, per_unit, stride):
+        builds.append((R.shape[-1], h))
+        return run(spec, R, h, per_unit, stride)
+
+    monkeypatch.setattr(solver, "_interval_propagators", recording)
+    return builds
 
 
 def vector_path(spec, n, step, horizon, p0):
@@ -311,8 +324,10 @@ class TestPeriodPropagators:
         (16, 0.003, 6.0, "steps"),  # 1/step is not an integer
         (16, 1e-3, MIN_PERIODS, "steps"),  # too few periods to pay for the build
         (16, 1e-3, MIN_PERIODS + 1, "periods"),
-        (128, 0.02, 40.0, "steps"),  # 50 propagators at n = 128 exceed the budget
         (64, 0.02, 40.0, "periods"),
+        (128, 0.02, 40.0, "periods"),  # 50 propagators of 128 x 128 fit the budget
+        (128, 0.004, 40.0, "steps"),  # 125 propagators of 128 x 128 exceed it
+        (256, 0.02, 40.0, "steps"),  # 40 periods do not pay for the build at n = 256
     ])
     def test_path_selection(self, ex1_spec, monkeypatch, n, step, horizon, path):
         taken = record_paths(monkeypatch)
@@ -357,16 +372,31 @@ class TestBandedGenerator:
     @pytest.mark.parametrize("shape", [(), (7,), (64,)], ids=["vector", "block7", "block64"])
     def test_band_product_matches_dense(self, n, shape):
         rng = np.random.default_rng(n)
-        L, M1, M2 = rate_parts(n, conservative=True)
+        parts = rate_parts(n, conservative=True)
         bands = _rate_bands(n, True)
         for _ in range(5):
-            rates = rng.uniform(0.0, 10.0, 3)
+            stage = rng.uniform(0.0, 10.0, (3, 3))
             X = rng.standard_normal((n,) + shape)
-            A = rates[0] * L + rates[1] * M1 + rates[2] * M2
-            dense = A @ X
-            banded = solver._rhs(bands, rates, X)
-            assert banded.shape == X.shape
-            assert np.max(np.abs(banded - dense)) <= 1e-15 * np.max(np.abs(dense))
+            rhs = solver._band_stages(bands, stage, X.shape)
+            for i in range(3):
+                dense = np.tensordot(stage[i], parts, 1) @ X
+                banded = rhs(i, X)
+                assert banded.shape == X.shape
+                assert np.max(np.abs(banded - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [BAND_MIN_N, 300, TRUNCATION_CAP])
+    @pytest.mark.parametrize("shape", [(), (7,), (64,)], ids=["vector", "block7", "block64"])
+    def test_fused_step_matches_four_band_products(self, n, shape):
+        rng = np.random.default_rng(n)
+        bands = _rate_bands(n, True)
+        h = 0.02
+        for _ in range(3):
+            stage = rng.uniform(0.0, 10.0, (3, 3))
+            X = rng.standard_normal((n,) + shape)
+            want = reference_band_step(bands, stage, h, X)
+            got = solver._rk4_step(bands, stage, h, X)
+            assert got.shape == X.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize("start", [empty_start, far_start])
@@ -391,6 +421,18 @@ class TestBandedGenerator:
         states, _ = reference_rk4(self.HEAVY, n, step, horizon, far_start(n))
         idx = np.round(traj.times / step).astype(int)
         assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
+
+    @pytest.mark.parametrize("start", [empty_start, far_start])
+    def test_period_propagators_at_stride_one(self, monkeypatch, start):
+        # truncate-heavy's n = 128 level: 2,000 steps, a sample after every one
+        n, step, horizon = 128, 0.02, 40.0
+        assert solver.sample_grid(horizon, step)[1] == 1
+        taken = record_paths(monkeypatch)
+        traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), start(n))
+        assert taken == ["periods"]
+        states, _ = reference_rk4(self.HEAVY, n, step, horizon, start(n))
+        assert traj.probs.shape == states.shape
+        assert np.max(np.abs(traj.probs - states)) <= 1e-12
 
     def test_search_accepts_128(self, monkeypatch):
         shapes = record_generators(monkeypatch)
@@ -482,6 +524,26 @@ class TestLimitingRegime:
         calls.clear()
         choose_truncation(ex1_spec, st)
         assert calls == [(16, 0.004, 0), (32, 0.004, 0)]
+
+    def test_fixed_n_builds_the_propagators_once(self, ex1_spec, monkeypatch):
+        st = SolveSettings(n=16, step=0.004, horizon=50.0)
+        builds = record_builds(monkeypatch)
+        reg = limiting_regime(ex1_spec, st)
+        assert builds == [(16, 0.004)]
+        for traj, start in ((reg.from_empty, empty_start), (reg.from_far, far_start)):
+            alone = integrate(ex1_spec, st, start(16))
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.probs, alone.probs)
+            assert traj.defect_per_unit_time == alone.defect_per_unit_time
+            assert traj.min_entry_pre == alone.min_entry_pre
+        assert builds == [(16, 0.004)] * 3
+
+    def test_step_halving_builds_again(self, monkeypatch):
+        spec = ModelSpec(RateFunction.fixed(100.0), RateFunction.fixed(50.0), RateFunction.fixed(50.0))
+        builds = record_builds(monkeypatch)
+        reg = limiting_regime(spec, SolveSettings(n=16, step=0.02, horizon=5.0))
+        assert reg.from_empty.step == 0.005
+        assert builds == [(16, 0.02), (16, 0.01), (16, 0.005)]
 
     def test_far_initial_state_rule(self):
         assert far_initial_state(16) == 15
