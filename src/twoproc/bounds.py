@@ -14,10 +14,10 @@ Two routes produce a rate:
   sqrt(lambda*mu), alpha_k = (sqrt(lambda)-sqrt(mu))^2 for k >= 5; the
   infimum over t is an unconditional decay rate.
 
-* averaged route: with a fixed weight sequence every alpha_i(t) is linear in
-  the instantaneous rates, so its period average equals alpha_i evaluated at
-  the mean rates.  beta*_0 = min_i alpha_i(means) then bounds the per-period
-  contraction, with a prefactor absorbing the within-period deficit.
+* averaged route: with a fixed weight sequence every alpha_i(t) is linear and
+  homogeneous in the rates, so its integral over [0, t] is alpha_i at the rate
+  integrals.  beta*_0 = min_i alpha_i(means) bounds the per-period contraction,
+  with a prefactor absorbing the within-period deficit.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import WeightSequence, weight_columns
-from .model import ModelSpec
+from .model import DIP_ULPS, ModelSpec
 
-_PERIOD_PANELS = 2048  # Simpson panels for per-period integrals
+_PERIOD_PANELS = 2048  # the certificate samples the period at _PERIOD_PANELS + 1 equally spaced times
 
 
 class NotCertifiedError(ValueError):
@@ -76,18 +76,17 @@ def alphas_averaged(spec: ModelSpec, weights: WeightSequence) -> np.ndarray:
     return fixed_alphas(*spec.mean_rates()[:3], weights.d(6))
 
 
-def cumulative_trapezoid(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Trapezoid integrals of ys from ts[0] to each ts[i]."""
-    return np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) / 2.0 * np.diff(ts))])
-
-
-def _simpson(values: np.ndarray) -> float:
-    """Composite Simpson integral over [0, 1] of values sampled at an even number of equal panels."""
-    n = len(values) - 1
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.sum(w * values) / (3.0 * n))
+def _period_alphas(spec: ModelSpec, weights: WeightSequence, binding: int):
+    """The certificate's samples (the period grid, then every table breakpoint), the rates and
+    fixed-weight alphas there, and the first sample where another alpha is below alpha_b by more
+    than DIP_ULPS ulps of 2 (lambda + mu) + |alpha|, a bound on any alpha's terms, or None."""
+    breaks = [b for rate in (spec.lam, spec.mu1, spec.mu2) for b, _ in rate.table or ()]
+    ts = np.concatenate([np.linspace(0.0, 1.0, _PERIOD_PANELS + 1), breaks])
+    rates = spec.rates(ts)
+    alphas = fixed_alphas(*rates, weights.d(6))
+    scale = 2.0 * np.max(sum(rates)) + np.max(np.abs(alphas))
+    under = np.flatnonzero(alphas[binding] - np.min(alphas, axis=0) > DIP_ULPS * np.finfo(float).eps * scale)
+    return ts, rates, alphas, int(under[0]) if len(under) else None
 
 
 def _route_beta(spec: ModelSpec, weights: WeightSequence, rates, fixed: np.ndarray) -> tuple[str, np.ndarray]:
@@ -156,8 +155,9 @@ class ConvergenceCertificate:
     A function of the model and the weights alone.  The chain constant C
     closes ||p' - p''||_1 <= C * ||z' - z''||_1D exactly (see `chain_constant`),
     and the deficit prefactor P, when set, makes C * P * exp(-beta*_0 t) a
-    proven bound.  `beta_star_periodic` is the unconditional rate inf_t beta*(t)
-    on the certificate's route (see `_route_beta`) when it is positive.
+    proven bound; it is set when the binding alpha is the smallest at every
+    sample of the period.  `beta_star_periodic` is the unconditional rate inf_t
+    beta*(t) on the certificate's route (see `_route_beta`) on the period grid.
     """
 
     regime: str  # "periodic" | "constant-rate"
@@ -165,8 +165,6 @@ class ConvergenceCertificate:
     beta_star_avg: float
     binding_alpha: int
     beta_star_periodic: float | None
-    beta_integral: float
-    beta_integral_fixed: float
     norm_chain_constant: float
     prefactor_analytic: float | None = None
 
@@ -194,26 +192,19 @@ def make_certificate(spec: ModelSpec, weights: WeightSequence | None = None) -> 
     beta0 = float(alphas[binding])
     if beta0 <= 0.0:
         raise NotCertifiedError(f"ergodicity not certified: averaged decay rate {beta0:g} <= 0 for these weights")
-    ts = np.linspace(0.0, 1.0, _PERIOD_PANELS + 1)
-    rates = spec.rates(ts)
-    fixed = np.min(fixed_alphas(*rates, weights.d(6)), axis=0)
-    _, route = _route_beta(spec, weights, rates, fixed)
-    fixed_integral = _simpson(fixed)
-    # With fixed weights, a period integral of beta*(t) that reaches beta*_0
-    # bounds the within-period deficit, and its exponential is a rigorous
-    # prefactor; it falls short when different alphas bind at different times.
+    ts, rates, table, undercut = _period_alphas(spec, weights, binding)
+    g = _PERIOD_PANELS + 1  # the route's infimum reads the period grid alone
+    inf = float(np.min(_route_beta(spec, weights, [r[:g] for r in rates], np.min(table[:, :g], axis=0))[1]))
     prefactor = None
-    if fixed_integral >= beta0 - 1e-9:
-        prefactor = float(np.exp(np.max(beta0 * ts - cumulative_trapezoid(ts, fixed))))
-    inf = float(np.min(route))
+    if undercut is None:  # beta*(t) = alpha_b(t), whose integral is alpha_b at the rate integrals
+        integrals = [rate.integral(ts) for rate in (spec.lam, spec.mu1, spec.mu2)]
+        prefactor = float(np.exp(np.max(beta0 * ts - fixed_alphas(*integrals, weights.d(6))[binding])))
     return ConvergenceCertificate(
         regime="periodic" if spec.is_periodic else "constant-rate",
         weights=weights,
         beta_star_avg=beta0,
         binding_alpha=binding + 1,
         beta_star_periodic=inf if inf > 0.0 else None,
-        beta_integral=_simpson(route),
-        beta_integral_fixed=fixed_integral,
         norm_chain_constant=chain_constant(weights),
         prefactor_analytic=prefactor,
     )
@@ -232,24 +223,22 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
         f"  weights:             epsilon={w.epsilon:.12g} delta1={w.delta1:.12g} delta={w.delta:.12g}",
         f"  beta*_0 (averaged):  {cert.beta_star_avg:.12g}   binding alpha index: {cert.binding_alpha}",
     ]
-    label = f"beta* ({route}):"
-    if cert.beta_star_periodic is not None:
-        lines.append(f"  {label:<20} {cert.beta_star_periodic:.12g}")
-    else:
-        lines.append(f"  {label:<20} not available (curve infimum <= 0)")
-    lines.append(f"  period integral of beta*(t): {cert.beta_integral:.12g} (route), {cert.beta_integral_fixed:.12g} (fixed weights)")
+    value = "not available (curve infimum <= 0)" if cert.beta_star_periodic is None else f"{cert.beta_star_periodic:.12g}"
+    lines.append(f"  {f'beta* ({route}):':<20} {value}")
     lines.append(f"  norm chain constant: {cert.norm_chain_constant:.12g} (exact: 2/epsilon)")
     if cert.prefactor_analytic is not None:
         lines.append(f"  prefactor (analytic, within-period deficit): {cert.prefactor_analytic:.12g}")
         lines.append(f"  bound: ||p'(t)-p''(t)||_1 <= {cert.norm_chain_constant * cert.prefactor_analytic:.12g}"
                      f" * exp(-{cert.beta_star_avg:.12g} t) * ||z'(0)-z''(0)||_1D")
     else:
+        b = cert.binding_alpha - 1
+        at, _, alphas, k = _period_alphas(spec, w, b)
+        j = int(np.argmin(alphas[:, k]))
         lines.append("  prefactor (analytic): n/a (mixed binding alphas over the period)")
-        lines.append(f"  bound: no bound at beta*_0 is proven for these weights (fixed-weight period integral "
-                     f"{cert.beta_integral_fixed:.6g} < beta*_0 = {cert.beta_star_avg:.6g})")
-    lines.append("")
-    lines.append("  alpha table (fixed weights), t in [0,1]:")
-    lines.append("  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)")
+        lines.append(f"  bound: no bound at beta*_0 is proven for these weights (alpha{j + 1} = {alphas[j, k]:g}"
+                     f" < alpha{b + 1} = {alphas[b, k]:g} at t = {at[k]:g})")
+    lines += ["", "  alpha table (fixed weights), t in [0,1]:",
+              "  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)"]
     for i, t in enumerate(ts):
         row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
         lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}")

@@ -137,11 +137,26 @@ class RateFunction:
         return float(out) if np.isscalar(t) else out
 
     def mean(self) -> float:
-        """Exact mean over one period."""
-        if self.table is None:
-            return float(self.constant)
-        breaks = [b for b, _ in self.table] + [1.0]
-        return float(sum(v * (breaks[i + 1] - breaks[i]) for i, (_, v) in enumerate(self.table)))
+        """Exact mean over one period, `integral(1.0)`."""
+        return float(self.constant) if self.table is None else self.integral(1.0)
+
+    def integral(self, t):
+        """Exact integral over [0, t] at scalar or array `t >= 0`: whole periods times the
+        period integral, plus the partial period by antiderivatives or a table's segment sums."""
+        whole = np.floor(t)
+        frac = t - whole
+        if self.table is not None:
+            breaks, values = np.array([b for b, _ in self.table] + [1.0]), np.array([v for _, v in self.table])
+            sums = np.cumsum(np.append(0.0, values * np.diff(breaks)))
+            idx = np.searchsorted(breaks, frac, side="right") - 1
+            period, part = sums[-1], sums[idx] + values[idx] * (frac - breaks[idx])
+        else:
+            period, part = self.constant, self.constant * frac
+            for h in self.harmonics:
+                w = 2.0 * math.pi * h.harmonic
+                part = part + h.amplitude * (1.0 - np.cos(w * frac) if h.kind == "sin" else np.sin(w * frac)) / w
+        out = whole * period + part
+        return float(out) if np.isscalar(t) else out
 
     @property
     def is_constant(self) -> bool:

@@ -32,15 +32,19 @@ from twoproc.model import ModelSpec, RateFunction
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
-PERIOD_GRID = np.linspace(0.0, 1.0, 2049)  # the certificate's Simpson grid
+PERIOD_GRID = np.linspace(0.0, 1.0, 2049)  # the certificate's period grid
 
 
-def simpson(values: np.ndarray) -> float:
-    """Composite Simpson integral over [0, 1] of values on PERIOD_GRID."""
-    w = np.ones(len(values))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.sum(w * values) / (3.0 * (len(values) - 1)))
+def _tie_case(lam: RateFunction, m: float, eps: float):
+    spec = ModelSpec(lam, RateFunction.fixed(m), RateFunction.fixed(m))
+    delta = math.sqrt(2.0 * m / lam.mean())
+    return spec, WeightSequence(epsilon=eps, delta1=delta * (1.0 + eps / 2.0), delta=delta)
+
+
+TIE_CASES = [  # alpha_4 binds in the first, alpha_5 in the second
+    _tie_case(RateFunction.trig(1.8, [(1.6, "sin", 1)]), 1.3, 0.2),
+    _tie_case(RateFunction.trig(1.6, [(1.1, "sin", 1)]), 1.0, 0.05),
+]
 
 
 class TestAlphaFormulas:
@@ -165,7 +169,6 @@ class TestBetaStar:
         cert = make_certificate(ex1_spec, ex1_weights)
         pointwise = np.min(pointwise_alphas(*ex1_spec.rates(PERIOD_GRID), 0.01), axis=0)
         assert cert.beta_star_periodic == float(np.min(pointwise))
-        assert cert.beta_integral == pytest.approx(simpson(pointwise), rel=1e-14)
         assert cert.beta_star_periodic >= 0.3
         assert cert.beta_star_periodic == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
 
@@ -183,14 +186,15 @@ class TestBetaStar:
         # unequal service rates take the fixed-weight route
         cert = make_certificate(ex3_spec, ex3_weights)
         fixed = np.min(fixed_alphas(*ex3_spec.rates(PERIOD_GRID), ex3_weights.d(6)), axis=0)
-        assert cert.beta_integral == cert.beta_integral_fixed == pytest.approx(simpson(fixed), rel=1e-14)
         assert np.min(fixed) < 0.0
         assert cert.beta_star_periodic is None
 
     def test_fixed_route_period_average_is_averaged_rate(self, ex1_spec, ex1_weights):
-        # fixed-weight alphas are linear in the rates, so when one alpha binds
-        # everywhere the period integral equals beta*_0 exactly.
-        assert make_certificate(ex1_spec, ex1_weights).beta_integral_fixed == pytest.approx(0.99, abs=1e-9)
+        # fixed-weight alphas are linear and homogeneous in the rates, so alpha_i
+        # at the period integrals of the rates is the averaged alpha_i, bit for bit.
+        for spec, w in ((ex1_spec, ex1_weights), *TIE_CASES):
+            integrals = [rate.integral(1.0) for rate in (spec.lam, spec.mu1, spec.mu2)]
+            assert np.array_equal(fixed_alphas(*integrals, w.d(6)), alphas_averaged(spec, w))
         fixed = np.min(fixed_alphas(*ex1_spec.rates(PERIOD_GRID), ex1_weights.d(6)), axis=0)
         assert float(np.min(fixed)) == pytest.approx(-0.01, abs=1e-9)  # pointwise floor useless here
 
@@ -241,20 +245,55 @@ class TestCertificates:
         assert cert.beta_star_avg == pytest.approx(0.99, abs=1e-14)
         assert cert.beta_star_periodic == pytest.approx(6.0 - 4.0 * SQ2 - 0.01 * SQ2, abs=1e-12)
         assert cert.norm_chain_constant == 200.0
-        assert cert.prefactor_analytic == pytest.approx(math.exp(1.0 / math.pi), rel=1e-5)
+        assert cert.prefactor_analytic == pytest.approx(math.exp(1.0 / math.pi), rel=1e-12)
 
     def test_heavy_traffic_certificate_has_no_pointwise_rate(self, ex2_spec, ex2_weights):
         cert = make_certificate(ex2_spec, ex2_weights)
         assert cert.beta_star_periodic is None
         assert cert.beta_star == cert.beta_star_avg
-        assert cert.prefactor_analytic == pytest.approx(math.exp((2.0 * SQ3 - 3.0) / math.pi), rel=1e-4)
+        assert cert.prefactor_analytic == pytest.approx(math.exp((2.0 * SQ3 - 3.0) / math.pi), rel=1e-12)
 
     def test_heterogeneous_certificate_mixed_binding(self, ex3_spec, ex3_weights):
         cert = make_certificate(ex3_spec, ex3_weights)
         assert cert.binding_alpha == 5
-        # different alphas bind at different times, so no analytic prefactor
+        # different alphas bind at different times, so no analytic prefactor;
+        # the refusal names the first sample where another alpha undercuts alpha_5
         assert cert.prefactor_analytic is None
-        assert cert.beta_integral_fixed < cert.beta_star_avg
+        assert certificate_report(cert, ex3_spec).splitlines()[7] == (
+            "  bound: no bound at beta*_0 is proven for these weights (alpha2 = -6 < alpha5 = 1.85751 at t = 0)")
+        lam, mu1, mu2 = ex3_spec.rates(0.0)
+        assert fixed_alphas(lam, mu1, mu2, ex3_weights.d(6))[1] == lam + mu2 - 12.0 * (mu1 - mu2) == -6.0
+
+    def test_table_prefactor_is_exact_at_the_breakpoint(self):
+        # certify-sweep seed 1's `sweep-4-table`: alpha_5 = (delta - 1)(mu/delta - lambda)
+        # binds over the whole period, so the deficit beta*_0 t - int_0^t alpha_5 is
+        # (delta - 1)(Lambda(t) - lambda* t), largest at the breakpoint b, where it is
+        # (delta - 1) b (lambda_1 - lambda*).
+        lam1, lam2, b, m = 2.965331, 2.494444, 0.448474, 1.904266
+        spec = ModelSpec(RateFunction.piecewise([(0.0, lam1), (b, lam2)]), RateFunction.fixed(m), RateFunction.fixed(m))
+        cert = make_certificate(spec)
+        assert cert.binding_alpha == 5
+        delta, lam_mean = cert.weights.delta, spec.lam.mean()
+        expected = math.exp((delta - 1.0) * b * (lam1 - lam_mean))
+        assert cert.prefactor_analytic == pytest.approx(expected, rel=1e-12)
+        # the period grid alone misses the breakpoint and reads P low
+        grid = math.exp(max((delta - 1.0) * (spec.lam.integral(t) - lam_mean * t) for t in PERIOD_GRID))
+        assert grid < expected * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize("spec,weights", TIE_CASES)
+    def test_tied_binding_pair_still_proves_the_prefactor(self, spec, weights):
+        # equal service rates with delta1 = delta (1 + eps/2) make alpha_4 and alpha_5 the
+        # same function of the rates; they bind together, and at some samples rounding
+        # puts the other one of the pair below the binding one
+        table = fixed_alphas(*spec.rates(PERIOD_GRID), weights.d(6))
+        assert np.allclose(table[3], table[4], rtol=0.0, atol=1e-14)
+        assert np.all(np.min(table[:3], axis=0) > table[4] + 0.1)
+        cert = make_certificate(spec, weights)
+        assert cert.binding_alpha in (4, 5)
+        assert np.max(table[cert.binding_alpha - 1] - np.min(table, axis=0)) > 0.0
+        # the deficit (delta - 1)(Lambda(t) - lambda* t) peaks at t = 1/2 at (delta - 1) a / pi
+        amplitude = spec.lam.harmonics[0].amplitude
+        assert cert.prefactor_analytic == pytest.approx(math.exp((weights.delta - 1.0) * amplitude / math.pi), rel=1e-12)
 
     def test_samples_the_period_once_and_builds_no_model(self, ex1_spec, ex1_weights, monkeypatch):
         sizes, built = [], []

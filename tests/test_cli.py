@@ -185,12 +185,13 @@ class TestBoundCommand:
         assert (out / "certificate.txt").read_text().startswith("convergence certificate")
 
     @pytest.mark.parametrize("example,bound_line", [
-        ("example1", "  bound: ||p'(t)-p''(t)||_1 <= 274.960376838 * exp(-0.99 t) * ||z'(0)-z''(0)||_1D"),
+        ("example1", "  bound: ||p'(t)-p''(t)||_1 <= 274.960445488 * exp(-0.99 t) * ||z'(0)-z''(0)||_1D"),
         ("example3", "  bound: no bound at beta*_0 is proven for these weights "
-                     "(fixed-weight period integral -4.88735 < beta*_0 = 0.238337)"),
+                     "(alpha2 = -6 < alpha5 = 1.85751 at t = 0)"),
     ])
     def test_bound_line_is_proven_or_says_none_is(self, example, bound_line, tmp_path, capsys):
-        # example1: C * P = 200 * 1.37480188419; example3: mixed binding alphas leave P unset
+        # example1: C * P = 200 * exp(1/pi) = 200 * 1.37480222744; example3: alpha2 undercuts
+        # the binding alpha5 at t = 0, so P is unset
         out = tmp_path / "out"
         assert main(["bound", "--model", str(CONFIG_DIR / f"{example}.json"), "--out", str(out)]) == 0
         printed = capsys.readouterr().out.splitlines()
@@ -198,6 +199,16 @@ class TestBoundCommand:
         assert printed[:-1] == (out / "certificate.txt").read_text().split("\n\n")[0].splitlines()
         assert " N " not in "\n".join(printed)
         assert "prefactor_N" not in json.loads((out / "certificate.json").read_text())
+
+    def test_readme_quotes_the_printed_bound_lines(self, tmp_path, capsys):
+        readme = (CONFIG_DIR.parents[2] / "README.md").read_text()
+        quoted = [" ".join(q.split()) for q in re.findall(r"`(bound: [^`]*)`", readme)]
+        printed = []
+        for example in ("example1", "example3"):
+            assert main(["bound", "--model", str(CONFIG_DIR / f"{example}.json"), "--out", str(tmp_path)]) == 0
+            printed += [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert len(quoted) == 2
+        assert all(line in printed for line in quoted), quoted
 
     def test_overloaded_model_exits_two(self, tmp_path):
         model = write_json(tmp_path / "over.json", {

@@ -104,6 +104,55 @@ class TestMeans:
         assert avg.rates(0.123) == (8.0, 6.0, 5.0)
 
 
+INTEGRAL_RATES = [
+    RateFunction.fixed(2.5),
+    RateFunction.trig(1.0, [(1.0, "sin", 1)]),
+    RateFunction.trig(6.0, [(6.0, "cos", 1)]),
+    RateFunction.trig(3.0, [(-0.7, "cos", 2), (0.4, "sin", 3), (0.2, "sin", 1000)]),
+    RateFunction.piecewise([(0.0, 2.0), (0.25, 4.0), (0.75, 1.0)]),
+    RateFunction.piecewise([(0.0, 2.965331), (0.448474, 2.494444)]),
+]
+
+
+class TestIntegrals:
+    @pytest.mark.parametrize("rate", INTEGRAL_RATES)
+    def test_one_period_is_the_mean(self, rate):
+        assert rate.integral(1.0) == rate.mean()
+        assert rate.integral(0.0) == 0.0
+
+    @pytest.mark.parametrize("rate", INTEGRAL_RATES)
+    def test_whole_periods_add_the_mean(self, rate):
+        # dyadic fractions, so k + f splits back into k and f exactly
+        for k in (1, 2, 7):
+            for f in (0.0, 0.125, 0.375, 0.5, 0.8125):
+                assert rate.integral(k + f) == k * rate.mean() + rate.integral(f)
+
+    @pytest.mark.parametrize("rate", INTEGRAL_RATES[:4])
+    def test_central_difference_is_the_rate(self, rate):
+        h = 1e-7  # truncation error h^2 |rate''| / 6 and rounding eps |integral| / h stay below 1e-8
+        ts = np.linspace(0.01, 2.99, 37)
+        slope = (rate.integral(ts + h) - rate.integral(ts - h)) / (2.0 * h)
+        scale = abs(rate.constant) + sum(abs(t.amplitude) * t.harmonic for t in rate.harmonics)
+        assert np.allclose(slope, rate(ts), rtol=0.0, atol=1e-8 * scale)
+
+    def test_table_values_at_breakpoints(self):
+        rate = INTEGRAL_RATES[4]
+        assert rate.integral(0.25) == 0.5
+        assert rate.integral(0.75) == 2.5
+        assert rate.integral(0.875) == 2.625
+        assert rate.integral(3.25) == 3.0 * 2.75 + 0.5
+        assert rate.mean() == 2.75
+
+    def test_scalar_and_array_times(self):
+        for rate in INTEGRAL_RATES:
+            ts = np.array([0.0, 0.3, 1.0, 2.6])
+            values = rate.integral(ts)
+            assert isinstance(values, np.ndarray) and values.shape == ts.shape
+            for t, v in zip(ts, values):
+                scalar = rate.integral(float(t))
+                assert isinstance(scalar, float) and scalar == v
+
+
 class TestValidation:
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):

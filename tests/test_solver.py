@@ -502,8 +502,8 @@ class TestLimitingRegime:
         reg = limiting_regime(ex1_spec.averaged(), SolveSettings(n=16, horizon=25.0))
         assert np.max(np.abs(reg.cycle.probs - reg.cycle.probs[0])) < 1e-8
 
-    def test_short_horizon_raises_with_decay_rate_hint(self, ex1_spec):
-        with pytest.raises(MixingHorizonError, match="decay rate so far"):
+    def test_short_horizon_raises_with_the_gap_at_the_horizon(self, ex1_spec):
+        with pytest.raises(MixingHorizonError, match=r"within horizon 5 \(l1 gap 0\.546 at t = 5\)$"):
             limiting_regime(ex1_spec, SolveSettings(n=16, horizon=5.0))
 
     def test_search_trajectory_reused(self, ex1_spec):
