@@ -17,6 +17,7 @@ so index k >= 3 carries k-1 jobs in total.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,13 @@ class Harmonic:
     harmonic: int = 1
 
     def __post_init__(self):
+        _require_finite(self.amplitude, "harmonic amplitude")
         if self.kind not in _KINDS:
             raise ValueError(f"harmonic kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.harmonic < 1 or self.harmonic != int(self.harmonic):
-            raise ValueError("harmonic index must be a positive integer")
-        if self.harmonic > MAX_HARMONIC:
+        if self.harmonic > MAX_HARMONIC:  # an infinity too, before int() overflows on it
             raise ValueError(f"harmonic index {self.harmonic} exceeds the supported {MAX_HARMONIC}")
+        if not self.harmonic >= 1 or self.harmonic != int(self.harmonic):  # NaN fails the first test
+            raise ValueError(f"harmonic index must be a positive integer, got {self.harmonic}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,14 @@ class RateFunction:
             values = [v for _, v in self.table]
             if not breaks or breaks[0] != 0.0:
                 raise ValueError("table breakpoints must start at 0.0")
-            if any(b < 0.0 or b >= 1.0 for b in breaks):
+            if not all(0.0 <= b < 1.0 for b in breaks):  # NaN fails too
                 raise ValueError("table breakpoints must lie in [0, 1)")
             if sorted(set(breaks)) != breaks:
                 raise ValueError("table breakpoints must be strictly increasing")
-            if any(v < 0.0 for v in values):
-                raise ValueError("table values must be nonnegative")
+            if not all(0.0 <= v <= sys.float_info.max for v in values):
+                raise ValueError("table values must be finite and nonnegative")
             return
+        _require_finite(self.constant, "rate constant")
         spread = sum(abs(h.amplitude) for h in self.harmonics)
         if self.constant >= spread:
             return  # the rate never falls below constant - sum |amplitude| >= 0
@@ -120,7 +123,7 @@ class RateFunction:
         """
         tt = np.asarray(t, dtype=float)
         if self.table is not None:
-            frac = tt % 1.0
+            frac = tt - np.floor(tt)
             breaks = np.array([b for b, _ in self.table])
             values = np.array([v for _, v in self.table])
             idx = np.searchsorted(breaks, frac, side="right") - 1
@@ -213,6 +216,11 @@ class ModelSpec:
             mu1=RateFunction.fixed(self.mu1.mean()),
             mu2=RateFunction.fixed(self.mu2.mean()),
         )
+
+
+def _require_finite(value, field: str) -> None:
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an integer beyond the float range
+        raise ValueError(f"{field} must be finite, got {value}")
 
 
 def period_grid(*rates: RateFunction) -> np.ndarray:

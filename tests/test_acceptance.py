@@ -77,8 +77,8 @@ def pipelines(examples):
         regime = limiting_regime(ex["spec"], ex["settings"])
         fit_p = decay_fit(regime.from_empty, regime.from_far)
         avg_spec = ex["spec"].averaged()
-        avg_empty = integrate(avg_spec, ex["settings"], empty_start(ex["settings"].n))
-        avg_far = integrate(avg_spec, ex["settings"], far_start(ex["settings"].n))
+        n = ex["settings"].n
+        avg_empty, avg_far = integrate(avg_spec, ex["settings"], np.stack([empty_start(n), far_start(n)]))
         fit_a = decay_fit(avg_empty, avg_far)
         check = contraction_check(
             regime.from_empty, regime.from_far, ex["spec"], ex["weights"], ex["beta0"]

@@ -143,6 +143,17 @@ class TestIntegrals:
         assert rate.integral(3.25) == 3.0 * 2.75 + 0.5
         assert rate.mean() == 2.75
 
+    def test_table_reduces_time_as_remainder(self):
+        # the floor form gives the remainder t % 1 bit for bit at t >= 0, integers and large times included
+        rate = INTEGRAL_RATES[4]
+        breaks = np.array([b for b, _ in rate.table])
+        edges = (np.arange(0.0, 1000.0)[:, None] + breaks).ravel()  # integers and the breakpoints
+        rng = np.random.default_rng(3)
+        ts = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             rng.uniform(0.0, 100.0, 10_000), rng.uniform(0.0, 1e15, 10_000)])
+        values = np.array([v for _, v in rate.table])
+        assert np.array_equal(rate(ts), values[np.searchsorted(breaks, ts % 1.0, side="right") - 1])
+
     def test_scalar_and_array_times(self):
         for rate in INTEGRAL_RATES:
             ts = np.array([0.0, 0.3, 1.0, 2.6])
@@ -191,6 +202,21 @@ class TestValidation:
             RateFunction.piecewise([(0.1, 1.0)])  # must start at 0
         with pytest.raises(ValueError):
             RateFunction.piecewise([(0.0, 1.0), (0.5, -2.0)])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RateFunction.fixed(math.nan), "rate constant must be finite, got nan"),
+        (lambda: RateFunction.fixed(math.inf), "rate constant must be finite, got inf"),
+        (lambda: RateFunction.trig(2.0, [(math.nan, "sin", 1)]), "harmonic amplitude must be finite, got nan"),
+        (lambda: RateFunction.piecewise([(0.0, 1.0), (0.5, math.nan)]), "table values must be finite"),
+        (lambda: RateFunction.piecewise([(0.0, 1.0), (math.nan, 2.0)]), r"table breakpoints must lie in \[0, 1\)"),
+        (lambda: Harmonic(1.0, "sin", math.inf), "harmonic index inf exceeds"),
+        (lambda: Harmonic(1.0, "sin", math.nan), "harmonic index must be a positive integer, got nan"),
+    ], ids=["nan-constant", "inf-constant", "nan-amplitude", "nan-table-value", "nan-breakpoint",
+            "inf-harmonic", "nan-harmonic"])
+    def test_non_finite_numbers_rejected(self, build, message):
+        # the CLI refuses them while parsing; these are the library's own checks
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
     def test_bad_harmonic_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,31 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="probability"):
             integrate(ex1_spec, SolveSettings(n=16, horizon=1.0), bad)
 
+    @pytest.mark.parametrize("step", [0.003, 0.004])  # the step path, then the period path
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_start_rejected(self, ex1_spec, step, value):
+        # a NaN start gave an all-NaN trajectory on the step path and a conservation
+        # defect of nan on the period path
+        bad = empty_start(16)
+        bad[3] = value
+        with pytest.raises(ValueError, match="probability"):
+            integrate(ex1_spec, SolveSettings(n=16, step=step, horizon=10.0), bad)
+
+    def test_nan_in_a_step_fails_it(self, ex1_spec, monkeypatch):
+        run = solver._rk4_step
+        steps = []
+
+        def poisoned(R, stage, h, X):
+            steps.append(None)
+            out = run(R, stage, h, X)
+            if len(steps) == 5:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_rk4_step", poisoned)
+        with pytest.raises(StepSizeError, match=r"^conservation defect nan / negative overshoot nan at t=0\.015 "):
+            integrate(ex1_spec, SolveSettings(n=16, step=0.003, horizon=1.0), empty_start(16))
+
     @pytest.mark.parametrize("name", ["step", "horizon", "tol_truncation", "tol_mix"])
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
     def test_settings_must_be_finite_and_positive(self, name, value):
@@ -358,6 +383,43 @@ class TestPeriodPropagators:
         assert np.all(np.abs(traj.mean - mean) <= 1e-12 * np.maximum(1.0, np.abs(mean)))
         assert traj.defect_per_unit_time < 1e-8
         assert traj.min_entry_pre >= -1e-9
+
+
+class TestStackedStarts:
+    @pytest.mark.parametrize("n, step, horizon, path, shape", [
+        (16, 0.004, 10.0, "periods", (48, 16)),
+        (40, 0.003, 3.0, "steps", (120, 40)),
+        (130, 0.003, 1.0, "steps", (3, 5, 130)),  # the band
+    ])
+    def test_each_row_is_its_start_alone(self, ex3_spec, monkeypatch, n, step, horizon, path, shape):
+        st = SolveSettings(n=n, step=step, horizon=horizon)
+        mixed = np.random.default_rng(7).random(n)
+        starts = np.stack([empty_start(n), far_start(n), mixed / mixed.sum()])
+        taken = record_paths(monkeypatch)
+        shapes = record_generators(monkeypatch)
+        builds = record_builds(monkeypatch)
+        stacked = integrate(ex3_spec, st, starts)
+        assert isinstance(stacked, tuple) and len(stacked) == 3
+        assert taken == [path] * 3 and shapes == {shape}
+        assert builds == ([(n, step)] if path == "periods" else [])
+        for traj, start in zip(stacked, starts):
+            alone = integrate(ex3_spec, st, start)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.probs, alone.probs)
+            assert np.array_equal(traj.mean, alone.mean)
+            assert traj.defect_per_unit_time == alone.defect_per_unit_time
+            assert traj.min_entry_pre == alone.min_entry_pre
+
+    def test_stack_validation(self, ex1_spec):
+        st = SolveSettings(n=16, step=0.004, horizon=10.0)
+        starts = np.stack([empty_start(16), far_start(16)])
+        with pytest.raises(ValueError, match="length"):
+            integrate(ex1_spec, st, starts[None])
+        with pytest.raises(ValueError, match="length"):
+            integrate(ex1_spec, st, starts[:, :8])
+        starts[1, 0] = 0.5
+        with pytest.raises(ValueError, match="probability"):
+            integrate(ex1_spec, st, starts)
 
 
 class TestBandedGenerator:
