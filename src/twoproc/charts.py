@@ -38,6 +38,8 @@ def line_chart(series, title: str = "", xlabel: str = "t", ylabel: str = "") -> 
     ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

@@ -16,28 +16,29 @@ their bands, see `matrices`).  From BAND_MIN_N on, A(t) is applied as a band:
 one (3, 3) x (3, 5n) product per step gives its five diagonals at the
 step's three stage times, and each stage is one product with the diagonals
 and one sum, O(n) work and memory where the dense stack takes O(n^2).
-There are two paths:
+
+One RK4 loop keeps the unprojected state every sample stride steps and at
+the last step, and the samples come one of two ways:
 
 * Period propagators.  The rates have period 1, so when 1/h is an integer the
-  step maps repeat every period.  RK4 on the n x n identity over [0, 1],
-  kept at every sample stride, gives the interval propagators; each later
-  period is one batched product of them with the period's start, projected
-  row by row, and its last row starts the next period.  The stage rates are
-  evaluated once, for the first period, so a stage time on a table
-  breakpoint falls on the same side in every period.
-  `defect_per_unit_time` sums the mass change per sample interval and
-  `min_entry_pre` is the minimum over the unprojected samples.  An (m, n)
-  stack of starts shares one build, and each row then runs as it would
-  alone.  With n given, `limiting_regime` builds the propagators once for
-  both starts, as one stack.
-* One step at a time, projecting after every step, with the chunked stage
-  rates bit-identical to calling the rates at every stage;
-  `defect_per_unit_time` sums the per-step mass change.  This path runs
-  when 1/h is not an integer, when the sample stride does not divide the
-  period or the horizon, when the horizon holds fewer than
-  MIN_PERIODS + n**2 / BUILD_PERIODS_N2 periods, or when the propagators
-  would take more than PROPAGATOR_BUDGET bytes.  With stride 1 both paths
-  check and sum the defect per step.
+  step maps repeat every period: the loop on the n x n identity over [0, 1]
+  gives the interval propagators, and each period is one batched product of
+  them with its start.  The stage rates are evaluated for the first period
+  only, so a stage time on a table breakpoint falls on the same side in
+  every period.  An (m, n) stack of starts shares one build; with n given,
+  `limiting_regime` passes both starts as one stack.
+* Steps: the loop on the vector, max(1, RATE_CHUNK // stride) samples at a
+  time, when 1/h is not an integer, the sample stride does not divide the
+  period or the horizon, the horizon holds fewer than
+  MIN_PERIODS + n**2 / BUILD_PERIODS_N2 periods, or the propagators would
+  take more than PROPAGATOR_BUDGET bytes.
+
+Each block of unprojected samples (a period's, or a block of steps') is
+checked, summed and projected once: a mass change over a sample interval
+above STEP_DEFECT_LIMIT, an entry below -STEP_DEFECT_LIMIT or a NaN fails
+the step; `defect_per_unit_time` sums the mass changes, `min_entry_pre` is
+the minimum over the unprojected samples, and the block's last projected
+sample starts the next block.
 
 Truncation level is controlled empirically by doubling the state count until
 the mean curve stops moving.  `limiting_regime` runs that search itself when
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -95,7 +97,7 @@ class SolveError(RuntimeError):
 
 
 class StepSizeError(SolveError):
-    """Per-step conservation defect exceeded STEP_DEFECT_LIMIT."""
+    """A sample's mass change or negative overshoot exceeded STEP_DEFECT_LIMIT."""
 
 
 class TruncationLimitError(SolveError):
@@ -143,7 +145,7 @@ class Trajectory:
     mean: np.ndarray           # E(t) on the sample grid
     n: int
     step: float
-    defect_per_unit_time: float  # pre-projection mass change per step or sample interval, summed, over the horizon
+    defect_per_unit_time: float  # pre-projection mass change per sample interval, summed, over the horizon
     min_entry_pre: float       # most negative pre-projection entry seen
 
     def prob_at(self, t: float) -> np.ndarray:
@@ -196,13 +198,8 @@ def sample_grid(horizon: float, step: float) -> tuple[int, int, np.ndarray]:
 def _project(p: np.ndarray) -> None:
     """Clip negatives, renormalize, and zero out the rounding residue of each row."""
     np.maximum(p, 0.0, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    top = np.argmax(p, axis=-1)
-    residue = p.sum(axis=-1) - 1.0
-    if p.ndim == 1:  # a vector projects in 10 us this way and in 16 us by the row form (n = 128)
-        p[top] -= residue
-    else:
-        p[np.arange(len(p)), top] -= residue
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(p)), np.argmax(p, axis=1)] -= p.sum(axis=1) - 1.0
 
 
 def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
@@ -216,13 +213,13 @@ def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
     return np.stack(spec.rates(grid), axis=1)
 
 
-def _step_rates(spec: ModelSpec, h: float, n_steps: int):
-    """(3, 3) stage rates of steps 0..n_steps-1, RATE_CHUNK steps per evaluation.
+def _step_rates(spec: ModelSpec, h: float, first: int, last: int):
+    """(3, 3) stage rates of steps first..last-1, RATE_CHUNK steps per evaluation.
 
     Each row is (lambda, mu1, mu2); the rows are the step's start, half step and end.
     """
-    for lo in range(0, n_steps, RATE_CHUNK):
-        chunk = _stage_rates(spec, h, lo, min(lo + RATE_CHUNK, n_steps))
+    for lo in range(first, last, RATE_CHUNK):
+        chunk = _stage_rates(spec, h, lo, min(lo + RATE_CHUNK, last))
         yield from np.ascontiguousarray(chunk.reshape(3, -1, 3).swapaxes(0, 1))
 
 
@@ -277,32 +274,17 @@ def _step_failure(defect: float, overshoot: float, t: float) -> StepSizeError:
     )
 
 
-def _by_steps(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: int, p: np.ndarray):
-    """Projected samples, defect sum and pre-projection minimum, one RK4 step at a time.
+def _by_steps(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: int, X: np.ndarray, lo: int, out):
+    """RK4 from X, a vector or an (n, m) block, at sample lo; out gets the unprojected samples after it.
 
-    Samples are taken every stride steps and at the last step (see `sample_grid`).
+    Sample s is step min(s * stride, n_steps), as in `sample_grid`.
     """
-    probs = np.empty((-(-n_steps // stride) + 1, len(p)))
-    probs[0] = p
-    si = 1
-    defect_sum = 0.0
-    min_entry = math.inf
-    for i, stage in enumerate(_step_rates(spec, h, n_steps)):
-        p = _rk4_step(R, stage, h, p)
-        step_defect = abs(1.0 - p.sum())
-        m = float(np.min(p))
-        # RK4 preserves the mass sum exactly for a conservative generator, so
-        # instability surfaces as negative overshoot rather than defect; a NaN fails too.
-        if not (step_defect <= STEP_DEFECT_LIMIT and m >= -STEP_DEFECT_LIMIT):
-            raise _step_failure(step_defect, m, i * h + h)
-        if m < min_entry:
-            min_entry = m
-        defect_sum += step_defect
-        _project(p)
-        if (i + 1) % stride == 0 or i + 1 == n_steps:
-            probs[si] = p
-            si += 1
-    return probs, defect_sum, min_entry
+    first, last = lo * stride, min((lo + len(out)) * stride, n_steps)
+    for i, stage in enumerate(_step_rates(spec, h, first, last)):
+        X = _rk4_step(R, stage, h, X)
+        if (i + 1) % stride == 0 or first + i + 1 == last:
+            out[i // stride] = X
+    return out
 
 
 def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int, stride: int) -> np.ndarray:
@@ -311,37 +293,39 @@ def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, per_unit: in
     RK4 on the identity block over one period [0, 1]; Q[-1] is the period map.
     """
     n = R.shape[-1]
-    Q = np.empty((per_unit // stride, n, n))
-    X = np.eye(n)
-    for i, stage in enumerate(_step_rates(spec, h, per_unit)):
-        X = _rk4_step(R, stage, h, X)
-        if (i + 1) % stride == 0:
-            Q[i // stride] = X
-    return Q
+    return _by_steps(spec, R, h, per_unit, stride, np.eye(n), 0, np.empty((per_unit // stride, n, n)))
 
 
-def _by_periods(Q: np.ndarray, h: float, n_steps: int, stride: int, p: np.ndarray):
-    """As `_by_steps`, with each period one product of the interval propagators Q and its start."""
-    n = len(p)
-    n_samples = n_steps // stride
-    probs = np.empty((n_samples + 1, n))
+def _by_periods(Q: np.ndarray, p: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """As `_by_steps` from a period start, by one product of the interval propagators Q and p."""
+    rows, n = out.shape
+    out[:] = (Q[:rows].reshape(rows * n, n) @ p).reshape(rows, n)
+
+
+def _accepted(advance, block: int, times: np.ndarray, p: np.ndarray):
+    """Projected samples on `times` from the projected start p, defect sum and pre-projection minimum.
+
+    advance(q, lo, out) writes to out the unprojected samples after the projected
+    sample q at lo, `block` of them at a time.
+    """
+    probs = np.empty((len(times), len(p)))
     probs[0] = p
     defect_sum = 0.0
     min_entry = math.inf
-    for lo in range(1, n_samples + 1, len(Q)):
-        rows = min(len(Q), n_samples + 1 - lo)
-        block = (Q[:rows].reshape(rows * n, n) @ probs[lo - 1]).reshape(rows, n)
-        change = np.abs(np.diff(block.sum(axis=1), prepend=1.0))
-        low = np.min(block, axis=1)
-        # written so that a NaN from an overflowing build counts as a failure
+    for lo in range(0, len(times) - 1, block):
+        out = probs[lo + 1:lo + 1 + block]
+        advance(probs[lo], lo, out)
+        change = np.abs(np.diff(out.sum(axis=1), prepend=1.0))
+        low = np.min(out, axis=1)
+        # RK4 preserves the mass sum exactly for a conservative generator, so instability
+        # surfaces as negative overshoot rather than defect; written so that a NaN fails too
         ok = (change <= STEP_DEFECT_LIMIT) & (low >= -STEP_DEFECT_LIMIT)
         if not ok.all():
             bad = int(np.argmin(ok))
-            raise _step_failure(float(change[bad]), float(low[bad]), (lo + bad) * stride * h)
+            raise _step_failure(float(change[bad]), float(low[bad]), times[lo + 1 + bad])
         defect_sum += float(change.sum())
         min_entry = min(min_entry, float(low.min()))
-        _project(block)
-        probs[lo:lo + rows] = block
+        _project(out)
     return probs, defect_sum, min_entry
 
 
@@ -372,18 +356,22 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory | tupl
     h = settings.step
     n_steps, stride, times = sample_grid(settings.horizon, h)
     R = _generator(n)
-    if _use_propagators(n, h, n_steps, stride):
-        by, built = _by_periods, (_interval_propagators(spec, R, h, _steps_per_period(h), stride),)
-    else:
-        by, built = _by_steps, (spec, R)
+    starts = p0.reshape(-1, n)
+    projected = starts.copy()
+    _project(projected)
     trajs = []
-    for start in p0.reshape(-1, n):
-        p = start.copy()
-        _project(p)
-        probs, defect_sum, min_entry = by(*built, h, n_steps, stride, p)
-        trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(n), n=n, step=h,
-                                defect_per_unit_time=defect_sum / settings.horizon,
-                                min_entry_pre=min(float(np.min(start)), min_entry)))
+    # an unstable step may overflow to inf and NaN before its block is checked, and the check fails NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _use_propagators(n, h, n_steps, stride):
+            Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
+            advance, block = partial(_by_periods, Q), len(Q)
+        else:
+            advance, block = partial(_by_steps, spec, R, h, n_steps, stride), max(1, RATE_CHUNK // stride)
+        for start, p in zip(starts, projected):
+            probs, defect_sum, min_entry = _accepted(advance, block, times, p)
+            trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(n), n=n, step=h,
+                                    defect_per_unit_time=defect_sum / settings.horizon,
+                                    min_entry_pre=min(float(np.min(start)), min_entry)))
     return tuple(trajs) if p0.ndim == 2 else trajs[0]
 
 
@@ -465,26 +453,39 @@ def _slice_trajectory(traj: Trajectory, lo: float, hi: float) -> Trajectory:
     return replace(traj, times=traj.times[mask], probs=traj.probs[mask], mean=traj.mean[mask])
 
 
-def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
-    """Integrate from the empty and the far state and extract the limit cycle.
-
-    t_mix is the first sample time with ||p1 - p2||_1 < tol_mix; the returned
-    cycle is the window [ceil(t_mix), ceil(t_mix)+1] of the empty-start
-    trajectory.  With settings.n None the truncation search runs first and
-    its empty-start trajectory at the accepted n is reused.
-    """
-    traj0, trajf = _at_one_step(_both_starts, spec, settings)
+def _regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
+    traj0, trajf = _both_starts(spec, settings)
     gap = np.sum(np.abs(traj0.probs - trajf.probs), axis=1)
     below = np.nonzero(gap < settings.tol_mix)[0]
     if len(below) == 0:
         raise MixingHorizonError(f"trajectories did not merge to {settings.tol_mix:g} within horizon "
                                  f"{settings.horizon:g} (l1 gap {gap[-1]:.3g} at t = {traj0.times[-1]:g})")
     t_mix = float(traj0.times[below[0]])
-    a = math.ceil(t_mix)
+    per_unit = _steps_per_period(settings.step)
+    # samples whole periods apart put one sample in a period window: integrate the
+    # period after t_mix, an integer time then, from the merged state
+    whole = per_unit is not None and sample_grid(settings.horizon, settings.step)[1] % per_unit == 0
+    a = round(t_mix) if whole else math.ceil(t_mix)
     if a + 1 > traj0.times[-1] + 1e-9:
         raise MixingHorizonError(f"merged at t={t_mix:g} but no full period remains before the horizon")
-    cycle = _slice_trajectory(traj0, a, a + 1)
+    if whole:
+        cycle = integrate(spec, replace(settings, n=traj0.n, horizon=1.0), traj0.probs[below[0]])
+        cycle = replace(cycle, times=cycle.times + a)
+    else:
+        cycle = _slice_trajectory(traj0, a, a + 1)
     return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf)
+
+
+def limiting_regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
+    """Integrate from the empty and the far state and extract the limit cycle.
+
+    t_mix is the first sample time with ||p1 - p2||_1 < tol_mix; the returned
+    cycle is the window [ceil(t_mix), ceil(t_mix)+1] of the empty-start
+    trajectory, or one period integrated from t_mix when the samples are whole
+    periods apart.  With settings.n None the truncation search runs first and
+    its empty-start trajectory at the accepted n is reused.
+    """
+    return _at_one_step(_regime, spec, settings)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from twoproc.matrices import WeightSequence, build_B
 from twoproc.mcsim import SimSettings, _candidate_budget, _run_block, compute_rate_bound
 from twoproc.model import ModelSpec, RateFunction
+from twoproc.solver import RATE_CHUNK
 
 
 def expm_series(M: np.ndarray, tol: float = 1e-16) -> np.ndarray:
@@ -267,14 +268,18 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modulo_period: bool = False):
-    """Projected RK4 states after every step, with one scalar rate call per stage.
+def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modulo_period: bool = False,
+                  block: int = RATE_CHUNK):
+    """RK4 states after every step, with one scalar rate call per stage.
 
-    Oracle for the chunked rate evaluation of `integrate`: returns the
-    (n_steps + 1) x n projected states and the pre-projection defects
-    |1 - sum(p)| of every step (0 at the start).  With modulo_period, step i
-    takes its stage times from step i mod (1/step), the times at which the
-    period propagators evaluate the rates.
+    Oracle for the chunked rate evaluation of `integrate`: the running state
+    is projected after every `block` steps only, the schedule of the step
+    path at stride 1, and every step records a projected copy of it.
+    Returns the (n_steps + 1) x n projected states and the pre-projection
+    mass change |sum(p) - sum(previous p)| of every step (0 at the start),
+    counted from 1 after a projection.  With modulo_period, step i takes its
+    stage times from step i mod (1/step), the times at which the period
+    propagators evaluate the rates.
     """
     R = rate_parts(n, conservative=True).reshape(3 * n, n)
 
@@ -282,18 +287,19 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modu
         rates = np.array([spec.lam(t), spec.mu1(t), spec.mu2(t)])
         return rates @ (R @ p).reshape(3, n)
 
-    def project(p: np.ndarray) -> None:
-        np.maximum(p, 0.0, out=p)
+    def projected(p: np.ndarray) -> np.ndarray:
+        p = np.maximum(p, 0.0)
         p /= p.sum()
         p[int(np.argmax(p))] -= p.sum() - 1.0
+        return p
 
     h = step
     n_steps = int(round(horizon / h))
-    p = np.asarray(p0, dtype=float).copy()
-    project(p)
+    p = projected(np.asarray(p0, dtype=float))
     states = np.empty((n_steps + 1, n))
     defects = np.zeros(n_steps + 1)
     states[0] = p
+    mass = 1.0
     per_unit = round(1.0 / h)
     for i in range(n_steps):
         t = (i % per_unit if modulo_period else i) * h
@@ -302,9 +308,11 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modu
         k3 = rhs(t + h / 2, p + (h / 2) * k2)
         k4 = rhs(t + h, p + h * k3)
         p = p + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        defects[i + 1] = abs(1.0 - p.sum())
-        project(p)
-        states[i + 1] = p
+        defects[i + 1] = abs(p.sum() - mass)
+        mass = p.sum()
+        states[i + 1] = projected(p)
+        if (i + 1) % block == 0:
+            p, mass = states[i + 1].copy(), 1.0
     return states, defects
 
 

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import twoproc
+from twoproc import solver
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -61,3 +62,15 @@ def test_every_perfbench_trace_target_exists():
             assert cls in names, (module, cls)
             names = vars(names[cls])
         assert attr in names, (module, cls, attr)
+
+
+def test_readme_solver_policy_quotes_the_constants():
+    # the Transient solver bullet states the propagator and band policy in numbers
+    bullet = README[README.index("* **Transient solver**"):README.index("* **Monte Carlo oracle**")]
+    text = " ".join(bullet.split())
+    (periods,) = re.findall(r"fewer than (\d+) \+ n²/(\d+) periods", text)
+    assert tuple(map(int, periods)) == (solver.MIN_PERIODS, solver.BUILD_PERIODS_N2)
+    (mib,) = re.findall(r"exceed (\d+) MiB", text)
+    assert int(mib) << 20 == solver.PROPAGATOR_BUDGET
+    band = re.findall(r"below n = (\d+) \(`solver\.BAND_MIN_N`\)|from (\d+) states on", text)
+    assert sorted(int(a or b) for a, b in band) == [solver.BAND_MIN_N] * 2

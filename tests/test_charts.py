@@ -28,3 +28,10 @@ def test_polyline_points_match_per_point_format():
     pad = 0.05 * (y_hi - y_lo)
     bounds = (float(x.min()), float(x.max()), y_lo - pad, y_hi + pad)
     assert lines == [per_point_polyline(x, y1, *bounds), per_point_polyline(x, y2, *bounds)]
+
+
+def test_one_point_series_has_finite_coordinates():
+    # a zero-width x range is widened as a zero-height y range is, so nothing divides by zero
+    svg = line_chart([("cycle", [204.0], [3.0])])
+    (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert "nan" not in svg and points.startswith(f"{MARGIN_L:.2f},")

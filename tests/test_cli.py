@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,6 +347,18 @@ class TestSolveCommand:
         assert cert["beta_star_periodic"] is None and cert["prefactor_analytic"] is None
         assert cert["beta_star"] is None
         assert cert["beta_star_avg"] == pytest.approx(0.238337, abs=1e-6)
+
+    def test_overflowing_step_halves_with_nothing_on_stderr(self, tmp_path, capsys):
+        # the propagator build at steps 0.02 to 0.000625 overflows before its check fails the step
+        model = write_json(tmp_path / "stiff.json", {
+            "lambda": {"constant": 1000.0}, "mu1": {"constant": 1000.0}, "mu2": {"constant": 1000.0},
+            "solve": {"n": 16, "step": 0.02, "horizon": 5.0}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # outside the suite each one prints two lines on stderr
+            assert main(["solve", "--model", str(model), "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [] and captured.err == ""
+        assert "step: 0.0003125 " in captured.out
 
     def test_report_shows_the_step_used(self, tmp_path):
         model = write_json(tmp_path / "stiff.json", {

@@ -52,13 +52,15 @@ def record_integrate(monkeypatch, fail_at=None):
 
 
 def record_paths(monkeypatch):
-    """Names of the paths `solver.integrate` takes, "steps" or "periods", one per call."""
+    """Names of the paths `solver.integrate` takes, "steps" or "periods", one per trajectory."""
     taken = []
     for name in ("steps", "periods"):
         run = getattr(solver, f"_by_{name}")
 
         def recording(*args, _run=run, _name=name):
-            taken.append(_name)
+            *_, p, lo, _out = args
+            if lo == 0 and p.ndim == 1:  # a trajectory's first block, not a propagator build
+                taken.append(_name)
             return _run(*args)
 
         monkeypatch.setattr(solver, f"_by_{name}", recording)
@@ -92,11 +94,11 @@ def record_builds(monkeypatch):
 
 
 def vector_path(spec, n, step, horizon, p0):
-    """Projected samples and means of `solver._by_steps`, the one-step-at-a-time path."""
-    n_steps = round(horizon / step)
-    R = rate_parts(n, conservative=True).reshape(3 * n, n)
-    probs, _, _ = solver._by_steps(spec, R, step, n_steps, solver._sample_stride(n_steps, step), p0.copy())
-    return probs, probs @ job_counts(n)
+    """Projected samples and means of `integrate`'s step path, with the period propagators switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_use_propagators", lambda *args: False)
+        traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), p0)
+    return traj.probs, traj.mean
 
 
 class TestMeanOf:
@@ -244,6 +246,23 @@ class TestIntegrate:
         with pytest.raises(StepSizeError, match=r"^conservation defect nan / negative overshoot nan at t=0\.015 "):
             integrate(ex1_spec, SolveSettings(n=16, step=0.003, horizon=1.0), empty_start(16))
 
+    def test_failure_names_the_first_failing_sample(self, ex1_spec, monkeypatch):
+        # at stride 3 the NaN of step 500 first shows in sample 167 (step 501), mid-block
+        monkeypatch.setattr(solver, "SAMPLE_TARGET", 667)
+        run = solver._rk4_step
+        steps = []
+
+        def poisoned(R, stage, h, X):
+            steps.append(None)
+            out = run(R, stage, h, X)
+            if len(steps) == 500:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_rk4_step", poisoned)
+        with pytest.raises(StepSizeError, match=r"^conservation defect nan / negative overshoot nan at t=0\.7515 "):
+            integrate(ex1_spec, SolveSettings(n=16, step=0.0015, horizon=3.0), empty_start(16))
+
     @pytest.mark.parametrize("name", ["step", "horizon", "tol_truncation", "tol_mix"])
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
     def test_settings_must_be_finite_and_positive(self, name, value):
@@ -279,6 +298,36 @@ class TestIntegrate:
         assert reg.t_mix == pytest.approx(2.67, abs=0.01)
 
 
+class TestStepBlocks:
+    @pytest.mark.parametrize("target, horizon, stride", [
+        (8000, 3.0, 1),
+        (667, 3.0015, 3),  # 341 samples of 3 steps to a block: the stride does not divide RATE_CHUNK
+        (667, 3.0, 3),  # 2,000 steps: the last sample is step 2,000, two steps after the one before
+    ], ids=["stride1", "stride3", "off-stride-horizon"])
+    def test_projected_once_per_block(self, ex3_spec, monkeypatch, target, horizon, stride):
+        monkeypatch.setattr(solver, "SAMPLE_TARGET", target)
+        n, step = 16, 0.0015
+        n_steps, got, _ = solver.sample_grid(horizon, step)
+        assert got == stride and n_steps > RATE_CHUNK
+        taken = record_paths(monkeypatch)
+        traj = integrate(ex3_spec, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert taken == ["steps"]
+        states, _ = reference_rk4(ex3_spec, n, step, horizon, far_start(n), block=RATE_CHUNK // stride * stride)
+        assert np.array_equal(traj.probs, states[np.minimum(np.arange(len(traj.times)) * stride, n_steps)])
+
+    @pytest.mark.parametrize("step", [0.003, 0.02])  # the step path, then the propagator build
+    def test_overflow_fails_the_step_without_a_warning(self, step):
+        # the suite turns numpy's overflow and invalid-value warnings into errors
+        spec = ModelSpec(RateFunction.fixed(1000.0), RateFunction.fixed(1000.0), RateFunction.fixed(1000.0))
+        with pytest.raises(StepSizeError, match="halve the step"):
+            integrate(spec, SolveSettings(n=16, step=step, horizon=5.0), empty_start(16))
+
+    def test_overflowing_solve_halves_to_a_stable_step(self):
+        spec = ModelSpec(RateFunction.fixed(1000.0), RateFunction.fixed(1000.0), RateFunction.fixed(1000.0))
+        reg = limiting_regime(spec, SolveSettings(n=16, step=0.02, horizon=5.0))
+        assert reg.from_empty.step == reg.from_far.step == 0.0003125
+
+
 class TestChunkedRates:
     SPECS = {
         "trig": ModelSpec(
@@ -308,7 +357,9 @@ class TestChunkedRates:
         assert idx[-1] == len(states) - 1
         assert np.array_equal(traj.times, idx * step)
         assert np.array_equal(traj.probs, states[idx])
-        assert traj.defect_per_unit_time == sum(defects[1:].tolist()) / horizon
+        # summed block by block, as the step path checks the steps
+        blocks = np.split(defects[1:], range(RATE_CHUNK, len(defects) - 1, RATE_CHUNK))
+        assert traj.defect_per_unit_time == sum(float(np.sum(d)) for d in blocks) / horizon
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_period_propagators_match_scalar_stage_rates(self, kind, monkeypatch):
@@ -503,7 +554,7 @@ class TestBandedGenerator:
 
     def test_operator_and_one_step_take_linear_memory(self):
         n, step = TRUNCATION_CAP, 0.02
-        stage = next(solver._step_rates(self.HEAVY, step, 1))
+        stage = next(solver._step_rates(self.HEAVY, step, 0, 1))
         p = far_start(n)
         tracemalloc.start()
         try:
@@ -559,6 +610,20 @@ class TestLimitingRegime:
         window = (traj.times >= 48.0 - 1e-9) & (traj.times <= 49.0 + 1e-9)
         shifted = (traj.times >= 49.0 - 1e-9) & (traj.times <= 50.0 + 1e-9)
         assert np.max(np.abs(traj.mean[window] - traj.mean[shifted])) < 1e-4
+
+    def test_samples_whole_periods_apart_still_give_a_cycle(self, ex1_spec, monkeypatch):
+        st = SolveSettings(n=16, step=0.004, horizon=20.0)
+        default = limiting_regime(ex1_spec, st).cycle
+        # 5,000 steps at a stride of 500 put the samples two periods apart
+        monkeypatch.setattr(solver, "SAMPLE_TARGET", 10)
+        assert solver.sample_grid(20.0, 0.004)[1] == 500
+        reg = limiting_regime(ex1_spec, st)
+        cyc = reg.cycle
+        assert len(cyc.times) == 11 and cyc.times[0] == reg.t_mix
+        assert np.allclose(np.diff(cyc.times), 0.1, rtol=0.0, atol=1e-12)
+        # the same phases of the default run's cycle, one sample in 25
+        assert len(default.times) == 251 and default.times[0] == round(default.times[0])
+        assert np.max(np.abs(cyc.mean - default.mean[::25])) <= (16 - 1) * st.tol_mix
 
     def test_constant_rates_give_constant_cycle(self, ex1_spec):
         reg = limiting_regime(ex1_spec.averaged(), SolveSettings(n=16, horizon=25.0))
