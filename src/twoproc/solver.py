@@ -473,6 +473,9 @@ def _regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
         cycle = replace(cycle, times=cycle.times + a)
     else:
         cycle = _slice_trajectory(traj0, a, a + 1)
+        if len(cycle.times) == 0:
+            raise MixingHorizonError(f"no sample lies in the period window [{a:g}, {a + 1:g}] after t_mix={t_mix:g}: "
+                                     f"the samples lie {traj0.times[1] - traj0.times[0]:g} apart; shorten the horizon")
     return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf)
 
 

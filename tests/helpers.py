@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from twoproc.matrices import WeightSequence, build_B
-from twoproc.mcsim import SimSettings, _candidate_budget, _run_block, compute_rate_bound
+from twoproc.mcsim import Majorant, SimSettings, _candidate_budget, _run_block, majorant
 from twoproc.model import ModelSpec, RateFunction
 from twoproc.solver import RATE_CHUNK
 
@@ -353,9 +353,19 @@ def slow_completion_map(state: np.ndarray) -> np.ndarray:
     return np.where(state == 2, 0, np.where(state == 3, 1, np.where(state >= 4, state - 1, state)))
 
 
+def reference_mass(maj: Majorant, t: float) -> float:
+    """Lambda(t) by a walk over the majorant's cells."""
+    whole = math.floor(t)
+    x = t - whole
+    g = 0
+    while g + 1 < len(maj.top) and x >= maj.start[g + 1]:
+        g += 1
+    return whole * maj.period_mass + float(g * maj.cell_mass + maj.top[g] * (x - maj.start[g]))
+
+
 def reference_run_block(
     spec: ModelSpec,
-    bound: float,
+    maj: Majorant,
     sample_times: np.ndarray,
     seed: int,
     path_indices: np.ndarray,
@@ -363,37 +373,51 @@ def reference_run_block(
 ) -> np.ndarray:
     """One candidate at a time for every path, started empty, over the whole budget.
 
-    Oracle for the column-block scan of `mcsim._run_block`: the three rates
-    are called separately at each candidate and the state moves through the
-    three transition maps.
+    Oracle for the column-block scan of `mcsim._run_block`: Lambda^-1 is a walk
+    of each path's (period, cell) pointer forward to the cell that holds its
+    running sum of unit exponentials, the three rates are called separately
+    at each candidate and the state moves through the three transition maps.
     """
     n_paths = len(path_indices)
     n_times = len(sample_times)
     draws = np.empty((n_paths, 2 * budget))
     for row, idx in enumerate(path_indices):
         draws[row] = path_stream(seed, int(idx)).random(2 * budget)
+    cells = len(maj.top)
+    ends = np.append(np.arange(1, cells) * maj.cell_mass, maj.period_mass)  # within a period
+    targets = [reference_mass(maj, s) for s in sample_times]
 
-    t = np.zeros(n_paths)
+    mass = np.zeros(n_paths)
+    period = np.zeros(n_paths)  # whole periods before each path's cell
+    cell = np.zeros(n_paths, dtype=np.int64)
     state = np.zeros(n_paths, dtype=np.int64)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
     rec[:, sample_times <= 0.0] = 0
 
     for k in range(budget):
-        dt = -np.log1p(-draws[:, 2 * k]) / bound
-        t_new = t + dt
+        mass_new = mass - np.log1p(-draws[:, 2 * k])
+        while True:
+            past = mass_new >= period * maj.period_mass + ends[cell]
+            if not past.any():
+                break
+            cell = cell + past
+            period = np.where(cell == cells, period + 1.0, period)
+            cell = np.where(cell == cells, 0, cell)
         for j in range(n_times):
-            s = sample_times[j]
-            if s <= 0.0:
+            if sample_times[j] <= 0.0:
                 continue
-            crossed = (t < s) & (t_new >= s)
+            crossed = (mass < targets[j]) & (mass_new >= targets[j])
             if crossed.any():
                 rec[crossed, j] = state[crossed]
-        lam = np.asarray(spec.lam(t_new), dtype=float)
-        mu1 = np.asarray(spec.mu1(t_new), dtype=float)
-        mu2 = np.asarray(spec.mu2(t_new), dtype=float)
-        pa = lam / bound
-        pf = pa + mu1 / bound
-        ps = pf + mu2 / bound
+        r = mass_new - period * maj.period_mass
+        inv = maj.inv[cell]
+        phase = maj.base[cell] + r * inv
+        lam = np.asarray(spec.lam(phase), dtype=float)
+        mu1 = np.asarray(spec.mu1(phase), dtype=float)
+        mu2 = np.asarray(spec.mu2(phase), dtype=float)
+        pa = lam * inv
+        pf = pa + mu1 * inv
+        ps = pf + mu2 * inv
         u = draws[:, 2 * k + 1]
         arrival = u < pa
         fast = (~arrival) & (u < pf)
@@ -403,21 +427,21 @@ def reference_run_block(
             arrival_map(state),
             np.where(fast, fast_completion_map(state), np.where(slow, slow_completion_map(state), state)),
         )
-        t = t_new
+        mass = mass_new
 
     unfinished = rec.min(axis=1) < 0
     if unfinished.any():
         redo = path_indices[unfinished]
-        rec[unfinished] = reference_run_block(spec, bound, sample_times, seed, redo, 2 * budget)
+        rec[unfinished] = reference_run_block(spec, maj, sample_times, seed, redo, 2 * budget)
     return rec
 
 
 def simulate_path(spec: ModelSpec, settings: SimSettings, path_index: int) -> np.ndarray:
     """State indices of one path at the sample times, through the production block scan."""
-    bound = compute_rate_bound(spec)
+    maj = majorant(spec)
     times = np.asarray(settings.sample_times, dtype=float)
-    budget = _candidate_budget(bound, float(times.max()))
-    return _run_block(spec, bound, times, settings.seed, np.array([path_index]), budget)[0]
+    budget = _candidate_budget(maj.mass(float(times.max())))
+    return _run_block(spec, maj, times, settings.seed, np.array([path_index]), budget=budget)[0]
 
 
 def band_rhs(bands: np.ndarray, rates: np.ndarray, X: np.ndarray) -> np.ndarray:

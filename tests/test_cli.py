@@ -322,6 +322,14 @@ class TestSolveCommand:
         assert rc == 1
         assert "merge" in capsys.readouterr().out
 
+    def test_empty_period_window_exits_one(self, light_model, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "SAMPLE_TARGET", 10)  # samples 2.001 apart at step 0.003
+        rc = main(["solve", "--model", str(light_model), "--out", str(tmp_path / "o"),
+                   "--step", "0.003", "--horizon", "20", "--tol-mix", "1e-5"])
+        assert rc == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].startswith("solve failed: no sample lies in the period window")
+
     REPORT_KEYS = ["model", "truncation n", "t_mix (l1 gap < 1e-05)", "fitted decay rate",
                    "defect per unit time (empty start)", "defect per unit time (far start)", "limit-cycle mean range"]
 

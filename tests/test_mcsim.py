@@ -1,8 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
+from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -25,7 +26,7 @@ from twoproc.mcsim import (
     compute_rate_bound,
     estimate_probs,
 )
-from twoproc.model import ModelSpec, RateFunction
+from twoproc.model import ModelSpec, RateFunction, period_grid
 
 TABLE_SPEC = ModelSpec(
     RateFunction.piecewise([(0.0, 3.0), (0.3, 1.0), (0.7, 5.0)]),
@@ -33,6 +34,11 @@ TABLE_SPEC = ModelSpec(
     RateFunction.trig(0.5, [(0.25, "cos", 2)]),
 )
 CONSTANT_SPEC = ModelSpec(RateFunction.fixed(2.0), RateFunction.fixed(1.5), RateFunction.fixed(1.0))
+
+
+def path_bytes(budget: int) -> int:
+    """Bytes `estimate_probs` counts per path of a block."""
+    return 16 * budget + 8 * mcsim._SCAN_ARRAYS * mcsim._CHUNK
 
 
 class TestTransitionMaps:
@@ -58,25 +64,100 @@ class TestTransitionMaps:
         assert step[3].tolist() == s.tolist()
 
 
-class TestRateBound:
-    def test_dominates_with_margin(self, ex3_spec):
-        bound = compute_rate_bound(ex3_spec)
-        grid = np.linspace(0.0, 1.0, 10_000, endpoint=False)
-        total = ex3_spec.lam(grid) + ex3_spec.mu1(grid) + ex3_spec.mu2(grid)
-        assert bound >= 1.009 * float(np.max(total))
+@st.composite
+def rate_functions(draw, top: float) -> RateFunction:
+    """A constant, a trigonometric rate with harmonics up to 1000, or a table with a 7e-5 segment."""
+    kind = draw(st.sampled_from(("constant", "trig", "table")))
+    if kind == "constant":
+        return RateFunction.fixed(draw(st.floats(0.0, top)))
+    if kind == "trig":
+        terms = [(draw(st.floats(-top / 3, top / 3)), draw(st.sampled_from(("sin", "cos"))),
+                  draw(st.integers(1, 1000))) for _ in range(draw(st.integers(1, 3)))]
+        return RateFunction.trig(sum(abs(a) for a, _, _ in terms) + draw(st.floats(0.0, top / 4)), terms)
+    spike = draw(st.floats(0.01, 0.98))
+    breaks = sorted({0.0, spike, spike + 7e-5, *draw(st.lists(st.floats(0.001, 0.999), max_size=4))})
+    return RateFunction.piecewise([(b, draw(st.floats(0.0, top))) for b in breaks])
 
-    def test_high_harmonic_peak_is_dominated(self):
-        # lambda = 10 + 10 sin(2 pi 1000 t) peaks between the points of a
-        # 10^4-point grid; the total rate reaches 21 at t = 1/4000.
-        spec = ModelSpec(RateFunction.trig(10.0, [(10.0, "sin", 1000)]), RateFunction.fixed(0.5),
-                         RateFunction.fixed(0.5))
-        assert compute_rate_bound(spec) >= 21.0
 
-    def test_short_table_segment_is_dominated(self):
-        # lambda = 100 on a 7e-5 segment between the points of the 10^4-point grid
-        lam = RateFunction.piecewise([(0.0, 1.0), (0.50001, 100.0), (0.50008, 1.0)])
-        spec = ModelSpec(lam, RateFunction.fixed(2.0), RateFunction.fixed(2.0))
-        assert compute_rate_bound(spec) >= 104.0
+@st.composite
+def rate_models(draw) -> ModelSpec:
+    """Mixed rate families; mu2 is zero or a pointwise fraction of mu1."""
+    lam, mu1 = draw(rate_functions(100.0)), draw(rate_functions(50.0))
+    f = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    if mu1.table is not None:
+        mu2 = RateFunction.piecewise([(b, f * v) for b, v in mu1.table])
+    else:
+        mu2 = RateFunction.trig(f * mu1.constant, [(f * h.amplitude, h.kind, h.harmonic) for h in mu1.harmonics])
+    return ModelSpec(lam, mu1, mu2)
+
+
+def majorant_at(maj: mcsim.Majorant, t: np.ndarray) -> np.ndarray:
+    """M(t)."""
+    return maj.top[np.searchsorted(maj.start, t - np.floor(t), side="right") - 1]
+
+
+class TestMajorant:
+    @hyp_settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rate_models())
+    # lambda = 10 + 10 sin(2 pi 1000 t) peaks between the points of a 10^4-point
+    # grid; the total rate reaches 21 at t = 1/4000
+    @example(ModelSpec(RateFunction.trig(10.0, [(10.0, "sin", 1000)]), RateFunction.fixed(0.5),
+                       RateFunction.fixed(0.5)))
+    # lambda = 100 on a 7e-5 segment between the points of the 10^4-point grid
+    @example(ModelSpec(RateFunction.piecewise([(0.0, 1.0), (0.50001, 100.0), (0.50008, 1.0)]),
+                       RateFunction.fixed(2.0), RateFunction.fixed(2.0)))
+    def test_dominates_the_total_rate(self, spec):
+        maj = mcsim.majorant(spec)
+        breaks = [b for r in (spec.lam, spec.mu1, spec.mu2) for b, _ in r.table or ()]
+        t = np.concatenate([np.random.default_rng(0).random(100_000) * 20.0, period_grid(spec.lam, spec.mu1, spec.mu2),
+                            maj.start[:-1], np.arange(256) / 256, np.nextafter(np.array(breaks), 0.0)])
+        lam, mu1, mu2 = spec.rates(t)
+        assert np.all(majorant_at(maj, t) >= lam + mu1 + mu2)
+        assert compute_rate_bound(spec) == np.max(maj.top)
+        # every cell but the last has the same Lambda-mass, and the cells tile the period
+        masses = maj.top * np.diff(maj.start)
+        assert np.allclose(masses[:-1], maj.cell_mass, rtol=1e-12)
+        assert masses[-1] <= maj.cell_mass * (1 + 1e-12)
+        assert maj.period_mass == pytest.approx(float(np.sum(masses)), rel=1e-12)
+        assert maj.start[0] == 0.0 and maj.start[-1] == 1.0
+
+    def test_all_zero_rates_keep_paths_empty(self):
+        zero = RateFunction.fixed(0.0)
+        spec = ModelSpec(zero, zero, RateFunction.piecewise([(0.0, 0.0), (0.5, 0.0)]))
+        assert compute_rate_bound(spec) > 0.0
+        est = estimate_probs(spec, SimSettings(n_paths=200, seed=5, sample_times=(0.5, 3.0, 10.0)))
+        assert est.counts[:, 0].tolist() == [200, 200, 200]
+
+
+class TestTimeChange:
+    """Lambda^-1 of unit-rate Poisson sums is a Poisson process of intensity M."""
+
+    def test_counts_and_cells(self, ex3_spec):
+        maj = mcsim.majorant(ex3_spec)
+        n_paths, horizon = 10_000, 5.0
+        target = maj.mass(horizon)
+        draws = _path_draws(8, np.arange(n_paths), 2 * _candidate_budget(target))
+        mass = np.cumsum(-np.log1p(-draws[:, ::2]), axis=1)
+        assert np.all(mass[:, -1] > target)  # the budget covers [0, horizon]
+        phase, inv = maj.locate(mass)
+        times = np.floor(mass / maj.period_mass) + phase
+        inside = times < horizon
+        counts = inside.sum(axis=1)
+        mean_se = math.sqrt(target / n_paths)
+        assert abs(counts.mean() - target) <= 4.0 * mean_se
+        var_se = math.sqrt((target + 2.0 * target**2) / n_paths)
+        assert abs(counts.var(ddof=1) - target) <= 4.0 * var_se
+        # candidates per half cell against their Lambda-masses (horizon is whole periods)
+        mids = (maj.start[:-1] + maj.start[1:]) / 2.0
+        edges = np.sort(np.concatenate([maj.start, mids]))
+        expected = n_paths * horizon * np.repeat(maj.top, 2) * np.diff(edges)
+        got = np.bincount(np.searchsorted(edges, phase[inside], side="right") - 1, minlength=len(expected))
+        assert np.sum(got) == np.sum(counts)
+        assert np.array_equal(inv[inside], 1.0 / maj.top[np.searchsorted(maj.start, phase[inside], side="right") - 1])
+        chi2 = float(np.sum((got - expected) ** 2 / expected))
+        dof = len(expected) - 1
+        wilson_hilferty = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert wilson_hilferty < 4.0
 
 
 class TestPaths:
@@ -108,10 +189,10 @@ class TestPaths:
     def test_batch_rows_equal_single_paths(self, ex1_spec):
         settings = SimSettings(n_paths=300, seed=5, sample_times=(1.0, 4.0, 9.0))
         est_states = np.stack([simulate_path(ex1_spec, settings, i) for i in (0, 17, 299)])
-        bound = compute_rate_bound(ex1_spec)
-        budget = _candidate_budget(bound, 9.0)
+        maj = mcsim.majorant(ex1_spec)
+        budget = _candidate_budget(maj.mass(9.0))
         block = _run_block(
-            ex1_spec, bound, np.asarray(settings.sample_times), settings.seed,
+            ex1_spec, maj, np.asarray(settings.sample_times), settings.seed,
             np.arange(settings.n_paths), budget,
         )
         assert np.array_equal(block[[0, 17, 299]], est_states)
@@ -124,16 +205,16 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("times", [(1.0, 5.0, 20.0), (0.0, 2.0, 2.0, 7.5)])
     def test_bit_identical_to_reference(self, ex3_spec, name, times):
         spec = {"trig": ex3_spec, "table": TABLE_SPEC, "constant": CONSTANT_SPEC}[name]
-        bound = compute_rate_bound(spec)
+        maj = mcsim.majorant(spec)
         st = np.asarray(times)
-        budget = _candidate_budget(bound, float(st.max()))
+        budget = _candidate_budget(maj.mass(float(st.max())))
         idx = np.arange(5, 205)
-        got = _run_block(spec, bound, st, 3, idx, budget)
-        assert np.array_equal(got, reference_run_block(spec, bound, st, 3, idx, budget))
+        got = _run_block(spec, maj, st, 3, idx, budget)
+        assert np.array_equal(got, reference_run_block(spec, maj, st, 3, idx, budget))
 
     @pytest.mark.parametrize("budget", [5, 40])
     def test_small_budget_reruns(self, ex3_spec, budget, monkeypatch):
-        bound = compute_rate_bound(ex3_spec)
+        maj = mcsim.majorant(ex3_spec)
         st = np.array([1.0, 4.0])
         idx = np.arange(60)
         budgets = []
@@ -144,26 +225,26 @@ class TestColumnBlocks:
             return run(*args, budget=budget)
 
         monkeypatch.setattr(mcsim, "_run_block", counted)
-        got = mcsim._run_block(ex3_spec, bound, st, 4, idx, budget=budget)
+        got = mcsim._run_block(ex3_spec, maj, st, 4, idx, budget=budget)
         assert len(budgets) > 1  # the budget was too small and paths were rerun
         assert budgets == [budget << k for k in range(len(budgets))]
-        assert np.array_equal(got, reference_run_block(ex3_spec, bound, st, 4, idx, budget))
+        assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 4, idx, budget))
 
     def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
         settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
-        bound = compute_rate_bound(ex3_spec)
-        budget = _candidate_budget(bound, 6.0)
-        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", 16 * budget * 10)  # blocks of 10 paths
+        maj = mcsim.majorant(ex3_spec)
+        budget = _candidate_budget(maj.mass(6.0))
+        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", path_bytes(budget) * 10)  # blocks of 10 paths
         est = estimate_probs(ex3_spec, settings)
-        rec = reference_run_block(ex3_spec, bound, np.asarray(settings.sample_times), 21,
+        rec = reference_run_block(ex3_spec, maj, np.asarray(settings.sample_times), 21,
                                   np.arange(103), budget)
         for j in range(3):
             want = np.bincount(rec[:, j], minlength=est.counts.shape[1])
             assert np.array_equal(est.counts[j], want)
 
     def test_paths_stop_after_last_sample_time(self, ex3_spec, monkeypatch):
-        bound = compute_rate_bound(ex3_spec)
-        budget = _candidate_budget(bound, 20.0)
+        maj = mcsim.majorant(ex3_spec)
+        budget = _candidate_budget(maj.mass(20.0))
         shapes = []
         rates = ModelSpec.rates
 
@@ -172,7 +253,7 @@ class TestColumnBlocks:
             return rates(self, t)
 
         monkeypatch.setattr(ModelSpec, "rates", recorded)
-        _run_block(ex3_spec, bound, np.array([2.0]), 1, np.arange(50), budget)
+        _run_block(ex3_spec, maj, np.array([2.0]), 1, np.arange(50), budget)
         # one call per 64-candidate column block, on the paths still short of
         # t = 2, far fewer blocks than the t = 20 budget holds
         assert 0 < len(shapes) < budget / 64 / 4
@@ -186,9 +267,9 @@ class TestEstimates:
     @given(st.integers(1, 120))
     def test_counts_independent_of_block_size(self, ex1_spec, paths_per_block):
         settings = SimSettings(n_paths=120, seed=13, sample_times=(0.5, 3.0))
-        budget = _candidate_budget(compute_rate_bound(ex1_spec), 3.0)
+        budget = _candidate_budget(mcsim.majorant(ex1_spec).mass(3.0))
         whole = estimate_probs(ex1_spec, settings).counts  # 120 paths fit one default block
-        with mock.patch.object(mcsim, "_BLOCK_BYTES", 16 * budget * paths_per_block):
+        with mock.patch.object(mcsim, "_BLOCK_BYTES", path_bytes(budget) * paths_per_block):
             assert np.array_equal(estimate_probs(ex1_spec, settings).counts, whole)
 
     def test_requires_hundred_paths(self, ex1_spec):

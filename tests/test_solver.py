@@ -625,6 +625,14 @@ class TestLimitingRegime:
         assert len(default.times) == 251 and default.times[0] == round(default.times[0])
         assert np.max(np.abs(cyc.mean - default.mean[::25])) <= (16 - 1) * st.tol_mix
 
+    def test_empty_period_window_raises(self, ex1_spec, monkeypatch):
+        # a stride of 667 steps of 0.003 puts the samples 2.001 apart, so the window
+        # [ceil(t_mix), ceil(t_mix) + 1] after t_mix = 18.009 holds no sample
+        monkeypatch.setattr(solver, "SAMPLE_TARGET", 10)
+        with pytest.raises(MixingHorizonError, match=r"^no sample lies in the period window \[19, 20\] after t_mix=18\.009: "
+                           r"the samples lie 2\.001 apart; shorten the horizon$"):
+            limiting_regime(ex1_spec, SolveSettings(n=16, step=0.003, horizon=20.0))
+
     def test_constant_rates_give_constant_cycle(self, ex1_spec):
         reg = limiting_regime(ex1_spec.averaged(), SolveSettings(n=16, horizon=25.0))
         assert np.max(np.abs(reg.cycle.probs - reg.cycle.probs[0])) < 1e-8
