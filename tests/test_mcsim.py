@@ -34,11 +34,18 @@ TABLE_SPEC = ModelSpec(
     RateFunction.trig(0.5, [(0.25, "cos", 2)]),
 )
 CONSTANT_SPEC = ModelSpec(RateFunction.fixed(2.0), RateFunction.fixed(1.5), RateFunction.fixed(1.0))
+# the squeeze's edges: thresholds that move fastest within a cell, and a
+# table whose zero segments and mu2 = 0 put bounds at u = 0 and pf = ps
+HARMONIC_SPEC = ModelSpec(RateFunction.trig(10.0, [(10.0, "sin", 1000)]),
+                          RateFunction.trig(3.0, [(2.0, "cos", 999)]), RateFunction.fixed(0.5))
+ZERO_SEGMENT_SPEC = ModelSpec(RateFunction.piecewise([(0.0, 3.0), (0.25, 0.0), (0.6, 6.0)]),
+                              RateFunction.piecewise([(0.0, 2.0), (0.5, 0.0), (0.8, 4.0)]), RateFunction.fixed(0.0))
 
 
-def path_bytes(budget: int) -> int:
-    """Bytes `estimate_probs` counts per path of a block."""
-    return 16 * budget + 8 * mcsim._SCAN_ARRAYS * mcsim._CHUNK
+def path_bytes(mass: float) -> int:
+    """Bytes `estimate_probs` counts per path of a block up to the Lambda-mass `mass`."""
+    window = mcsim._draw_window(mass, _candidate_budget(mass))
+    return 16 * window + 8 * mcsim._SCAN_ARRAYS * mcsim._CHUNK
 
 
 class TestTransitionMaps:
@@ -121,6 +128,48 @@ class TestMajorant:
         assert maj.period_mass == pytest.approx(float(np.sum(masses)), rel=1e-12)
         assert maj.start[0] == 0.0 and maj.start[-1] == 1.0
 
+    @hyp_settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rate_models())
+    @example(HARMONIC_SPEC)
+    @example(ZERO_SEGMENT_SPEC)
+    @example(ModelSpec(RateFunction.piecewise([(0.0, 1.0), (0.50001, 100.0), (0.50008, 1.0)]),
+                       RateFunction.fixed(2.0), RateFunction.fixed(2.0)))
+    def test_squeeze_bounds_hold(self, spec):
+        maj = mcsim.majorant(spec)
+        cells = len(maj.top)
+        # phases by cell: dense inside it, at and beside its ends, and beside every breakpoint
+        phases = [np.linspace(maj.start[g], maj.start[g + 1], 64) for g in range(cells)]
+        for g in range(cells):
+            ends = maj.start[[g, g + 1]]
+            phases[g] = np.concatenate([phases[g], ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0)])
+        breaks = np.array([b for r in (spec.lam, spec.mu1, spec.mu2) for b, _ in r.table or ()])
+        beside = np.concatenate([breaks, np.nextafter(breaks, -1.0), np.nextafter(breaks, 2.0)])
+        holder = np.clip(np.searchsorted(maj.start, beside, side="right") - 1, 0, cells - 1)
+        phases = [np.concatenate([phases[g], beside[holder == g]]) for g in range(cells)]
+        # the production phases of masses a few units either side of each cell boundary
+        bounds = np.arange(cells + 1) * maj.cell_mass
+        bounds[-1] = maj.period_mass
+        near = np.concatenate([bounds + k * maj.period_mass for k in (0, 1, 7, 1000)])
+        masses = np.concatenate([near, *(np.nextafter(near, d) for d in (0.0, np.inf)),
+                                 *(np.nextafter(np.nextafter(near, d), d) for d in (0.0, np.inf))])
+        r, g_of = maj.cell(masses[masses >= 0.0])
+        made, _ = maj.phase(r, g_of)
+        phases = [np.concatenate([phases[g], made[g_of == g]]) for g in range(cells)]
+
+        steps = np.arange(mcsim._BINS + 1) / mcsim._BINS
+        u = np.concatenate([steps[:-1], np.nextafter(steps[1:], 0.0)])  # each bin's first and last u
+        decided = maj.events.reshape(cells, mcsim._BINS)[:, (u * mcsim._BINS).astype(np.intp)]
+        for g in range(cells):
+            thresholds = np.array(mcsim._thresholds(*spec.rates(phases[g]), maj.inv[g]))
+            assert np.all(maj.low[:, g, None] <= thresholds), g
+            assert np.all(thresholds <= maj.high[:, g, None]), g
+            # the event falls as any threshold rises, so a decided event that holds at the
+            # thresholds' componentwise extremes over these phases holds at each of them
+            for extreme in (thresholds.min(axis=1), thresholds.max(axis=1)):
+                pa, pf, ps = extreme
+                event = (u >= pa).astype(np.int64) + ((u >= pa) & (u >= pf)) + ((u >= pa) & (u >= pf) & (u >= ps))
+                assert np.all((decided[g] < 0) | (decided[g] == event)), g
+
     def test_all_zero_rates_keep_paths_empty(self):
         zero = RateFunction.fixed(0.0)
         spec = ModelSpec(zero, zero, RateFunction.piecewise([(0.0, 0.0), (0.5, 0.0)]))
@@ -139,7 +188,7 @@ class TestTimeChange:
         draws = _path_draws(8, np.arange(n_paths), 2 * _candidate_budget(target))
         mass = np.cumsum(-np.log1p(-draws[:, ::2]), axis=1)
         assert np.all(mass[:, -1] > target)  # the budget covers [0, horizon]
-        phase, inv = maj.locate(mass)
+        phase, inv = maj.phase(*maj.cell(mass))
         times = np.floor(mass / maj.period_mass) + phase
         inside = times < horizon
         counts = inside.sum(axis=1)
@@ -185,6 +234,10 @@ class TestPaths:
         draws = _path_draws(seed, idx, 13)
         for row, i in enumerate(idx):
             assert np.array_equal(draws[row], path_stream(seed, int(i)).random(13))
+        # a stream continued from a multiple of 4 is the same slice of one long draw
+        whole = _path_draws(seed, idx, 300)
+        for start, count in ((4, 9), (12, 1), (128, 64), (256, 44)):
+            assert np.array_equal(_path_draws(seed, idx, count, start=start), whole[:, start : start + count])
 
     def test_batch_rows_equal_single_paths(self, ex1_spec):
         settings = SimSettings(n_paths=300, seed=5, sample_times=(1.0, 4.0, 9.0))
@@ -201,10 +254,11 @@ class TestPaths:
 class TestColumnBlocks:
     """The column-block scan against the candidate-by-candidate reference."""
 
-    @pytest.mark.parametrize("name", ["trig", "table", "constant"])
+    @pytest.mark.parametrize("name", ["trig", "table", "constant", "harmonic-1000", "zero-segment"])
     @pytest.mark.parametrize("times", [(1.0, 5.0, 20.0), (0.0, 2.0, 2.0, 7.5)])
     def test_bit_identical_to_reference(self, ex3_spec, name, times):
-        spec = {"trig": ex3_spec, "table": TABLE_SPEC, "constant": CONSTANT_SPEC}[name]
+        spec = {"trig": ex3_spec, "table": TABLE_SPEC, "constant": CONSTANT_SPEC,
+                "harmonic-1000": HARMONIC_SPEC, "zero-segment": ZERO_SEGMENT_SPEC}[name]
         maj = mcsim.majorant(spec)
         st = np.asarray(times)
         budget = _candidate_budget(maj.mass(float(st.max())))
@@ -230,11 +284,35 @@ class TestColumnBlocks:
         assert budgets == [budget << k for k in range(len(budgets))]
         assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 4, idx, budget))
 
+    def test_draws_follow_the_scan(self, ex3_spec, monkeypatch):
+        maj = mcsim.majorant(ex3_spec)
+        st = np.array([1.0, 4.0])
+        idx = np.arange(40)
+        budget = _candidate_budget(maj.mass(4.0))
+        calls = []
+        draws = mcsim._path_draws
+
+        def recorded(seed, paths, count, start=0):
+            calls.append((len(paths), count, start))
+            return draws(seed, paths, count, start)
+
+        monkeypatch.setattr(mcsim, "_path_draws", recorded)
+        monkeypatch.setattr(mcsim, "_draw_window", lambda mass, budget: mcsim._CHUNK)
+        got = _run_block(ex3_spec, maj, st, 4, idx, budget)
+        assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 4, idx, budget))
+        # a first window of one column block for every path, then one column
+        # block at a time for the paths still scanning, each from where its stream stopped
+        assert len(calls) > 1 and calls[0] == (40, 2 * mcsim._CHUNK, 0)
+        assert [start for _, _, start in calls] == [2 * mcsim._CHUNK * k for k in range(len(calls))]
+        assert all(count == 2 * min(mcsim._CHUNK, budget - start // 2) for _, count, start in calls)
+        live = [paths for paths, _, _ in calls]
+        assert live == sorted(live, reverse=True) and live[-1] < 40
+
     def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
         settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
         maj = mcsim.majorant(ex3_spec)
         budget = _candidate_budget(maj.mass(6.0))
-        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", path_bytes(budget) * 10)  # blocks of 10 paths
+        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", path_bytes(maj.mass(6.0)) * 10)  # blocks of 10 paths
         est = estimate_probs(ex3_spec, settings)
         rec = reference_run_block(ex3_spec, maj, np.asarray(settings.sample_times), 21,
                                   np.arange(103), budget)
@@ -246,16 +324,17 @@ class TestColumnBlocks:
         maj = mcsim.majorant(ex3_spec)
         budget = _candidate_budget(maj.mass(20.0))
         shapes = []
-        rates = ModelSpec.rates
+        cell = mcsim.Majorant.cell
 
-        def recorded(self, t):
-            shapes.append(t.shape)
-            return rates(self, t)
+        def recorded(self, s):
+            shapes.append(s.shape)
+            return cell(self, s)
 
-        monkeypatch.setattr(ModelSpec, "rates", recorded)
+        monkeypatch.setattr(mcsim.Majorant, "cell", recorded)
         _run_block(ex3_spec, maj, np.array([2.0]), 1, np.arange(50), budget)
-        # one call per 64-candidate column block, on the paths still short of
-        # t = 2, far fewer blocks than the t = 20 budget holds
+        # every candidate of a column block finds its cell, once per block: one
+        # call per 64-candidate block, on the paths still short of t = 2, far
+        # fewer blocks than the t = 20 budget holds
         assert 0 < len(shapes) < budget / 64 / 4
         assert all(shape[0] == 64 for shape in shapes)
         assert [shape[1] for shape in shapes] == sorted((shape[1] for shape in shapes), reverse=True)
@@ -267,9 +346,9 @@ class TestEstimates:
     @given(st.integers(1, 120))
     def test_counts_independent_of_block_size(self, ex1_spec, paths_per_block):
         settings = SimSettings(n_paths=120, seed=13, sample_times=(0.5, 3.0))
-        budget = _candidate_budget(mcsim.majorant(ex1_spec).mass(3.0))
+        mass = mcsim.majorant(ex1_spec).mass(3.0)
         whole = estimate_probs(ex1_spec, settings).counts  # 120 paths fit one default block
-        with mock.patch.object(mcsim, "_BLOCK_BYTES", path_bytes(budget) * paths_per_block):
+        with mock.patch.object(mcsim, "_BLOCK_BYTES", path_bytes(mass) * paths_per_block):
             assert np.array_equal(estimate_probs(ex1_spec, settings).counts, whole)
 
     def test_requires_hundred_paths(self, ex1_spec):
