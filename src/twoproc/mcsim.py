@@ -42,9 +42,9 @@ example1 / 2 / 3), and the events are exactly those a full evaluation gives.
 
 Paths run in blocks sized by _BLOCK_BYTES over the bytes one path needs: the
 uniforms drawn before the scan and its share of the column-block arrays.
-The draws cover the scan to the last sample time and one column block more;
-the few paths still scanning past them continue their streams one column
-block at a time.  Within a block the candidates are scanned in column blocks
+The draws cover the scan to the last sample time and a margin of 2.5 standard
+deviations of the candidate count, in whole column blocks; the few paths
+still scanning past them continue their streams one column block at a time.  Within a block the candidates are scanned in column blocks
 of _CHUNK: one cumsum gives the block's S_i, the event table is looked up by
 cell and bin, the rates are evaluated on the phases in [0, 1) of the
 candidates it leaves open, and the states advance one column at a time
@@ -310,9 +310,14 @@ def _candidate_budget(mass: float) -> int:
 
 def _draw_window(mass: float, budget: int) -> int:
     """Candidates per path drawn before the scan: whole column blocks that cover
-    the Lambda-mass `mass` up to the last sample time and one column block
-    more, at most the budget."""
-    return min(budget, _CHUNK * (int(mass) // _CHUNK + 2))
+    the Lambda-mass `mass` up to the last sample time and a margin of 2.5
+    sqrt(mass), at most the budget.
+
+    A path scans whole column blocks and needs one candidate more than the
+    Poisson(mass) count below `mass`, so about 1% of the paths or fewer scan
+    past the window, while at most the paths that stop a block early leave
+    draws unread."""
+    return min(budget, _CHUNK * math.ceil((mass + 2.5 * math.sqrt(mass)) / _CHUNK))
 
 
 # State change DELTA[e, min(state, 4)] for the events e = 0 arrival, 1 main

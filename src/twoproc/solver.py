@@ -17,21 +17,28 @@ one (3, 3) x (3, 5n) product per step gives its five diagonals at the
 step's three stage times, and each stage is one product with the diagonals
 and one sum, O(n) work and memory where the dense stack takes O(n^2).
 
-One RK4 loop keeps the unprojected state every sample stride steps and at
-the last step, and the samples come one of two ways:
+Each path keeps the unprojected state every sample stride steps and at the
+last step, and the samples come one of three ways.  The rates have period
+1, so when 1/h is an integer the step maps repeat every period; the first two
+ways evaluate the stage rates for the first period only, so a stage time on a
+table breakpoint falls on the same side in every period.
 
-* Period propagators.  The rates have period 1, so when 1/h is an integer the
-  step maps repeat every period: the loop on the n x n identity over [0, 1]
-  gives the interval propagators, and each period is one batched product of
-  them with its start.  The stage rates are evaluated for the first period
-  only, so a stage time on a table breakpoint falls on the same side in
-  every period.  An (m, n) stack of starts shares one build; with n given,
-  `limiting_regime` passes both starts as one stack.
-* Steps: the loop on the vector, max(1, RATE_CHUNK // stride) samples at a
-  time, when 1/h is not an integer, the sample stride does not divide the
-  period or the horizon, the horizon holds fewer than
-  MIN_PERIODS + n**2 / BUILD_PERIODS_N2 periods, or the propagators would
-  take more than PROPAGATOR_BUDGET bytes.
+* Period propagators: the loop on the n x n identity over [0, 1] gives the
+  interval propagators, and each period is one batched product of them with
+  its start.  Taken when the sample stride divides the period and the
+  horizon, the horizon holds at least n**2 / BUILD_PERIODS_N2 periods and
+  the propagators fit PROPAGATOR_BUDGET bytes.
+* Step maps: one RK4 step of a linear system is a matrix, a degree-4
+  polynomial in the stage values of A, so its diagonals are -8..8.  One RK4
+  step of an (n, 17) probe block per step of the first period reads them
+  back, and each vector step is then one product with its 17 diagonals and
+  one sum.  Taken otherwise when the maps fit PROPAGATOR_BUDGET bytes.
+* Steps: the loop on the vector, when 1/h is not an integer or the maps
+  would exceed the budget.
+
+An (m, n) stack of starts shares one build of the propagators or maps, which
+then advance each row alone; the last two ways run max(1, RATE_CHUNK //
+stride) samples at a time.
 
 Each block of unprojected samples (a period's, or a block of steps') is
 checked, summed and projected once: a mass change over a sample interval
@@ -42,7 +49,9 @@ sample starts the next block.
 
 Truncation level is controlled empirically by doubling the state count until
 the mean curve stops moving.  `limiting_regime` runs that search itself when
-no n is given and reuses the empty-start trajectory it ends with.
+no n is given, reuses the empty-start trajectory it ends with and runs the far
+start on the propagators or maps of the accepted level; with n given, it
+passes both starts as one stack.
 
 The step is one for the whole solve: every trajectory of a search or a
 limiting regime is integrated at it, so all of them share one sample grid.
@@ -66,23 +75,26 @@ STEP_DEFECT_LIMIT = 1e-6
 SAMPLE_TARGET = 8000
 RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
 STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
-# `integrate` reuses one period's propagators when the horizon holds at least
-# MIN_PERIODS + n**2 / BUILD_PERIODS_N2 periods and their stack fits PROPAGATOR_BUDGET.
-# Break-even in periods (build time / time saved per period) on the rho = 0.95 model
-# lambda = 3.8 (1 + sin 2 pi t), mu1 = mu2 = 2, with the sample stride of a horizon of 40
-# (1, 1, 2, 5) and the stack in MiB in brackets; 1 BLAS thread, best of 5:
-#   n     h = 0.02      0.01          0.004         1e-3
-#   16    0.9 (0.1)     0.9 (0.2)     0.8 (0.2)     0.7 (0.4)
-#   32    1.4 (0.4)     1.4 (0.8)     1.4 (1.0)     1.3 (1.6)
-#   64    4.3 (1.6)     4.4 (3.1)     4.1 (3.9)     4.0 (6.3)
-#   96    8.0 (3.5)     13 (7.0)      8.5 (8.8)     6.8 (14)
-#   128   16 (6.3)      29 (12.5)     17 (15.6)     12 (25)
-#   192   38 (14)       67 (28)       29 (35)       32 (56)
-#   256   never (25)    never (50)    151 (63)      82 (100)
-# At stride 1 from n = 256 the period products stream the stack from memory and cost as much
-# as the steps they replace; the byte budget also bounds the memory the stack adds.
-MIN_PERIODS = 3  # 3 + n**2 / 1024: 3.3 periods at n = 16, 7 at 64, 12 at 96, 19 at 128
-BUILD_PERIODS_N2 = 1024
+# With 1/h an integer, `integrate` reuses one period's propagators when the horizon holds at
+# least n**2 / BUILD_PERIODS_N2 periods and their stack fits PROPAGATOR_BUDGET, and else steps
+# with one period's step maps when those fit it.  Break-even in periods of the propagators
+# against the step maps (the build time they add / the time they save per period) on the
+# rho = 0.95 model lambda = 3.8 (1 + sin 2 pi t), mu1 = mu2 = 2, with the sample stride of a
+# horizon of 40 (1, 1, 2, 5) and the stack / the maps in MiB in brackets; 1 BLAS thread, best
+# of 3; 0 where the propagators cost no more to build and less per period:
+#   n     h = 0.02            0.01              0.004             1e-3
+#   16    0 (0.1 / 0.1)       0 (0.2 / 0.2)     0 (0.2 / 0.5)     0 (0.4 / 2.1)
+#   32    0.5 (0.4 / 0.2)     0.9 (0.8 / 0.4)   0.6 (1.0 / 1.0)   0.2 (1.6 / 4.2)
+#   64    32 (1.6 / 0.4)      31 (3.1 / 0.8)    24 (3.9 / 2.1)    21 (6.3 / 8.3)
+#   96    1395 (3.5 / 0.6)    264 (7.0 / 1.3)   109 (8.8 / 3.1)   85 (14 / 12)
+#   128   never (6.3 / 0.8)   704 (12.5 / 1.7)  97 (15.6 / 4.2)   56 (25 / 17)
+#   192   never (14 / 1.3)    never (28 / 2.5)  never (35 / 6.2)  462 (56 / 25)
+#   256   never (25 / 1.7)    never (50 / 3.3)  never (63 / 8.3)  never (100 / 33)
+# A step map costs one product of 17n entries, a propagator n**2 / stride, so from n = 128 at
+# stride 1 the period products cost as much as the steps they replace.  Where the maps exceed
+# the budget (n of 62 and more at h = 1e-3) the propagators face the stage-by-stage steps,
+# which they beat sooner, so the rule then errs towards the steps.
+BUILD_PERIODS_N2 = 160  # n**2 / 160: 1.6 periods at n = 16, 6.4 at 32, 26 at 64, 58 at 96, 102 at 128
 PROPAGATOR_BUDGET = 8 << 20  # bytes: 50 propagators at n = 128 (6.25 MiB), not 125 (15.6 MiB)
 # `integrate` applies A(t) as a band from BAND_MIN_N states on, and the dense stack below.
 # Microseconds per RK4 step, dense / banded (1 BLAS thread, medians of 5 interleaved runs):
@@ -229,19 +241,28 @@ def _generator(n: int) -> np.ndarray:
     return bands if n >= BAND_MIN_N else _layout(bands).reshape(3 * n, n)
 
 
+def _band_buffer(width: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A zero (width, n + width) buffer and the skewed (width, n) view whose sum over the rows is a band product.
+
+    bands[w + d, j] * Y[j], with w = width // 2, belongs in row j + d: it is written at
+    [w + d, j] of the buffer, which read as rows of n + width - 1 puts it at column j + d + w,
+    so the view's row sum gives the product.  A trailing axis of Y (shape[1:]) spans a block's columns.
+    """
+    n, tail = shape[0], shape[1:]
+    buf = np.zeros((width, n + width) + tail)
+    flat = buf.reshape(-1)[:width * (n + width - 1) * math.prod(tail)]
+    return buf, flat.reshape((width, n + width - 1) + tail)[:, width // 2:n + width // 2]
+
+
 def _band_stages(R: np.ndarray, stage: np.ndarray, shape: tuple):
     """rhs(i, Y) = A(t_i) Y at the stage times of `stage`, for the band R and Y of the given shape.
 
     One (3, 3) x (3, 5n) product gives the five diagonals of A at all three
-    stage times.  bands[2 + d, j] * Y[j] belongs in row j + d: it is written
-    at [d + 2, j] of a zero-padded (5, n + 5) buffer, which read as rows of
-    n + 4 puts it at column j + d + 2, so one sum over the rows gives A Y.
-    A trailing axis of Y spans a block's columns.
+    stage times, and each stage is one product with them in a `_band_buffer`.
     """
     n, tail = shape[0], shape[1:]
     bands = (stage @ R.reshape(3, -1)).reshape((3, 5, n) + (1,) * len(tail))
-    buf = np.zeros((5, n + 5) + tail)
-    skewed = buf.reshape(-1)[:5 * (n + 4) * math.prod(tail)].reshape((5, n + 4) + tail)[:, 2:n + 2]
+    buf, skewed = _band_buffer(5, shape)
 
     def rhs(i: int, Y: np.ndarray) -> np.ndarray:
         np.multiply(bands[i], Y, out=buf[:, :n])
@@ -302,6 +323,39 @@ def _by_periods(Q: np.ndarray, p: np.ndarray, lo: int, out: np.ndarray) -> None:
     out[:] = (Q[:rows].reshape(rows * n, n) @ p).reshape(rows, n)
 
 
+def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
+    """maps[s, 8 + d, j] = M_s[j + d, j]: the RK4 step s of a period as the 17 diagonals of its matrix M_s.
+
+    M_s is a degree-4 polynomial in the stage values of A, whose diagonals are -2..2, so its
+    diagonals are -8..8.  `_rk4_step` runs on an (n, 17) probe whose column c sums the unit
+    vectors e_i with i = c (mod 17); the columns M_s e_i of one probe column lie 17 rows apart
+    and reach 8 rows either side, so no two meet in a row and each reads back exactly.
+    """
+    n = R.shape[-1]
+    cols = np.arange(n)
+    probe = (cols[:, None] % 17 == np.arange(17)).astype(float)
+    rows = cols + np.arange(-8, 9)[:, None]  # (17, n): the row j + d of diagonal d in column j
+    inside = (rows >= 0) & (rows < n)
+    rows, hits = rows.clip(0, n - 1), cols % 17
+    maps = np.empty((per_unit, 17, n))
+    for s, stage in enumerate(_step_rates(spec, h, 0, per_unit)):
+        np.multiply(_rk4_step(R, stage, h, probe)[rows, hits], inside, out=maps[s])
+    return maps
+
+
+def _by_maps(maps: np.ndarray, n_steps: int, stride: int, p: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """As `_by_steps`, each step one product with its map from `_step_maps` in a `_band_buffer` and one sum."""
+    per_unit, width, n = maps.shape
+    buf, skewed = _band_buffer(width, (n,))
+    first, last = lo * stride, min((lo + len(out)) * stride, n_steps)
+    for i in range(first, last):
+        np.multiply(maps[i % per_unit], p, out=buf[:, :n])
+        p = skewed.sum(axis=0)
+        if (i - first + 1) % stride == 0 or i + 1 == last:
+            out[(i - first) // stride] = p
+    return out
+
+
 def _accepted(advance, block: int, times: np.ndarray, p: np.ndarray):
     """Projected samples on `times` from the projected start p, defect sum and pre-projection minimum.
 
@@ -329,19 +383,54 @@ def _accepted(advance, block: int, times: np.ndarray, p: np.ndarray):
     return probs, defect_sum, min_entry
 
 
-def _use_propagators(n: int, h: float, n_steps: int, stride: int) -> bool:
-    """Whether `integrate` reuses one period's propagators; reads only the grid and n."""
+def _path(n: int, h: float, n_steps: int, stride: int) -> str:
+    """"periods", "maps" or "steps": how `integrate` advances; reads only the grid and n."""
     per_unit = _steps_per_period(h)
-    if per_unit is None or per_unit % stride or n_steps % stride:
-        return False
-    periods = n_steps / per_unit
-    stack = (per_unit // stride) * n * n * 8
-    return periods >= MIN_PERIODS + n * n / BUILD_PERIODS_N2 and stack <= PROPAGATOR_BUDGET
+    if per_unit is None:
+        return "steps"
+    tiles = not (per_unit % stride or n_steps % stride)
+    if tiles and (per_unit // stride) * n * n * 8 <= PROPAGATOR_BUDGET and n_steps / per_unit >= n * n / BUILD_PERIODS_N2:
+        return "periods"
+    return "maps" if per_unit * 17 * n * 8 <= PROPAGATOR_BUDGET else "steps"
+
+
+def _operator(spec: ModelSpec, n: int, h: float, n_steps: int, stride: int):
+    """(advance, block) for `_accepted` on the path `_path` picks."""
+    R = _generator(n)
+    path = _path(n, h, n_steps, stride)
+    if path == "periods":
+        Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
+        return partial(_by_periods, Q), len(Q)
+    if path == "maps":
+        advance = partial(_by_maps, _step_maps(spec, R, h, _steps_per_period(h)), n_steps, stride)
+    else:
+        advance = partial(_by_steps, spec, R, h, n_steps, stride)
+    return advance, max(1, RATE_CHUNK // stride)
+
+
+def _trajectories(spec: ModelSpec, settings: SolveSettings, starts: np.ndarray, operator=None):
+    """Trajectories from the rows of the (m, n) stack of probability vectors `starts`, and the operator
+    they ran on: `operator` when given (one `_operator` of the same settings), else a new one."""
+    h = settings.step
+    n_steps, stride, times = sample_grid(settings.horizon, h)
+    projected = starts.copy()
+    _project(projected)
+    trajs = []
+    # an unstable step may overflow to inf and NaN before its block is checked, and the check fails NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if operator is None:
+            operator = _operator(spec, settings.n, h, n_steps, stride)
+        for start, p in zip(starts, projected):
+            probs, defect_sum, min_entry = _accepted(*operator, times, p)
+            trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(settings.n), n=settings.n,
+                                    step=h, defect_per_unit_time=defect_sum / settings.horizon,
+                                    min_entry_pre=min(float(np.min(start)), min_entry)))
+    return tuple(trajs), operator
 
 
 def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory | tuple[Trajectory, ...]:
     """RK4 integration over [0, horizon] from a probability vector p0, or from each row of an
-    (m, n) stack p0 on one layout of the generator and one build of the period propagators:
+    (m, n) stack p0 on one layout of the generator and one build of its operator:
     then a tuple of m trajectories, each bit-identical to integrating its row alone."""
     if settings.n is None:
         raise ValueError("settings.n must be set; use choose_truncation first")
@@ -352,27 +441,8 @@ def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory | tupl
     # written so that a NaN or an infinite entry fails
     if not np.all((np.min(p0, axis=-1) >= 0.0) & (np.abs(p0.sum(axis=-1) - 1.0) <= 1e-12)):
         raise ValueError("p0 must be a probability vector, or a stack of them")
-
-    h = settings.step
-    n_steps, stride, times = sample_grid(settings.horizon, h)
-    R = _generator(n)
-    starts = p0.reshape(-1, n)
-    projected = starts.copy()
-    _project(projected)
-    trajs = []
-    # an unstable step may overflow to inf and NaN before its block is checked, and the check fails NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _use_propagators(n, h, n_steps, stride):
-            Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
-            advance, block = partial(_by_periods, Q), len(Q)
-        else:
-            advance, block = partial(_by_steps, spec, R, h, n_steps, stride), max(1, RATE_CHUNK // stride)
-        for start, p in zip(starts, projected):
-            probs, defect_sum, min_entry = _accepted(advance, block, times, p)
-            trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(n), n=n, step=h,
-                                    defect_per_unit_time=defect_sum / settings.horizon,
-                                    min_entry_pre=min(float(np.min(start)), min_entry)))
-    return tuple(trajs) if p0.ndim == 2 else trajs[0]
+    trajs, _ = _trajectories(spec, settings, p0.reshape(-1, n))
+    return trajs if p0.ndim == 2 else trajs[0]
 
 
 def empty_start(n: int) -> np.ndarray:
@@ -397,22 +467,22 @@ def _at_one_step(solve, spec: ModelSpec, settings: SolveSettings):
     raise StepSizeError(f"step halved {STEP_HALVINGS} times without meeting the defect limit")
 
 
-def _truncation_search(spec: ModelSpec, settings: SolveSettings) -> Trajectory:
-    """Empty-start trajectory at the state count the doubling search accepts."""
+def _truncation_search(spec: ModelSpec, settings: SolveSettings):
+    """Empty-start trajectory at the state count the doubling search accepts, and the operator it ran on."""
     n = 16
-    prev = integrate(spec, replace(settings, n=n), empty_start(n))
+    (prev,), prev_op = _trajectories(spec, replace(settings, n=n), empty_start(n)[None])
     while True:
         if 2 * n > TRUNCATION_CAP:
             raise TruncationLimitError(
                 f"no truncation up to {TRUNCATION_CAP} states met tol {settings.tol_truncation:g}; "
                 "the system is likely overloaded"
             )
-        cur = integrate(spec, replace(settings, n=2 * n), empty_start(2 * n))
+        (cur,), cur_op = _trajectories(spec, replace(settings, n=2 * n), empty_start(2 * n)[None])
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
-            return prev
+            return prev, prev_op
         n *= 2
-        prev = cur
+        prev, prev_op = cur, cur_op
 
 
 def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
@@ -421,20 +491,16 @@ def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
     Accepts n once sup_t |E_n(t) - E_2n(t)| < tol_truncation over the horizon
     (from the empty start).  Raises TruncationLimitError past 4096 states.
     """
-    return _at_one_step(_truncation_search, spec, settings).n
+    return _at_one_step(_truncation_search, spec, settings)[0].n
 
 
 def _both_starts(spec: ModelSpec, settings: SolveSettings) -> tuple[Trajectory, Trajectory]:
-    """Empty- and far-start trajectories; the search picks n when it is None.
-
-    At a given n one stacked `integrate` call runs both starts on one build.  After a search
-    the far start runs alone on a build of its own at the accepted n: carrying it through the
-    search would add a run at the rejected level 2n (a step-path run from n = 128 at the default
-    step and horizon, 50,000 vector steps or about 2 s) to save a rebuild of 0.17 s at n = 64.
-    """
+    """Empty- and far-start trajectories on one operator; the search picks n when it is None
+    and the far start runs on the operator of the level it accepts."""
     if settings.n is None:
-        traj0 = _truncation_search(spec, settings)
-        return traj0, integrate(spec, replace(settings, n=traj0.n), far_start(traj0.n))
+        traj0, operator = _truncation_search(spec, settings)
+        (trajf,), _ = _trajectories(spec, replace(settings, n=traj0.n), far_start(traj0.n)[None], operator)
+        return traj0, trajf
     return integrate(spec, settings, np.stack([empty_start(settings.n), far_start(settings.n)]))
 
 

@@ -308,6 +308,31 @@ class TestColumnBlocks:
         live = [paths for paths, _, _ in calls]
         assert live == sorted(live, reverse=True) and live[-1] < 40
 
+    @pytest.mark.parametrize("example", ["ex1_spec", "ex2_spec", "ex3_spec"])
+    def test_draw_window_is_mostly_read(self, request, example, monkeypatch):
+        # whole column blocks to Lambda(20) + 2.5 sqrt(Lambda(20)): 128 / 192 / 448 candidates
+        spec = request.getfixturevalue(example)
+        drawn, read = [], []
+        draws, cell = mcsim._path_draws, mcsim.Majorant.cell
+
+        def recorded(seed, paths, count, start=0):
+            drawn.append((len(paths), count, start))
+            return draws(seed, paths, count, start)
+
+        def scanned(self, mass):
+            read.append(mass.size)
+            return cell(self, mass)
+
+        monkeypatch.setattr(mcsim, "_path_draws", recorded)
+        monkeypatch.setattr(mcsim.Majorant, "cell", scanned)
+        estimate_probs(spec, SimSettings(n_paths=2000, seed=2, sample_times=(1.0, 5.0, 20.0)))
+        window = drawn[0][1] // 2
+        assert window % mcsim._CHUNK == 0
+        assert sum(paths for paths, count, start in drawn if (count, start) == (2 * window, 0)) == 2000
+        past = sum(paths for paths, _, start in drawn if start == 2 * window)
+        assert past <= 20  # 1% of the paths scan past the window
+        assert 1.0 - 2 * sum(read) / sum(paths * count for paths, count, _ in drawn) <= 0.06
+
     def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
         settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
         maj = mcsim.majorant(ex3_spec)

@@ -10,8 +10,9 @@ from twoproc.model import ModelSpec, RateFunction, job_counts
 from twoproc import solver
 from twoproc.solver import (
     BAND_MIN_N,
+    BUILD_PERIODS_N2,
     MAX_STEPS,
-    MIN_PERIODS,
+    PROPAGATOR_BUDGET,
     RATE_CHUNK,
     FitWindowError,
     MixingHorizonError,
@@ -33,28 +34,28 @@ def ex1_regime(ex1_spec):
     return limiting_regime(ex1_spec, SolveSettings(n=16, horizon=50.0))
 
 
-def record_integrate(monkeypatch, fail_at=None):
-    """List of (n, step, initial state) per `solver.integrate` call.
+def record_trajectories(monkeypatch, fail_at=None):
+    """List of (n, step, initial state), one per trajectory `solver._trajectories` runs.
 
     The first call at the (n, step) pair fail_at raises StepSizeError.
     """
     calls = []
-    run = solver.integrate
+    run = solver._trajectories
 
-    def recording(spec, settings, p0):
-        calls.append((settings.n, settings.step, int(np.argmax(p0))))
-        if calls[-1][:2] == fail_at and calls.count(calls[-1]) == 1:
+    def recording(spec, settings, starts, operator=None):
+        calls.extend((settings.n, settings.step, int(np.argmax(p))) for p in starts)
+        if calls[-1][:2] == fail_at and [c[:2] for c in calls].count(fail_at) == len(starts):
             raise StepSizeError("forced")
-        return run(spec, settings, p0)
+        return run(spec, settings, starts, operator)
 
-    monkeypatch.setattr(solver, "integrate", recording)
+    monkeypatch.setattr(solver, "_trajectories", recording)
     return calls
 
 
 def record_paths(monkeypatch):
-    """Names of the paths `solver.integrate` takes, "steps" or "periods", one per trajectory."""
+    """Names of the paths `solver.integrate` takes, "steps", "periods" or "maps", one per trajectory."""
     taken = []
-    for name in ("steps", "periods"):
+    for name in ("steps", "periods", "maps"):
         run = getattr(solver, f"_by_{name}")
 
         def recording(*args, _run=run, _name=name):
@@ -81,22 +82,23 @@ def record_generators(monkeypatch):
 
 
 def record_builds(monkeypatch):
-    """List of (n, step) per `solver._interval_propagators` call."""
+    """List of (n, step) per build of the period propagators or of the step maps."""
     builds = []
-    run = solver._interval_propagators
+    for name in ("_interval_propagators", "_step_maps"):
+        run = getattr(solver, name)
 
-    def recording(spec, R, h, per_unit, stride):
-        builds.append((R.shape[-1], h))
-        return run(spec, R, h, per_unit, stride)
+        def recording(spec, R, h, *args, _run=run):
+            builds.append((R.shape[-1], h))
+            return _run(spec, R, h, *args)
 
-    monkeypatch.setattr(solver, "_interval_propagators", recording)
+        monkeypatch.setattr(solver, name, recording)
     return builds
 
 
 def vector_path(spec, n, step, horizon, p0):
-    """Projected samples and means of `integrate`'s step path, with the period propagators switched off."""
+    """Projected samples and means of `integrate`'s stage-by-stage step path."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_use_propagators", lambda *args: False)
+        patch.setattr(solver, "_path", lambda *args: "steps")
         traj = integrate(spec, SolveSettings(n=n, step=step, horizon=horizon), p0)
     return traj.probs, traj.mean
 
@@ -375,9 +377,12 @@ class TestChunkedRates:
         assert np.array_equal(traj.times, idx * step)
         assert np.max(np.abs(traj.probs - states[idx])) <= 1e-12
 
-    @pytest.mark.parametrize("path, n, step, per_period", [("steps", 16, 1e-3, None), ("periods", 8, 1e-4, 10_000)],
-                             ids=["steps", "periods"])
-    def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch, path, n, step, per_period):
+    @pytest.mark.parametrize("path, n, step, per_period, periods", [
+        ("steps", 16, 0.0015, None, None),
+        ("periods", 8, 1e-4, 10_000, 4),
+        ("maps", 16, 5e-4, 2_000, 1.5),
+    ], ids=["steps", "periods", "maps"])
+    def test_rates_evaluated_in_bounded_chunks(self, ex3_spec, monkeypatch, path, n, step, per_period, periods):
         sizes = []
         original = RateFunction.__call__
 
@@ -387,8 +392,8 @@ class TestChunkedRates:
 
         monkeypatch.setattr(RateFunction, "__call__", counting)
         taken = record_paths(monkeypatch)
-        # the steps path evaluates every step's rates, the periods path one period's
-        n_steps = 2 * RATE_CHUNK + 100 if per_period is None else 4 * per_period
+        # the steps path evaluates every step's rates, the periods and maps paths one period's
+        n_steps = 2 * RATE_CHUNK + 100 if per_period is None else round(periods * per_period)
         integrate(ex3_spec, SolveSettings(n=n, step=step, horizon=n_steps * step), empty_start(n))
         assert taken == [path]
         full, rest = divmod(n_steps if per_period is None else per_period, RATE_CHUNK)
@@ -398,30 +403,35 @@ class TestChunkedRates:
 class TestPeriodPropagators:
     @pytest.mark.parametrize("n, step, horizon, path", [
         (16, 0.003, 6.0, "steps"),  # 1/step is not an integer
-        (16, 1e-3, MIN_PERIODS, "steps"),  # too few periods to pay for the build
-        (16, 1e-3, MIN_PERIODS + 1, "periods"),
+        (16, 1e-3, 1.5, "maps"),  # fewer than 16**2 / 160 = 1.6 periods do not pay for the propagators
+        (16, 1e-3, 2.0, "periods"),
+        (64, 0.02, 25.0, "maps"),  # 25.6 periods at n = 64
         (64, 0.02, 40.0, "periods"),
-        (128, 0.02, 40.0, "periods"),  # 50 propagators of 128 x 128 fit the budget
-        (128, 0.004, 40.0, "steps"),  # 125 propagators of 128 x 128 exceed it
-        (256, 0.02, 40.0, "steps"),  # 40 periods do not pay for the build at n = 256
+        (128, 0.02, 40.0, "maps"),  # truncate-heavy's n = 128 level: 102.4 periods at n = 128
+        (128, 0.02, 110.0, "periods"),  # 50 propagators of 128 x 128 fit the budget
+        (128, 0.004, 40.0, "maps"),  # 125 propagators of 128 x 128 exceed it, 250 maps of 17 x 128 do not
+        (256, 0.02, 40.0, "maps"),
+        (64, 1e-3, 10.0, "steps"),  # 1,000 maps of 17 x 64 exceed the budget too
+        (256, 0.004, 40.0, "steps"),  # and 250 maps of 17 x 256
     ])
     def test_path_selection(self, ex1_spec, monkeypatch, n, step, horizon, path):
+        assert BUILD_PERIODS_N2 == 160 and PROPAGATOR_BUDGET == 8 << 20
         taken = record_paths(monkeypatch)
         integrate(ex1_spec, SolveSettings(n=n, step=step, horizon=horizon), empty_start(n))
         assert taken == [path]
 
-    def test_grid_off_the_period_takes_steps(self):
+    def test_grid_off_the_period_takes_maps(self):
         # 50,500 steps are 6,312 sample intervals of 8 steps and 4 steps more
         assert solver._sample_stride(50_500, 1e-3) == 8
-        assert not solver._use_propagators(16, 1e-3, 50_500, 8)
-        assert solver._use_propagators(16, 1e-3, 50_000, 8)
+        assert solver._path(16, 1e-3, 50_500, 8) == "maps"
+        assert solver._path(16, 1e-3, 50_000, 8) == "periods"
         # a stride of two periods does not divide the period
         assert solver._sample_stride(500_000, 0.02) == 100
-        assert not solver._use_propagators(16, 0.02, 500_000, 100)
+        assert solver._path(16, 0.02, 500_000, 100) == "maps"
 
     @pytest.mark.parametrize("example, n, step, horizon", [
         ("ex1_spec", 16, 0.004, 10.0),
-        ("ex3_spec", 64, 0.01, 12.0),
+        ("ex3_spec", 64, 0.01, 30.0),
     ])
     @pytest.mark.parametrize("start", [empty_start, far_start])
     def test_matches_vector_path(self, request, monkeypatch, example, n, step, horizon, start):
@@ -441,6 +451,8 @@ class TestStackedStarts:
         (16, 0.004, 10.0, "periods", (48, 16)),
         (40, 0.003, 3.0, "steps", (120, 40)),
         (130, 0.003, 1.0, "steps", (3, 5, 130)),  # the band
+        (40, 0.02, 3.0, "maps", (120, 40)),
+        (130, 0.02, 3.0, "maps", (3, 5, 130)),
     ])
     def test_each_row_is_its_start_alone(self, ex3_spec, monkeypatch, n, step, horizon, path, shape):
         st = SolveSettings(n=n, step=step, horizon=horizon)
@@ -452,7 +464,7 @@ class TestStackedStarts:
         stacked = integrate(ex3_spec, st, starts)
         assert isinstance(stacked, tuple) and len(stacked) == 3
         assert taken == [path] * 3 and shapes == {shape}
-        assert builds == ([(n, step)] if path == "periods" else [])
+        assert builds == ([(n, step)] if path != "steps" else [])
         for traj, start in zip(stacked, starts):
             alone = integrate(ex3_spec, st, start)
             assert np.array_equal(traj.times, alone.times)
@@ -513,12 +525,13 @@ class TestBandedGenerator:
 
     @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize("start", [empty_start, far_start])
-    def test_step_path_matches_dense_oracle(self, monkeypatch, n, start):
-        step, horizon = 0.02, 3.0
+    @pytest.mark.parametrize("step, path", [(0.015, "steps"), (0.02, "maps")])
+    def test_step_path_matches_dense_oracle(self, monkeypatch, n, start, step, path):
+        horizon = 3.0
         taken = record_paths(monkeypatch)
         shapes = record_generators(monkeypatch)
         traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), start(n))
-        assert taken == ["steps"] and shapes == {(3, 5, n)}
+        assert taken == [path] and shapes == {(3, 5, n)}
         states, _ = reference_rk4(self.HEAVY, n, step, horizon, start(n))
         idx = np.round(traj.times / step).astype(int)
         assert idx[-1] == len(states) - 1
@@ -537,8 +550,8 @@ class TestBandedGenerator:
 
     @pytest.mark.parametrize("start", [empty_start, far_start])
     def test_period_propagators_at_stride_one(self, monkeypatch, start):
-        # truncate-heavy's n = 128 level: 2,000 steps, a sample after every one
-        n, step, horizon = 128, 0.02, 40.0
+        # 5,500 steps, a sample after every one
+        n, step, horizon = 128, 0.02, 110.0
         assert solver.sample_grid(horizon, step)[1] == 1
         taken = record_paths(monkeypatch)
         traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), start(n))
@@ -566,6 +579,70 @@ class TestBandedGenerator:
         assert R.shape == (3, 5, n)
         assert abs(q.sum() - 1.0) < 1e-12
         assert peak < 4e6  # the dense (3n, n) stack alone would take 403 MB
+
+
+class TestStepMaps:
+    HEAVY = TestBandedGenerator.HEAVY
+    TABLE = TestChunkedRates.SPECS["table"]  # breakpoints 0.3, 0.5 and 0.75 on stage times at step 0.02
+
+    @pytest.mark.parametrize("n", [5, 16, 130, 256])  # at n = 5 the 17-column probe is wider than n
+    def test_maps_are_the_step_on_the_identity(self, n):
+        step, per_unit = 0.02, 50
+        R = solver._generator(n)
+        maps = solver._step_maps(self.HEAVY, R, step, per_unit)
+        assert maps.shape == (per_unit, 17, n)
+        offsets = np.subtract.outer(np.arange(n), np.arange(n))  # row - column
+        for s, stage in enumerate(solver._step_rates(self.HEAVY, step, 0, per_unit)):
+            M = solver._rk4_step(R, stage, step, np.eye(n))
+            assert np.all(M[np.abs(offsets) > 8] == 0.0)
+            for d in range(-8, 9):
+                j = np.arange(max(0, -d), min(n, n - d))
+                want = M[j + d, j]
+                assert np.all(np.abs(maps[s, 8 + d, j] - want) <= 2 * np.spacing(np.abs(want)))
+                assert np.all(np.delete(maps[s, 8 + d], j) == 0.0)
+
+    @pytest.mark.parametrize("n, step, horizon", [(16, 0.01, 1.5), (40, 0.004, 9.0), (64, 0.02, 20.0), (130, 0.02, 20.0)])
+    @pytest.mark.parametrize("start", [empty_start, far_start])
+    def test_band_steps_match_stage_steps(self, ex3_spec, monkeypatch, n, step, horizon, start):
+        taken = record_paths(monkeypatch)
+        traj = integrate(ex3_spec, SolveSettings(n=n, step=step, horizon=horizon), start(n))
+        assert taken == ["maps"]
+        probs, mean = vector_path(ex3_spec, n, step, horizon, start(n))
+        assert np.max(np.abs(traj.probs - probs)) <= 1e-13
+        assert np.all(np.abs(traj.mean - mean) <= 1e-13 * np.maximum(1.0, np.abs(mean)))
+        assert traj.defect_per_unit_time < 1e-8 and traj.min_entry_pre >= -1e-9
+
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_table_breakpoint_on_a_stage_time(self, monkeypatch, n):
+        # the maps take the first period's stage rates, as the propagators do, so a breakpoint on
+        # a stage time falls on the same side in every period; the stage-by-stage steps evaluate
+        # each period's own times, whose rounding puts it on either side
+        step, horizon = 0.02, 10.0
+        taken = record_paths(monkeypatch)
+        traj = integrate(self.TABLE, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert taken == ["maps"]
+        states, _ = reference_rk4(self.TABLE, n, step, horizon, far_start(n), modulo_period=True)
+        assert np.max(np.abs(traj.probs - states)) <= 1e-13
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_path", lambda *args: "periods")
+            periods = integrate(self.TABLE, SolveSettings(n=n, step=step, horizon=horizon), far_start(n))
+        assert np.max(np.abs(traj.probs - periods.probs)) <= 1e-13
+
+    def test_truncate_heavy_levels(self, monkeypatch):
+        # the search at rho = 0.95 steps with the maps from n = 128 on and still accepts 128
+        taken = record_paths(monkeypatch)
+        builds = record_builds(monkeypatch)
+        assert choose_truncation(self.HEAVY, SolveSettings(step=0.02, horizon=40.0)) == 128
+        assert taken == ["periods"] * 3 + ["maps"] * 2
+        assert builds == [(n, 0.02) for n in (16, 32, 64, 128, 256)]
+
+    def test_unstable_step_halves_without_a_warning(self, ex3_spec, monkeypatch):
+        # the suite turns numpy's overflow and invalid-value warnings into errors
+        taken = record_paths(monkeypatch)
+        reg = limiting_regime(ex3_spec, SolveSettings(step=0.125, horizon=80.0))
+        assert "maps" in taken
+        assert reg.from_empty.step == reg.from_far.step == 0.03125
+        assert reg.from_empty.n == 64
 
 
 class TestChooseTruncation:
@@ -646,16 +723,21 @@ class TestLimitingRegime:
         reg = limiting_regime(ex1_spec, st)
         n = choose_truncation(ex1_spec, st)
         assert reg.from_empty.n == reg.from_far.n == n
-        ref = integrate(ex1_spec, replace(st, n=n), empty_start(n))
-        assert np.array_equal(reg.from_empty.probs, ref.probs)
-        assert np.array_equal(reg.from_empty.times, ref.times)
+        for traj, start in ((reg.from_empty, empty_start), (reg.from_far, far_start)):
+            ref = integrate(ex1_spec, replace(st, n=n), start(n))
+            assert np.array_equal(traj.probs, ref.probs)
+            assert np.array_equal(traj.times, ref.times)
+            assert traj.defect_per_unit_time == ref.defect_per_unit_time
+            assert traj.min_entry_pre == ref.min_entry_pre
 
     def test_search_reuse_keeps_three_integrations(self, ex1_spec, monkeypatch):
-        # solve-light: n = 16 and 32 from empty, then n = 16 from far
-        calls = record_integrate(monkeypatch)
+        # solve-light: n = 16 and 32 from empty, then n = 16 from far on the n = 16 propagators
+        calls = record_trajectories(monkeypatch)
+        builds = record_builds(monkeypatch)
         st = SolveSettings(step=0.004, horizon=20.0)
         limiting_regime(ex1_spec, st)
         assert calls == [(16, 0.004, 0), (32, 0.004, 0), (16, 0.004, 15)]
+        assert builds == [(16, 0.004), (32, 0.004)]
         calls.clear()
         choose_truncation(ex1_spec, st)
         assert calls == [(16, 0.004, 0), (32, 0.004, 0)]
@@ -705,7 +787,7 @@ class TestStepHalving:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_halved_solve_equals_solve_started_at_final_step(self, case, monkeypatch):
         spec, st, final_step, n = self.CASES[case]
-        calls = record_integrate(monkeypatch, fail_at=(32, 0.01) if case == "forced-at-n32" else None)
+        calls = record_trajectories(monkeypatch, fail_at=(32, 0.01) if case == "forced-at-n32" else None)
         halved = limiting_regime(spec, st)
         if case == "forced-at-n32":
             assert calls == [(16, 0.01, 0), (32, 0.01, 0), (16, 0.005, 0), (32, 0.005, 0), (16, 0.005, 15)]
