@@ -22,12 +22,45 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # temporaries small: whole-series arrays fragmented the glibc heap and raised
 # the peak resident memory of a solve by about 2 MB.
 POINT_BLOCK = 512
+# "0." to "999." and "00," to "99," (after an x) then "00 " to "99 " (after a y), NUL-padded to 4 bytes
+_WHOLE = np.array([b"%d." % i for i in range(1000)], dtype="S4").view(np.uint32)
+_HUNDREDTHS = np.array([b"%02d%c" % (i, c) for c in b", " for i in range(100)], dtype="S4").view(np.uint32)
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     if hi <= lo:
         hi = lo + 1.0
     return np.linspace(lo, hi, count)
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """The points "%.2f,%.2f" % (x, y), joined by spaces, in one array pass.
+
+    A coordinate in [0, 1000) whose hundredfold lies more than 1e-6 from a half rounds to the
+    nearest hundredth as `%` rounds its exact value.  Its digits are two table words, its
+    whole part with the point and its hundredths with the separator, padded with NUL bytes
+    that are dropped.  A point with any other coordinate (near a tie, negative, NaN, or
+    999.995 and up) is formatted by `%`.
+    """
+    xy = np.stack([x, y], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a coordinate that overflows is not plain
+        scaled = xy * 100.0
+        cents = np.rint(scaled)
+        plain = ~np.signbit(xy) & (cents < 1e5) & (np.abs(np.abs(scaled - cents) - 0.5) > 1e-6)
+    cents = np.where(plain, cents, 0.0).astype(np.intp)
+    whole = cents // 100
+    words = np.empty(xy.shape + (2,), dtype=np.uint32)
+    words[..., 0] = _WHOLE[whole]
+    words[..., 1] = _HUNDREDTHS[cents - 100 * whole + [0, 100]]
+    text = words.tobytes().replace(b"\0", b"").decode("ascii")
+    if not plain.all():
+        ends = np.cumsum(np.count_nonzero(words.view(np.uint8).reshape(len(xy), -1), axis=1))
+        pieces, at = [], 0
+        for k in np.flatnonzero(~plain.all(axis=1)):
+            pieces += [text[at:ends[k - 1] if k else 0], "%.2f,%.2f " % (x[k], y[k])]
+            at = ends[k]
+        text = "".join(pieces) + text[at:]
+    return text[:-1]
 
 
 def line_chart(series, title: str = "", xlabel: str = "t", ylabel: str = "") -> str:
@@ -86,11 +119,8 @@ def line_chart(series, title: str = "", xlabel: str = "t", ylabel: str = "") -> 
         color = PALETTE[i % len(PALETTE)]
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        pts = " ".join(
-            "%.2f,%.2f" % xy
-            for lo in range(0, len(x), POINT_BLOCK)
-            for xy in zip(px(x[lo:lo + POINT_BLOCK]), py(y[lo:lo + POINT_BLOCK]))
-        )
+        pts = " ".join(_points(px(x[lo:lo + POINT_BLOCK]), py(y[lo:lo + POINT_BLOCK]))
+                       for lo in range(0, len(x), POINT_BLOCK))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 16 + 16 * i
         parts.append(f'<line x1="{WIDTH - 170}" y1="{ly - 4}" x2="{WIDTH - 145}" y2="{ly - 4}" '

@@ -100,6 +100,15 @@ def _moves(n: int, conservative: bool) -> np.ndarray:
     return moves
 
 
+def _repeating_columns() -> tuple[int, int]:
+    """(head, tail): the columns of the conservative A(t) other than its first `head` and last `tail` are all the same.
+
+    The head moves leave states 0..3, every later state moves one up and one down
+    (`_moves`), and the conservative truncation drops the one move past the last state.
+    """
+    return 1 + max(source for _, source, _ in _HEAD_MOVES), 1
+
+
 def _rate_bands(n: int, conservative: bool) -> np.ndarray:
     """Constant parts (L, M1, M2) of A(t) = lam*L + mu1*M1 + mu2*M2 on states 0..n-1, as diagonals.
 

@@ -30,9 +30,12 @@ table breakpoint falls on the same side in every period.
   the propagators fit PROPAGATOR_BUDGET bytes.
 * Step maps: one RK4 step of a linear system is a matrix, a degree-4
   polynomial in the stage values of A, so its diagonals are -8..8.  One RK4
-  step of an (n, 17) probe block per step of the first period reads them
+  step of a 17-column probe block per step of the first period reads them
   back, and each vector step is then one product with its 17 diagonals and
-  one sum.  Taken otherwise when the maps fit PROPAGATOR_BUDGET bytes.
+  one sum.  A's columns repeat but for the first 4 and the last, and a map's
+  column reads A's within 6 of it, so on the band the probe runs on 18
+  states and the maps of any n tile its head, its one repeating column and
+  its tail.  Taken otherwise when the maps fit PROPAGATOR_BUDGET bytes.
 * Steps: the loop on the vector, when 1/h is not an integer or the maps
   would exceed the budget.
 
@@ -68,7 +71,8 @@ from functools import partial
 import numpy as np
 
 from .bounds import fixed_alphas
-from .matrices import TRUNCATION_CAP, WeightSequence, _layout, _rate_bands, require_truncation, weighted_norm
+from .matrices import (TRUNCATION_CAP, WeightSequence, _layout, _rate_bands, _repeating_columns, require_truncation,
+                       weighted_norm)
 from .model import ModelSpec, job_counts
 
 STEP_DEFECT_LIMIT = 1e-6
@@ -81,15 +85,19 @@ STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
 # against the step maps (the build time they add / the time they save per period) on the
 # rho = 0.95 model lambda = 3.8 (1 + sin 2 pi t), mu1 = mu2 = 2, with the sample stride of a
 # horizon of 40 (1, 1, 2, 5) and the stack / the maps in MiB in brackets; 1 BLAS thread, best
-# of 3; 0 where the propagators cost no more to build and less per period:
+# of 3; 0 where the propagators cost no more to build and less per period.  From n = 128 on
+# the maps are tiled from an 18-state probe, a build of 2.3-2.9 ms at h = 0.02 and 12-14 ms
+# at h = 0.004 for every n:
 #   n     h = 0.02            0.01              0.004             1e-3
 #   16    0 (0.1 / 0.1)       0 (0.2 / 0.2)     0 (0.2 / 0.5)     0 (0.4 / 2.1)
 #   32    0.5 (0.4 / 0.2)     0.9 (0.8 / 0.4)   0.6 (1.0 / 1.0)   0.2 (1.6 / 4.2)
 #   64    32 (1.6 / 0.4)      31 (3.1 / 0.8)    24 (3.9 / 2.1)    21 (6.3 / 8.3)
 #   96    1395 (3.5 / 0.6)    264 (7.0 / 1.3)   109 (8.8 / 3.1)   85 (14 / 12)
-#   128   never (6.3 / 0.8)   704 (12.5 / 1.7)  97 (15.6 / 4.2)   56 (25 / 17)
-#   192   never (14 / 1.3)    never (28 / 2.5)  never (35 / 6.2)  462 (56 / 25)
+#   128   never (6.3 / 0.8)   2078 (12.5 / 1.7) 139 (15.6 / 4.2)  92 (25 / 17)
+#   192   never (14 / 1.3)    never (28 / 2.5)  never (35 / 6.2)  438 (56 / 25)
 #   256   never (25 / 1.7)    never (50 / 3.3)  never (63 / 8.3)  never (100 / 33)
+# Of the rows from n = 128 on only h = 0.02 at n = 128 fits the budget; the rule takes the
+# propagators there from 102 periods though that cell reads "never" at stride 1.
 # A step map costs one product of 17n entries, a propagator n**2 / stride, so from n = 128 at
 # stride 1 the period products cost as much as the steps they replace.  Where the maps exceed
 # the budget (n of 62 and more at h = 1e-3) the propagators face the stage-by-stage steps,
@@ -323,13 +331,12 @@ def _by_periods(Q: np.ndarray, p: np.ndarray, lo: int, out: np.ndarray) -> None:
     out[:] = (Q[:rows].reshape(rows * n, n) @ p).reshape(rows, n)
 
 
-def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
-    """maps[s, 8 + d, j] = M_s[j + d, j]: the RK4 step s of a period as the 17 diagonals of its matrix M_s.
+def _probed_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
+    """`_step_maps` read back from one RK4 step of an (n, 17) probe block per step of the period.
 
-    M_s is a degree-4 polynomial in the stage values of A, whose diagonals are -2..2, so its
-    diagonals are -8..8.  `_rk4_step` runs on an (n, 17) probe whose column c sums the unit
-    vectors e_i with i = c (mod 17); the columns M_s e_i of one probe column lie 17 rows apart
-    and reach 8 rows either side, so no two meet in a row and each reads back exactly.
+    `_rk4_step` runs on a probe whose column c sums the unit vectors e_i with i = c (mod 17);
+    the columns M_s e_i of one probe column lie 17 rows apart and reach 8 rows either side,
+    so no two meet in a row and each reads back exactly.
     """
     n = R.shape[-1]
     cols = np.arange(n)
@@ -341,6 +348,28 @@ def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.nd
     for s, stage in enumerate(_step_rates(spec, h, 0, per_unit)):
         np.multiply(_rk4_step(R, stage, h, probe)[rows, hits], inside, out=maps[s])
     return maps
+
+
+def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
+    """maps[s, 8 + d, j] = M_s[j + d, j]: the RK4 step s of a period as the 17 diagonals of its matrix M_s.
+
+    M_s is a degree-4 polynomial in the stage values of A, whose diagonals are -2..2, so its
+    diagonals are -8..8.  Column j of M_s sums products A[r4, r3] A[r3, r2] A[r2, r1] A[r1, j],
+    which read A's columns within 3 * 2 = 6 of j, and every column of A but the first 4 and the
+    last repeats (`matrices._repeating_columns`).  On the band each entry is the same float
+    operations wherever it stands, so columns 10 to n - 8 of a map are one column and its
+    first 10 and last 7 do not depend on n: the maps are those probed (`_probed_maps`) on
+    n0 = 18 states with their column 10 repeated n - 17 times.  The dense layout's BLAS
+    products need not round alike at two sizes, so it is probed at its own n.
+    """
+    n = R.shape[-1]
+    if R.ndim == 2:
+        return _probed_maps(spec, R, h, per_unit)
+    reach = 3 * (R.shape[1] // 2)  # RK4's degree less one, times the band's half-width
+    head, tail = _repeating_columns()
+    head, n0 = head + reach, head + tail + 2 * reach + 1
+    small = _probed_maps(spec, _rate_bands(n0, conservative=True), h, per_unit)
+    return np.repeat(small, np.where(np.arange(n0) == head, n - n0 + 1, 1), axis=2)
 
 
 def _by_maps(maps: np.ndarray, n_steps: int, stride: int, p: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from twoproc.matrices import (
     _forcing,
     _layout,
     _rate_bands,
+    _repeating_columns,
     build_A,
     build_B,
     build_transformed,
@@ -126,6 +127,14 @@ class TestRateBands:
         assert sums[0, -1] == -1.0
         sums[0, -1] = 0.0
         assert np.all(sums == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 300])
+    def test_repeating_columns(self, n):
+        # the solver tiles its step maps from the columns that repeat
+        head, tail = _repeating_columns()
+        bands = _rate_bands(n, True)
+        same = np.all(bands == bands[:, :, head, None], axis=(0, 1))
+        assert same[head:n - tail].all() and not same[:head].any() and not same[n - tail:].any()
 
     def test_layout_places_each_diagonal(self):
         bands = np.arange(1.0, 2 * 5 * 6 + 1).reshape(2, 5, 6)

@@ -69,16 +69,37 @@ def record_paths(monkeypatch):
 
 
 def record_generators(monkeypatch):
-    """Set of the shapes of the constant parts `solver._rk4_step` is called with."""
+    """Set of the shapes of the constant parts `solver._generator` lays out, one per level an operator is built for."""
     shapes = set()
-    run = solver._rk4_step
+    run = solver._generator
 
-    def recording(R, stage, h, X):
+    def recording(n):
+        R = run(n)
         shapes.add(R.shape)
-        return run(R, stage, h, X)
+        return R
 
-    monkeypatch.setattr(solver, "_rk4_step", recording)
+    monkeypatch.setattr(solver, "_generator", recording)
     return shapes
+
+
+def record_maps(monkeypatch):
+    """List of (layout shape, maps, full probe), one per `solver._step_maps` build; the full probe is
+    `solver._probed_maps` on the layout the build was given."""
+    built = []
+    run = solver._step_maps
+
+    def recording(spec, R, h, per_unit):
+        maps = run(spec, R, h, per_unit)
+        built.append((R.shape, maps, solver._probed_maps(spec, R, h, per_unit)))
+        return maps
+
+    monkeypatch.setattr(solver, "_step_maps", recording)
+    return built
+
+
+def maps_are_probed(built) -> bool:
+    """Whether each of the maps `record_maps` recorded is byte for byte the full probe on its own layout."""
+    return all(maps.tobytes() == probed.tobytes() for _, maps, probed in built)
 
 
 def record_builds(monkeypatch):
@@ -461,10 +482,12 @@ class TestStackedStarts:
         taken = record_paths(monkeypatch)
         shapes = record_generators(monkeypatch)
         builds = record_builds(monkeypatch)
+        maps = record_maps(monkeypatch)
         stacked = integrate(ex3_spec, st, starts)
         assert isinstance(stacked, tuple) and len(stacked) == 3
         assert taken == [path] * 3 and shapes == {shape}
         assert builds == ([(n, step)] if path != "steps" else [])
+        assert [layout for layout, *_ in maps] == ([shape] if path == "maps" else []) and maps_are_probed(maps)
         for traj, start in zip(stacked, starts):
             alone = integrate(ex3_spec, st, start)
             assert np.array_equal(traj.times, alone.times)
@@ -530,8 +553,10 @@ class TestBandedGenerator:
         horizon = 3.0
         taken = record_paths(monkeypatch)
         shapes = record_generators(monkeypatch)
+        maps = record_maps(monkeypatch)
         traj = integrate(self.HEAVY, SolveSettings(n=n, step=step, horizon=horizon), start(n))
         assert taken == [path] and shapes == {(3, 5, n)}
+        assert [layout for layout, *_ in maps] == ([(3, 5, n)] if path == "maps" else []) and maps_are_probed(maps)
         states, _ = reference_rk4(self.HEAVY, n, step, horizon, start(n))
         idx = np.round(traj.times / step).astype(int)
         assert idx[-1] == len(states) - 1
@@ -562,8 +587,10 @@ class TestBandedGenerator:
 
     def test_search_accepts_128(self, monkeypatch):
         shapes = record_generators(monkeypatch)
+        maps = record_maps(monkeypatch)
         assert choose_truncation(self.HEAVY, SolveSettings(step=0.02, horizon=40.0)) == 128
         assert {(3, 5, 128), (3, 5, 256)} <= shapes
+        assert [layout for layout, *_ in maps] == [(3, 5, 128), (3, 5, 256)] and maps_are_probed(maps)
 
     def test_operator_and_one_step_take_linear_memory(self):
         n, step = TRUNCATION_CAP, 0.02
@@ -600,6 +627,27 @@ class TestStepMaps:
                 want = M[j + d, j]
                 assert np.all(np.abs(maps[s, 8 + d, j] - want) <= 2 * np.spacing(np.abs(want)))
                 assert np.all(np.delete(maps[s, 8 + d], j) == 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(TestChunkedRates.SPECS))
+    @pytest.mark.parametrize("step", [0.02, 0.004])
+    @pytest.mark.parametrize("n", [19, 128, 130, 256, 1024])
+    def test_tiled_maps_are_the_full_probe(self, monkeypatch, kind, step, n):
+        # on the band the maps are probed on 18 states and tiled: columns 0..9 and the last 7
+        # read A's irregular columns, and column 10 repeats in between, the same floats bit for bit
+        spec, per_unit = TestChunkedRates.SPECS[kind], round(1 / step)
+        R = _rate_bands(n, conservative=True)
+        probed = []
+        run = solver._probed_maps
+
+        def recording(spec, R, h, per_unit):
+            probed.append(R.shape)
+            return run(spec, R, h, per_unit)
+
+        monkeypatch.setattr(solver, "_probed_maps", recording)
+        maps = solver._step_maps(spec, R, step, per_unit)
+        assert probed == [(3, 5, 18)]
+        assert maps.shape == (per_unit, 17, n)
+        assert maps.tobytes() == run(spec, R, step, per_unit).tobytes()
 
     @pytest.mark.parametrize("n, step, horizon", [(16, 0.01, 1.5), (40, 0.004, 9.0), (64, 0.02, 20.0), (130, 0.02, 20.0)])
     @pytest.mark.parametrize("start", [empty_start, far_start])
