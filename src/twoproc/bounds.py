@@ -239,7 +239,6 @@ def certificate_report(cert: ConvergenceCertificate, spec: ModelSpec) -> str:
                      f" < alpha{b + 1} = {alphas[b, k]:g} at t = {at[k]:g})")
     lines += ["", "  alpha table (fixed weights), t in [0,1]:",
               "  t        alpha1       alpha2       alpha3       alpha4       alpha5       beta*(route)"]
-    for i, t in enumerate(ts):
-        row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
-        lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}")
+    row = "  %6.3f  " + "  ".join(["%11.6g"] * 5) + "  %11.6g"
+    lines += [row % tuple(values) for values in np.column_stack([ts, table.T, route_vals]).tolist()]
     return "\n".join(lines) + "\n"

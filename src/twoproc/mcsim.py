@@ -30,24 +30,27 @@ of batching and of any concurrent execution order.
 
 A candidate with uniform u is an arrival when u < pa = lambda / M, else a
 main completion when u < pf = pa + mu1 / M, else a backup completion when
-u < ps = pf + mu2 / M, else a self-loop.  Within a cell these thresholds
-move little, so the cell carries certified bounds on each (the squeeze of
-a thinning sampler): each rate's range over the cell, from samples h apart
-widened by L h / 2 and a rounding allowance, goes through the same float
-expressions as pa, pf and ps, and rounding, being monotone, keeps every
-threshold of the cell inside them.  A table of the events these bounds
-decide, per cell and per bin of u, settles most candidates; the rates are
-evaluated only for the rest (about 4% / 9% / 13% of the candidates on
-example1 / 2 / 3), and the events are exactly those a full evaluation gives.
+u < ps = pf + mu2 / M, else a self-loop.  Each cell splits into _SUB
+sub-cells of equal Lambda-mass, found by the same floor as the cell; within
+a sub-cell these thresholds move little, so it carries certified bounds on
+each (the squeeze of a thinning sampler): each rate's range over the
+sub-cell, from samples h apart widened by L h / 2 and a rounding allowance,
+goes through the same float expressions as pa, pf and ps, and rounding,
+being monotone, keeps every threshold of the sub-cell inside them.  A table
+of the events these bounds decide, per sub-cell and per bin of u, settles
+most candidates; the rates are evaluated only for the rest (0.8% / 1.4% /
+2.5% of the candidates on example1 / 2 / 3), and the events are exactly
+those a full evaluation gives.
 
 Paths run in blocks sized by _BLOCK_BYTES over the bytes one path needs: the
 uniforms drawn before the scan and its share of the column-block arrays.
 The draws cover the scan to the last sample time and a margin of 2.5 standard
 deviations of the candidate count, in whole column blocks; the few paths
-still scanning past them continue their streams one column block at a time.  Within a block the candidates are scanned in column blocks
-of _CHUNK: one cumsum gives the block's S_i, the event table is looked up by
-cell and bin, the rates are evaluated on the phases in [0, 1) of the
-candidates it leaves open, and the states advance one column at a time
+still scanning past them continue their streams one column block at a time.
+Within a block the candidates are scanned in column blocks of _CHUNK: one
+cumsum gives the block's S_i, the event table is looked up by sub-cell and
+bin, the rates are evaluated on the phases in [0, 1) of the candidates it
+leaves open, and the states advance one column at a time
 through the transition table DELTA.  A path leaves the scan once it has
 passed the last sample time.  Every float is computed with the same
 expressions as a candidate-by-candidate scan that finds each cell by walking
@@ -72,7 +75,10 @@ _MASK64 = (1 << 64) - 1
 # they are merged into
 _PIECES = 256
 _CELLS = 64
-# bins of the thinning uniform u per cell in the table of decided events
+# sub-cells of equal Lambda-mass per cell and bins of the thinning uniform u per
+# sub-cell in the table of decided events; _SUB is a power of two, so the floor of
+# r _SUB / cell_mass, floor-divided by _SUB, is the floor of r / cell_mass
+_SUB = 8
 _BINS = 1024
 # target bytes per block of paths: each path's uniforms drawn before the scan
 # plus its share of the column-block arrays, _SCAN_ARRAYS float arrays of _CHUNK rows
@@ -183,9 +189,11 @@ class Majorant(NamedTuple):  # a NamedTuple defines in a fifth of a frozen datac
     Every cell but the last has Lambda-mass cell_mass; Lambda(t) is the
     integral of M over [0, t], period_mass its value at t = 1.  inv = 1 / top
     and base = start[:-1] - g cell_mass inv make the phase of Lambda-mass r
-    within a period base[g] + r inv[g].  low[:, g] <= (pa, pf, ps) <= high[:, g]
-    bound the thresholds of every phase that cell g yields, and
-    events[g * _BINS + b] is the event of every u in [b, b + 1) / _BINS at
+    within a period base[g] + r inv[g].  Each cell splits into _SUB sub-cells of
+    Lambda-mass cell_mass / _SUB, sub-cell q = _SUB g + k holding the masses
+    [q, q + 1) cell_mass / _SUB.  low[:, q] <= (pa, pf, ps) <= high[:, q] bound
+    the thresholds of every phase that sub-cell q yields, and
+    events[q * _BINS + b] is the event of every u in [b, b + 1) / _BINS at
     those phases, or -1 where the bounds leave it open.
     """
 
@@ -206,16 +214,19 @@ class Majorant(NamedTuple):  # a NamedTuple defines in a fifth of a frozen datac
         return whole * self.period_mass + float(g * self.cell_mass + self.top[g] * (t - whole - self.start[g]))
 
     def cell(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lambda-mass r within the period, and the cell g that holds it, for Lambda-masses s >= 0.
+        """Lambda-mass r within the period, and the sub-cell q that holds it, for Lambda-masses s >= 0.
 
-        Rounding can put r a few units past either end of [0, period_mass); the
-        cell index is clipped to the period, so the phase stays within rounding of it.
+        Sub-cell q is part q % _SUB of cell q // _SUB.  Rounding can put r a few units
+        past either end of [0, period_mass); the sub-cell index is clipped to the
+        period, so the phase stays within rounding of it.  r _SUB / cell_mass is
+        _SUB times r / cell_mass exactly, so q // _SUB is the cell that r / cell_mass gives.
         """
         r = s - np.floor(s * (1.0 / self.period_mass)) * self.period_mass
-        return r, np.minimum((r * (1.0 / self.cell_mass)).astype(np.intp), len(self.top) - 1)
+        return r, np.minimum((r * (_SUB * (1.0 / self.cell_mass))).astype(np.intp), _SUB * len(self.top) - 1)
 
-    def phase(self, r: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Phase in [0, 1) of the Lambda-mass r in cell g, and 1 / M there."""
+    def phase(self, r: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phase in [0, 1) of the Lambda-mass r in sub-cell q, and 1 / M there."""
+        g = q // _SUB
         inv = self.inv[g]
         return self.base[g] + r * inv, inv
 
@@ -229,12 +240,13 @@ def majorant(spec: ModelSpec) -> Majorant:
     with the value that gives it mass cell_mass there, which still dominates
     the bounds it touches.
 
-    The phases cell g yields lie within `slack` of its ends: the rounding of
-    base, of r inv and of their sum, and of the r that still maps to g.  A
-    rate's range over the cell is its range over the grid intervals that
-    [start - slack, end + slack] meets, counted modulo the period, so cell 0
-    takes the interval that a phase just below 0 wraps to.  A cell whose
-    slack exceeds a piece decides nothing.
+    The phases a sub-cell of cell g yields lie within `slack[g]` of its ends:
+    the rounding of base, of r inv and of their sum, of the ends, and of the r
+    that still maps to the sub-cell.  A rate's range over the sub-cell is its
+    range over the grid intervals that [start - slack, end + slack] meets,
+    counted modulo the period, so sub-cell 0 takes the interval that a phase
+    just below 0 wraps to.  The sub-cells of a cell whose slack exceeds a
+    piece decide nothing.
     """
     bounds, grid, low, high = _piece_bounds(spec)
     cell = float(np.mean(bounds)) / _CELLS
@@ -261,25 +273,39 @@ def majorant(spec: ModelSpec) -> Majorant:
     base = start[:-1] - np.arange(cells) * cell * inv
 
     slack = 8.0 * np.finfo(float).eps * (np.abs(base) + np.arange(1, cells + 1) * cell * inv + 1.0)
-    rate_low, rate_high = np.full((3, cells), -np.inf), np.full((3, cells), np.inf)
-    for g in np.flatnonzero(slack <= 1.0 / _PIECES):
-        ends = np.searchsorted(grid, [start[g] - slack[g], start[g + 1] + slack[g]], side="right") - 1
-        near = np.arange(ends[0], ends[1] + 1) % (len(grid) - 1)
-        rate_low[:, g] = low[:, near].min(axis=1)
-        rate_high[:, g] = high[:, near].max(axis=1)
-    low, high = np.array(_thresholds(*rate_low, inv)), np.array(_thresholds(*rate_high, inv))
+    # Sub-cell k of cell g holds the masses [_SUB g + k, _SUB g + k + 1) cell / _SUB and the phases
+    # between start[g] + k cell inv[g] / _SUB and the next such edge, none past the cell's end.
+    edges = np.minimum(start[:-1, None] + np.arange(_SUB + 1) * (cell * inv[:, None] / _SUB), start[1:, None])
+    edges[:, -1] = start[1:]
+    near = np.searchsorted(grid, [(edges[:, :-1] - slack[:, None]).ravel(), (edges[:, 1:] + slack[:, None]).ravel()],
+                           side="right")
+    # the grid intervals near[0] - 1 .. near[1] - 1, counted modulo the period, are the
+    # columns near[0] .. near[1] of the intervals taken from -1 on; reduceat runs over the
+    # interleaved starts and ends, and every other result is a sub-cell's
+    wrap = np.arange(-1, low.shape[1] + 2) % low.shape[1]
+    spans = np.stack([near[0], near[1] + 1], axis=1).ravel()
+    open_cell = np.repeat(slack > 1.0 / _PIECES, _SUB)
+    rate_low = np.where(open_cell, -np.inf, np.minimum.reduceat(low[:, wrap], spans, axis=1)[:, ::2])
+    rate_high = np.where(open_cell, np.inf, np.maximum.reduceat(high[:, wrap], spans, axis=1)[:, ::2])
+    sub_inv = np.repeat(inv, _SUB)
+    low, high = np.array(_thresholds(*rate_low, sub_inv)), np.array(_thresholds(*rate_high, sub_inv))
 
-    # The event is [u >= pa] + [u >= max(pa, pf)] + [u >= max(pa, pf, ps)].
-    # With the six bounds sorted per cell by a running maximum, an even count
-    # 2k of those <= u decides event k; a bin decides when its count is even
-    # and no bound falls inside it.
-    edges = np.maximum.accumulate(np.stack([low, high], axis=1).reshape(6, cells), axis=0).T[:, None, :]
-    bins = np.arange(_BINS + 1)[:, None] / _BINS
-    at_start = np.count_nonzero(edges <= bins[:-1], axis=2)
-    before_end = np.count_nonzero(edges < bins[1:], axis=2)
-    events = np.where((at_start == before_end) & (at_start % 2 == 0), at_start // 2, -1).astype(np.int8)
+    # The event is [u >= pa] + [u >= max(pa, pf)] + [u >= max(pa, pf, ps)].  With the six
+    # bounds sorted per sub-cell by a running maximum, an even count 2k of those <= u decides
+    # event k; a bin decides when its count is even and no bound falls inside it.  A bound e
+    # is <= b / _BINS from bin ceil(e _BINS) on and < (b + 1) / _BINS from bin floor(e _BINS)
+    # on (e _BINS is exact), so a cumsum over the bins of 7 at the first and 1 at the second
+    # gives 7 (bounds <= the bin's start) + (bounds below its end), 16 k where both are 2k.
+    scaled = np.maximum.accumulate(np.stack([low, high], axis=1).reshape(6, -1), axis=0) * _BINS
+    counts = np.zeros((scaled.shape[1], _BINS + 1), dtype=np.int8)
+    rows = np.arange(scaled.shape[1])
+    np.add.at(counts, (rows, np.clip(np.ceil(scaled), 0, _BINS).astype(np.intp)), 7)
+    np.add.at(counts, (rows, np.clip(np.floor(scaled), 0, _BINS).astype(np.intp)), 1)
+    np.cumsum(counts, axis=1, dtype=np.int8, out=counts)
+    decide = np.full(49, -1, dtype=np.int8)
+    decide[[0, 16, 32, 48]] = np.arange(4)
     return Majorant(start=start, top=top, inv=inv, base=base, cell_mass=cell, period_mass=float(period),
-                    low=low, high=high, events=events.ravel())
+                    low=low, high=high, events=decide[counts[:, :_BINS]].ravel())
 
 
 def _path_draws(seed: int, path_indices: np.ndarray, count: int, start: int = 0) -> np.ndarray:
@@ -385,18 +411,18 @@ def _run_block(
         masses[1:] = -np.log1p(-block[:, 0::2]).T
         np.cumsum(masses, axis=0, out=masses)
         m_new = masses[1:]
-        r, g = maj.cell(m_new)
+        r, q = maj.cell(m_new)
         key = (block[:, 1::2].T * _BINS).astype(np.intp)
-        key += g * _BINS
+        key += q * _BINS
         event = maj.events.take(key)
         undecided = np.flatnonzero(event < 0)
         if len(undecided):
-            # the rates where the cell's bounds leave the event open, with the
+            # the rates where the sub-cell's bounds leave the event open, with the
             # expressions of a full evaluation: event 0 when u < pa, else 1
             # when u < pf, else 2 when u < ps, else 3
             col, path = np.divmod(undecided, len(live))
             u = block[path, 2 * col + 1]
-            phase, inv = maj.phase(r.ravel()[undecided], g.ravel()[undecided])
+            phase, inv = maj.phase(r.ravel()[undecided], q.ravel()[undecided])
             pa, pf, ps = _thresholds(*spec.rates(phase), inv)
             past_a = u >= pa
             past_f = past_a & (u >= pf)

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -350,7 +350,12 @@ def _probed_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.
     return maps
 
 
-def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
+def _band_probe(spec: ModelSpec, h: float, per_unit: int, n0: int) -> np.ndarray:
+    """`_probed_maps` on the band of n0 states, from which `_step_maps` tiles every band level."""
+    return _probed_maps(spec, _rate_bands(n0, conservative=True), h, per_unit)
+
+
+def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int, probe=None) -> np.ndarray:
     """maps[s, 8 + d, j] = M_s[j + d, j]: the RK4 step s of a period as the 17 diagonals of its matrix M_s.
 
     M_s is a degree-4 polynomial in the stage values of A, whose diagonals are -2..2, so its
@@ -359,8 +364,10 @@ def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.nd
     last repeats (`matrices._repeating_columns`).  On the band each entry is the same float
     operations wherever it stands, so columns 10 to n - 8 of a map are one column and its
     first 10 and last 7 do not depend on n: the maps are those probed (`_probed_maps`) on
-    n0 = 18 states with their column 10 repeated n - 17 times.  The dense layout's BLAS
-    products need not round alike at two sizes, so it is probed at its own n.
+    n0 = 18 states with their column 10 repeated n - 17 times; probe(n0), when given, returns
+    `_band_probe` for this spec, h and per_unit (a search shares one cached probe among its
+    levels).  The dense layout's BLAS products need not round alike at two sizes, so it is
+    probed at its own n.
     """
     n = R.shape[-1]
     if R.ndim == 2:
@@ -368,7 +375,7 @@ def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.nd
     reach = 3 * (R.shape[1] // 2)  # RK4's degree less one, times the band's half-width
     head, tail = _repeating_columns()
     head, n0 = head + reach, head + tail + 2 * reach + 1
-    small = _probed_maps(spec, _rate_bands(n0, conservative=True), h, per_unit)
+    small = probe(n0) if probe else _band_probe(spec, h, per_unit, n0)
     return np.repeat(small, np.where(np.arange(n0) == head, n - n0 + 1, 1), axis=2)
 
 
@@ -423,23 +430,24 @@ def _path(n: int, h: float, n_steps: int, stride: int) -> str:
     return "maps" if per_unit * 17 * n * 8 <= PROPAGATOR_BUDGET else "steps"
 
 
-def _operator(spec: ModelSpec, n: int, h: float, n_steps: int, stride: int):
-    """(advance, block) for `_accepted` on the path `_path` picks."""
+def _operator(spec: ModelSpec, n: int, h: float, n_steps: int, stride: int, probe=None):
+    """(advance, block) for `_accepted` on the path `_path` picks; `probe` as in `_step_maps`."""
     R = _generator(n)
     path = _path(n, h, n_steps, stride)
     if path == "periods":
         Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
         return partial(_by_periods, Q), len(Q)
     if path == "maps":
-        advance = partial(_by_maps, _step_maps(spec, R, h, _steps_per_period(h)), n_steps, stride)
+        advance = partial(_by_maps, _step_maps(spec, R, h, _steps_per_period(h), probe), n_steps, stride)
     else:
         advance = partial(_by_steps, spec, R, h, n_steps, stride)
     return advance, max(1, RATE_CHUNK // stride)
 
 
-def _trajectories(spec: ModelSpec, settings: SolveSettings, starts: np.ndarray, operator=None):
+def _trajectories(spec: ModelSpec, settings: SolveSettings, starts: np.ndarray, operator=None, probe=None):
     """Trajectories from the rows of the (m, n) stack of probability vectors `starts`, and the operator
-    they ran on: `operator` when given (one `_operator` of the same settings), else a new one."""
+    they ran on: `operator` when given (one `_operator` of the same settings), else a new one,
+    with `probe` as in `_step_maps`."""
     h = settings.step
     n_steps, stride, times = sample_grid(settings.horizon, h)
     projected = starts.copy()
@@ -448,7 +456,7 @@ def _trajectories(spec: ModelSpec, settings: SolveSettings, starts: np.ndarray, 
     # an unstable step may overflow to inf and NaN before its block is checked, and the check fails NaN
     with np.errstate(over="ignore", invalid="ignore"):
         if operator is None:
-            operator = _operator(spec, settings.n, h, n_steps, stride)
+            operator = _operator(spec, settings.n, h, n_steps, stride, probe)
         for start, p in zip(starts, projected):
             probs, defect_sum, min_entry = _accepted(*operator, times, p)
             trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(settings.n), n=settings.n,
@@ -497,16 +505,19 @@ def _at_one_step(solve, spec: ModelSpec, settings: SolveSettings):
 
 
 def _truncation_search(spec: ModelSpec, settings: SolveSettings):
-    """Empty-start trajectory at the state count the doubling search accepts, and the operator it ran on."""
+    """Empty-start trajectory at the state count the doubling search accepts, and the operator it ran on.
+
+    The band levels tile their step maps from one probe, run when the first of them needs it."""
+    probe = cache(partial(_band_probe, spec, settings.step, _steps_per_period(settings.step)))
     n = 16
-    (prev,), prev_op = _trajectories(spec, replace(settings, n=n), empty_start(n)[None])
+    (prev,), prev_op = _trajectories(spec, replace(settings, n=n), empty_start(n)[None], probe=probe)
     while True:
         if 2 * n > TRUNCATION_CAP:
             raise TruncationLimitError(
                 f"no truncation up to {TRUNCATION_CAP} states met tol {settings.tol_truncation:g}; "
                 "the system is likely overloaded"
             )
-        (cur,), cur_op = _trajectories(spec, replace(settings, n=2 * n), empty_start(2 * n)[None])
+        (cur,), cur_op = _trajectories(spec, replace(settings, n=2 * n), empty_start(2 * n)[None], probe=probe)
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
             return prev, prev_op

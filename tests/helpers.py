@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import strategies as st
 
+from twoproc.bounds import _route_beta, fixed_alphas
 from twoproc.matrices import WeightSequence, build_B
 from twoproc.mcsim import Majorant, SimSettings, _candidate_budget, _run_block, majorant
 from twoproc.model import ModelSpec, RateFunction
@@ -324,6 +325,19 @@ def reference_trajectory_csv(traj, order) -> str:
         cells.extend("{:.12g}".format(traj.probs[i, k]) for k in order)
         cells.append("{:.12g}".format(traj.mean[i]))
         lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def reference_alpha_table(cert, spec: ModelSpec) -> str:
+    """The alpha table rows of `certificate_report`, formatted one cell at a time with f-strings."""
+    ts = np.linspace(0.0, 1.0, 101)
+    rates = spec.rates(ts)
+    table = fixed_alphas(*rates, cert.weights.d(6))
+    _, route_vals = _route_beta(spec, cert.weights, rates, np.min(table, axis=0))
+    lines = []
+    for i, t in enumerate(ts):
+        row = "  ".join(f"{table[j, i]:11.6g}" for j in range(5))
+        lines.append(f"  {t:6.3f}  {row}  {route_vals[i]:11.6g}\n")
     return "".join(lines)
 
 

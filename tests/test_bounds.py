@@ -13,6 +13,7 @@ from helpers import (
     random_general_spec,
     random_hetero_constants,
     random_weights,
+    reference_alpha_table,
     reference_alphas,
     reference_tune_weights,
 )
@@ -334,6 +335,19 @@ class TestCertificates:
     def test_report_names_the_route(self, mu1, line):
         spec = ModelSpec(RateFunction.fixed(1.5), RateFunction.fixed(mu1), RateFunction.fixed(2.0))
         assert certificate_report(make_certificate(spec), spec).splitlines()[4] == line
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "table"])
+    def test_alpha_table_matches_cell_by_cell_formatting(self, request, name):
+        if name == "table":  # tuned weights, mixed binding alphas, rates that jump within the table
+            spec = ModelSpec(RateFunction.piecewise([(0.0, 1.0), (0.3, 2.5), (0.7, 0.5)]),
+                             RateFunction.piecewise([(0.0, 3.0), (0.5, 2.0)]), RateFunction.fixed(1.5))
+            cert = make_certificate(spec)
+        else:
+            spec = request.getfixturevalue(f"{name}_spec")
+            cert = make_certificate(spec, request.getfixturevalue(f"{name}_weights"))
+        report = certificate_report(cert, spec)
+        rows = reference_alpha_table(cert, spec)
+        assert report.endswith("beta*(route)\n" + rows) and len(rows.splitlines()) == 101
 
     def test_chain_constant_is_dense_column_norm_maximum(self):
         # sup ||p' - p''||_1 / ||z' - z''||_1D is the largest column l1 norm of

@@ -136,39 +136,66 @@ class TestMajorant:
                        RateFunction.fixed(2.0), RateFunction.fixed(2.0)))
     def test_squeeze_bounds_hold(self, spec):
         maj = mcsim.majorant(spec)
-        cells = len(maj.top)
-        # phases by cell: dense inside it, at and beside its ends, and beside every breakpoint
-        phases = [np.linspace(maj.start[g], maj.start[g + 1], 64) for g in range(cells)]
-        for g in range(cells):
-            ends = maj.start[[g, g + 1]]
-            phases[g] = np.concatenate([phases[g], ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0)])
+        sub = mcsim._SUB
+        subs = sub * len(maj.top)
+        # sub-cell k of cell g spans the phases from start[g] + k cell_mass / (_SUB top[g]), none past the cell's end
+        ends = np.minimum(maj.start[:-1, None] + np.arange(sub + 1) * (maj.cell_mass / sub) * maj.inv[:, None],
+                          maj.start[1:, None])
+        ends[:, -1] = maj.start[1:]
+        lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        # phases by sub-cell: dense inside it, at and beside its ends, and beside every breakpoint
+        phases = [np.concatenate([np.linspace(a, b, 16), *(np.nextafter([a, b], d) for d in (-1.0, 2.0))])
+                  for a, b in zip(lo, hi)]
         breaks = np.array([b for r in (spec.lam, spec.mu1, spec.mu2) for b, _ in r.table or ()])
         beside = np.concatenate([breaks, np.nextafter(breaks, -1.0), np.nextafter(breaks, 2.0)])
-        holder = np.clip(np.searchsorted(maj.start, beside, side="right") - 1, 0, cells - 1)
-        phases = [np.concatenate([phases[g], beside[holder == g]]) for g in range(cells)]
-        # the production phases of masses a few units either side of each cell boundary
-        bounds = np.arange(cells + 1) * maj.cell_mass
-        bounds[-1] = maj.period_mass
+        holder = np.clip(np.searchsorted(lo, beside, side="right") - 1, 0, subs - 1)
+        # the production phases of masses a few units either side of each r = k cell_mass / _SUB
+        bounds = np.arange(subs + 1) * (maj.cell_mass / sub)
+        bounds = np.append(bounds[bounds < maj.period_mass], maj.period_mass)
         near = np.concatenate([bounds + k * maj.period_mass for k in (0, 1, 7, 1000)])
         masses = np.concatenate([near, *(np.nextafter(near, d) for d in (0.0, np.inf)),
                                  *(np.nextafter(np.nextafter(near, d), d) for d in (0.0, np.inf))])
-        r, g_of = maj.cell(masses[masses >= 0.0])
-        made, _ = maj.phase(r, g_of)
-        phases = [np.concatenate([phases[g], made[g_of == g]]) for g in range(cells)]
+        r, made_in = maj.cell(masses[masses >= 0.0])
+        made, _ = maj.phase(r, made_in)
+        phase = np.concatenate([*phases, beside, made])
+        owner = np.concatenate([np.repeat(np.arange(subs), [len(p) for p in phases]), holder, made_in])
 
+        thresholds = np.array(mcsim._thresholds(*spec.rates(phase), maj.inv[owner // sub]))
+        assert np.all(maj.low[:, owner] <= thresholds), np.unique(owner[np.any(maj.low[:, owner] > thresholds, axis=0)])
+        assert np.all(thresholds <= maj.high[:, owner]), np.unique(owner[np.any(thresholds > maj.high[:, owner], axis=0)])
+        # the event falls as any threshold rises, so a decided event that holds at the
+        # thresholds' componentwise extremes over these phases holds at each of them
+        rows = np.arange(3)[:, None]
+        least, most = np.full((3, subs), np.inf), np.full((3, subs), -np.inf)
+        np.minimum.at(least, (rows, owner), thresholds)
+        np.maximum.at(most, (rows, owner), thresholds)
         steps = np.arange(mcsim._BINS + 1) / mcsim._BINS
         u = np.concatenate([steps[:-1], np.nextafter(steps[1:], 0.0)])  # each bin's first and last u
-        decided = maj.events.reshape(cells, mcsim._BINS)[:, (u * mcsim._BINS).astype(np.intp)]
-        for g in range(cells):
-            thresholds = np.array(mcsim._thresholds(*spec.rates(phases[g]), maj.inv[g]))
-            assert np.all(maj.low[:, g, None] <= thresholds), g
-            assert np.all(thresholds <= maj.high[:, g, None]), g
-            # the event falls as any threshold rises, so a decided event that holds at the
-            # thresholds' componentwise extremes over these phases holds at each of them
-            for extreme in (thresholds.min(axis=1), thresholds.max(axis=1)):
-                pa, pf, ps = extreme
-                event = (u >= pa).astype(np.int64) + ((u >= pa) & (u >= pf)) + ((u >= pa) & (u >= pf) & (u >= ps))
-                assert np.all((decided[g] < 0) | (decided[g] == event)), g
+        decided = maj.events.reshape(subs, mcsim._BINS)[:, (u * mcsim._BINS).astype(np.intp)]
+        for pa, pf, ps in (least[:, :, None], most[:, :, None]):
+            event = (u >= pa).astype(np.int64) + ((u >= pa) & (u >= pf)) + ((u >= pa) & (u >= pf) & (u >= ps))
+            wrong = (decided >= 0) & (decided != event)
+            assert not wrong.any(), np.flatnonzero(wrong.any(axis=1))
+
+    def test_sub_cells_split_the_cells(self, ex3_spec):
+        maj = mcsim.majorant(ex3_spec)
+        cells = len(maj.top)
+        # masses at, and a few units either side of, every cell and sub-cell boundary, and at random
+        bounds = np.arange(mcsim._SUB * cells + 1) * (maj.cell_mass / mcsim._SUB)
+        near = np.concatenate([bounds + k * maj.period_mass for k in (0, 1, 7, 1000)])
+        masses = np.concatenate([near, *(np.nextafter(near, d) for d in (0.0, np.inf)),
+                                 np.random.default_rng(1).random(10_000) * 50.0 * maj.period_mass])
+        r, q = maj.cell(masses)
+        # the cell of the sub-cell is the cell that r / cell_mass gives, clipped to the period
+        assert np.array_equal(q // mcsim._SUB, np.minimum((r * (1.0 / maj.cell_mass)).astype(np.intp), cells - 1))
+        assert q.min() >= 0 and q.max() < mcsim._SUB * cells
+        assert maj.events.shape == (mcsim._SUB * cells * mcsim._BINS,) and maj.events.dtype == np.int8
+
+    def test_table_leaves_few_candidates_open(self, ex3_spec):
+        # every (sub-cell, bin) pair but the last cell's holds the same share of the candidates;
+        # a table by whole cells leaves 12.56% of its pairs open on example3
+        maj = mcsim.majorant(ex3_spec)
+        assert np.count_nonzero(maj.events < 0) / maj.events.size <= 0.1256 / 3
 
     def test_all_zero_rates_keep_paths_empty(self):
         zero = RateFunction.fixed(0.0)

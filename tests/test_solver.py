@@ -42,11 +42,11 @@ def record_trajectories(monkeypatch, fail_at=None):
     calls = []
     run = solver._trajectories
 
-    def recording(spec, settings, starts, operator=None):
+    def recording(spec, settings, starts, operator=None, probe=None):
         calls.extend((settings.n, settings.step, int(np.argmax(p))) for p in starts)
         if calls[-1][:2] == fail_at and [c[:2] for c in calls].count(fail_at) == len(starts):
             raise StepSizeError("forced")
-        return run(spec, settings, starts, operator)
+        return run(spec, settings, starts, operator, probe)
 
     monkeypatch.setattr(solver, "_trajectories", recording)
     return calls
@@ -86,15 +86,28 @@ def record_maps(monkeypatch):
     """List of (layout shape, maps, full probe), one per `solver._step_maps` build; the full probe is
     `solver._probed_maps` on the layout the build was given."""
     built = []
-    run = solver._step_maps
+    run, probe = solver._step_maps, solver._probed_maps  # full probes that `record_probes` does not count
 
-    def recording(spec, R, h, per_unit):
-        maps = run(spec, R, h, per_unit)
-        built.append((R.shape, maps, solver._probed_maps(spec, R, h, per_unit)))
+    def recording(spec, R, h, per_unit, *args):
+        maps = run(spec, R, h, per_unit, *args)
+        built.append((R.shape, maps, probe(spec, R, h, per_unit)))
         return maps
 
     monkeypatch.setattr(solver, "_step_maps", recording)
     return built
+
+
+def record_probes(monkeypatch):
+    """List of (layout shape, step), one per `solver._probed_maps` run."""
+    probed = []
+    run = solver._probed_maps
+
+    def recording(spec, R, h, per_unit):
+        probed.append((R.shape, h))
+        return run(spec, R, h, per_unit)
+
+    monkeypatch.setattr(solver, "_probed_maps", recording)
+    return probed
 
 
 def maps_are_probed(built) -> bool:
@@ -588,9 +601,15 @@ class TestBandedGenerator:
     def test_search_accepts_128(self, monkeypatch):
         shapes = record_generators(monkeypatch)
         maps = record_maps(monkeypatch)
-        assert choose_truncation(self.HEAVY, SolveSettings(step=0.02, horizon=40.0)) == 128
+        probed = record_probes(monkeypatch)
+        settings = SolveSettings(step=0.02, horizon=40.0)
+        assert choose_truncation(self.HEAVY, settings) == 128
         assert {(3, 5, 128), (3, 5, 256)} <= shapes
         assert [layout for layout, *_ in maps] == [(3, 5, 128), (3, 5, 256)] and maps_are_probed(maps)
+        # both band levels tile their maps from one probe on 18 states, run once per search
+        assert probed == [((3, 5, 18), 0.02)]
+        assert choose_truncation(self.HEAVY, settings) == 128
+        assert probed == [((3, 5, 18), 0.02)] * 2
 
     def test_operator_and_one_step_take_linear_memory(self):
         n, step = TRUNCATION_CAP, 0.02
@@ -636,18 +655,11 @@ class TestStepMaps:
         # read A's irregular columns, and column 10 repeats in between, the same floats bit for bit
         spec, per_unit = TestChunkedRates.SPECS[kind], round(1 / step)
         R = _rate_bands(n, conservative=True)
-        probed = []
-        run = solver._probed_maps
-
-        def recording(spec, R, h, per_unit):
-            probed.append(R.shape)
-            return run(spec, R, h, per_unit)
-
-        monkeypatch.setattr(solver, "_probed_maps", recording)
+        probed = record_probes(monkeypatch)
         maps = solver._step_maps(spec, R, step, per_unit)
-        assert probed == [(3, 5, 18)]
+        assert probed == [((3, 5, 18), step)]
         assert maps.shape == (per_unit, 17, n)
-        assert maps.tobytes() == run(spec, R, step, per_unit).tobytes()
+        assert maps.tobytes() == solver._probed_maps(spec, R, step, per_unit).tobytes()
 
     @pytest.mark.parametrize("n, step, horizon", [(16, 0.01, 1.5), (40, 0.004, 9.0), (64, 0.02, 20.0), (130, 0.02, 20.0)])
     @pytest.mark.parametrize("start", [empty_start, far_start])
