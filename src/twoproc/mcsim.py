@@ -24,9 +24,12 @@ with only the main busy it seizes the backup; beyond that it queues.  A job
 being served by the backup stays there when the main server frees (the
 transition structure has no migration).
 
-Every path consumes its own counter-based random stream keyed by
-(seed, path_index), two uniforms per candidate, so results are independent
-of batching and of any concurrent execution order.
+Each fixed group of _GROUP consecutive path indices shares one PCG64 stream,
+seeded by (seed mod 2^64, path_index // _GROUP), and uniform j of path i is
+element j _GROUP + i % _GROUP of it: row j, column i % _GROUP of the stream
+laid out in rows of _GROUP.  A candidate takes two uniforms, the exponential
+and then the event.  So a path's result depends only on (seed, path_index),
+whatever the batching or the execution order.
 
 A candidate with uniform u is an arrival when u < pa = lambda / M, else a
 main completion when u < pf = pa + mu1 / M, else a backup completion when
@@ -42,12 +45,9 @@ most candidates; the rates are evaluated only for the rest (0.8% / 1.4% /
 2.5% of the candidates on example1 / 2 / 3), and the events are exactly
 those a full evaluation gives.
 
-Paths run in blocks sized by _BLOCK_BYTES over the bytes one path needs: the
-uniforms drawn before the scan and its share of the column-block arrays.
-The draws cover the scan to the last sample time and a margin of 2.5 standard
-deviations of the candidate count, in whole column blocks; the few paths
-still scanning past them continue their streams one column block at a time.
-Within a block the candidates are scanned in column blocks of _CHUNK: one
+Paths run one group at a time.  The candidates are scanned in column blocks
+of _CHUNK, each drawn as the next 2 _CHUNK rows of the group's stream, so the
+draws in memory never exceed one column block, whatever the horizon: one
 cumsum gives the block's S_i, the event table is looked up by sub-cell and
 bin, the rates are evaluated on the phases in [0, 1) of the candidates it
 leaves open, and the states advance one column at a time
@@ -80,10 +80,8 @@ _CELLS = 64
 # r _SUB / cell_mass, floor-divided by _SUB, is the floor of r / cell_mass
 _SUB = 8
 _BINS = 1024
-# target bytes per block of paths: each path's uniforms drawn before the scan
-# plus its share of the column-block arrays, _SCAN_ARRAYS float arrays of _CHUNK rows
-_BLOCK_BYTES = 16_000_000
-_SCAN_ARRAYS = 10
+# consecutive path indices that share one random stream
+_GROUP = 1024
 # candidates scanned per column block
 _CHUNK = 64
 
@@ -308,42 +306,9 @@ def majorant(spec: ModelSpec) -> Majorant:
                     low=low, high=high, events=decide[counts[:, :_BINS]].ravel())
 
 
-def _path_draws(seed: int, path_indices: np.ndarray, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms start .. start + count - 1 of each path's stream, one row per path.
-
-    Path i's stream is Philox keyed by (seed, i) from a zero counter.  One bit
-    generator is re-keyed per path, which gives the same numbers as a fresh
-    `Philox(key=...)` without building an unused entropy-seeded SeedSequence.
-    Philox makes four uniforms per counter value, so a start that is a
-    multiple of 4 continues the stream from counter start / 4.
-    """
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    fresh = bits.state  # empty output buffer
-    fresh["state"]["counter"][0] = start // 4
-    out = np.empty((len(path_indices), count))
-    for row, idx in enumerate(path_indices):
-        fresh["state"]["key"] = np.array([int(seed) & _MASK64, int(idx) & _MASK64], dtype=np.uint64)
-        bits.state = fresh
-        gen.random(out=out[row])
-    return out
-
-
 def _candidate_budget(mass: float) -> int:
     """Candidates per path for the Lambda-mass `mass` up to the last sample time."""
     return int(mass + 8.0 * math.sqrt(mass + 1.0) + 64.0)
-
-
-def _draw_window(mass: float, budget: int) -> int:
-    """Candidates per path drawn before the scan: whole column blocks that cover
-    the Lambda-mass `mass` up to the last sample time and a margin of 2.5
-    sqrt(mass), at most the budget.
-
-    A path scans whole column blocks and needs one candidate more than the
-    Poisson(mass) count below `mass`, so about 1% of the paths or fewer scan
-    past the window, while at most the paths that stop a block early leave
-    draws unread."""
-    return min(budget, _CHUNK * math.ceil((mass + 2.5 * math.sqrt(mass)) / _CHUNK))
 
 
 # State change DELTA[e, min(state, 4)] for the events e = 0 arrival, 1 main
@@ -375,10 +340,20 @@ def _run_block(
     """States of the paths started empty at the sample times, shape (paths, times).
 
     Each path scans at most `budget` candidates, _CHUNK at a time, and stops
-    once it has passed the last sample time.  The uniforms of the first
-    `_draw_window` candidates are drawn up front; the paths still scanning
-    past them continue their streams one column block at a time.
+    once it has passed the last sample time.  The paths of each group of the
+    stream layout are scanned together: every column block draws the next
+    (2 width, _GROUP) rows of the group's stream and takes the columns of the
+    paths still scanning, or the leading columns while all of them scan and
+    the paths are the group's first members in order.
     """
+    groups = np.unique(path_indices // _GROUP)
+    if len(groups) != 1:
+        rec = np.empty((len(path_indices), len(sample_times)), dtype=np.int64)
+        for g in groups:
+            mine = path_indices // _GROUP == g
+            rec[mine] = _run_block(spec, maj, sample_times, seed, path_indices[mine], budget=budget)
+        return rec
+
     n_paths = len(path_indices)
     n_times = len(sample_times)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
@@ -386,33 +361,29 @@ def _run_block(
     targets = [(j, maj.mass(s)) for j, s in enumerate(sample_times) if s > 0.0]
     last = max((m for _, m in targets), default=0.0)
 
-    drawn = _draw_window(last, budget)  # candidates drawn for the live paths
-    draws = _path_draws(seed, path_indices, 2 * drawn)
-    origin = 0  # the candidate in column 0 of draws
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & _MASK64, int(groups[0])])))
+    members = (path_indices % _GROUP).astype(np.intp)  # each path's column in the stream
+    leading = np.array_equal(members, np.arange(n_paths))
     live = np.arange(n_paths if targets else 0)  # paths still scanning
-    rows = live  # their rows in draws
     mass = np.zeros(n_paths)  # Lambda at each path's last candidate
     state = np.full(n_paths, 0, dtype=np.int64)
     flat_delta = DELTA.ravel()
     for lo in range(0, budget, _CHUNK):
         if len(live) == 0:
             break
-        if lo == drawn:
-            drawn = min(budget, lo + _CHUNK)
-            draws = _path_draws(seed, path_indices[live], 2 * (drawn - lo), start=2 * lo)
-            origin, rows = lo, np.arange(len(live))
         width = min(_CHUNK, budget - lo)
-        block = draws[rows, 2 * (lo - origin) : 2 * (lo - origin + width)]
+        block = stream.random((2 * width, _GROUP))
+        block = block[:, :n_paths] if leading and len(live) == n_paths else block[:, members[live]]
         # Arrays are (candidate, path).  Row 0 is the block's start mass; the
         # sequential cumsum makes row c + 1 the same float as the
         # candidate-by-candidate S + E.
         masses = np.empty((width + 1, len(live)))
         masses[0] = mass
-        masses[1:] = -np.log1p(-block[:, 0::2]).T
+        masses[1:] = -np.log1p(-block[0::2])
         np.cumsum(masses, axis=0, out=masses)
         m_new = masses[1:]
         r, q = maj.cell(m_new)
-        key = (block[:, 1::2].T * _BINS).astype(np.intp)
+        key = (block[1::2] * _BINS).astype(np.intp)
         key += q * _BINS
         event = maj.events.take(key)
         undecided = np.flatnonzero(event < 0)
@@ -421,7 +392,7 @@ def _run_block(
             # expressions of a full evaluation: event 0 when u < pa, else 1
             # when u < pf, else 2 when u < ps, else 3
             col, path = np.divmod(undecided, len(live))
-            u = block[path, 2 * col + 1]
+            u = block[2 * col + 1, path]
             phase, inv = maj.phase(r.ravel()[undecided], q.ravel()[undecided])
             pa, pf, ps = _thresholds(*spec.rates(phase), inv)
             past_a = u >= pa
@@ -436,6 +407,8 @@ def _run_block(
 
         cols = np.arange(len(live))
         for j, target in targets:
+            if mass.min() >= target or m_new[-1].max() < target:
+                continue  # every path crossed it before this block, or none reaches it in it
             # a path crosses sample time j at its first candidate with Lambda >= Lambda(s_j)
             first = np.count_nonzero(m_new < target, axis=0)
             hit = (mass < target) & (first < width)
@@ -444,12 +417,13 @@ def _run_block(
         mass = masses[-1]
         state = hist[-1]
         running = mass < last
-        live, rows, mass, state = live[running], rows[running], mass[running], state[running]
+        live, mass, state = live[running], mass[running], state[running]
 
     unfinished = rec.min(axis=1) < 0
     if unfinished.any():
         # Poisson tail outran the candidate budget (prob ~ 1e-14 per path);
-        # rerun those paths with a doubled budget on the same streams.
+        # rerun those paths with a doubled budget, reading their streams again
+        # from the start.
         redo = path_indices[unfinished]
         rec[unfinished] = _run_block(spec, maj, sample_times, seed, redo, budget=2 * budget)
     return rec
@@ -473,14 +447,11 @@ def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     """
     maj = majorant(spec)
     times = np.asarray(settings.sample_times, dtype=float)
-    last = maj.mass(float(times.max()))
-    budget = _candidate_budget(last)
-    window = _draw_window(last, budget)
-    block = max(1, min(settings.n_paths, _BLOCK_BYTES // (16 * window + 8 * _SCAN_ARRAYS * _CHUNK)))
+    budget = _candidate_budget(maj.mass(float(times.max())))
 
     counts = np.zeros((len(times), 8), dtype=np.int64)
-    for lo in range(0, settings.n_paths, block):
-        idx = np.arange(lo, min(lo + block, settings.n_paths))
+    for lo in range(0, settings.n_paths, _GROUP):  # one group of the stream layout at a time
+        idx = np.arange(lo, min(lo + _GROUP, settings.n_paths))
         rec = _run_block(spec, maj, times, settings.seed, idx, budget=budget)
         top = int(rec.max()) + 1
         if top > counts.shape[1]:

@@ -341,11 +341,33 @@ def reference_alpha_table(cert, spec: ModelSpec) -> str:
     return "".join(lines)
 
 
-def path_stream(seed: int, path_index: int) -> np.random.Generator:
-    """A fresh Philox generator keyed by (seed, path_index)."""
-    mask = (1 << 64) - 1
-    key = (int(seed) & mask) | ((int(path_index) & mask) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+def path_uniforms(seed: int, path_index: int, count: int) -> np.ndarray:
+    """Uniforms 0 .. count - 1 of one path: column path_index % 1024 of its group's
+    PCG64 stream, seeded by (seed mod 2^64, path_index // 1024) and laid out in rows of 1024."""
+    entropy = np.random.SeedSequence([int(seed) % 2**64, int(path_index) // 1024])
+    return np.random.Generator(np.random.PCG64(entropy)).random(count * 1024)[int(path_index) % 1024 :: 1024]
+
+
+def group_stream(seed: int, group: int) -> np.random.PCG64:
+    """The bit generator of one group of 1024 path indices."""
+    return np.random.PCG64(np.random.SeedSequence([int(seed) % 2**64, int(group)]))
+
+
+def path_draws(seed: int, path_indices: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms start .. start + count - 1 of each path's stream, one column per path.
+
+    Each group's stream is advanced past `start` rows of 1024 and drawn once, as
+    a (count, 1024) array whose columns are its members' uniforms.
+    """
+    path_indices = np.asarray(path_indices)
+    out = np.empty((count, len(path_indices)))
+    groups = path_indices // 1024
+    for g in np.unique(groups):
+        mine = groups == g
+        bits = group_stream(seed, g)
+        bits.advance(start * 1024)
+        out[:, mine] = np.random.Generator(bits).random((count, 1024))[:, (path_indices[mine] % 1024).astype(np.intp)]
+    return out
 
 
 def arrival_map(state: np.ndarray) -> np.ndarray:
@@ -394,9 +416,7 @@ def reference_run_block(
     """
     n_paths = len(path_indices)
     n_times = len(sample_times)
-    draws = np.empty((n_paths, 2 * budget))
-    for row, idx in enumerate(path_indices):
-        draws[row] = path_stream(seed, int(idx)).random(2 * budget)
+    draws = path_draws(seed, path_indices, 2 * budget)
     cells = len(maj.top)
     ends = np.append(np.arange(1, cells) * maj.cell_mass, maj.period_mass)  # within a period
     targets = [reference_mass(maj, s) for s in sample_times]
@@ -409,7 +429,7 @@ def reference_run_block(
     rec[:, sample_times <= 0.0] = 0
 
     for k in range(budget):
-        mass_new = mass - np.log1p(-draws[:, 2 * k])
+        mass_new = mass - np.log1p(-draws[2 * k])
         while True:
             past = mass_new >= period * maj.period_mass + ends[cell]
             if not past.any():
@@ -432,7 +452,7 @@ def reference_run_block(
         pa = lam * inv
         pf = pa + mu1 * inv
         ps = pf + mu2 * inv
-        u = draws[:, 2 * k + 1]
+        u = draws[2 * k + 1]
         arrival = u < pa
         fast = (~arrival) & (u < pf)
         slow = (~arrival) & (~fast) & (u < ps)

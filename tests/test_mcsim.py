@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +8,14 @@ from hypothesis import strategies as st
 from helpers import (
     arrival_map,
     fast_completion_map,
-    path_stream,
+    group_stream,
+    path_draws,
+    path_uniforms,
     reference_run_block,
     simulate_path,
     slow_completion_map,
     stationary_vector,
+    traced_peak,
 )
 from twoproc import mcsim
 from twoproc.matrices import build_A
@@ -21,7 +23,6 @@ from twoproc.mcsim import (
     DELTA,
     SimSettings,
     _candidate_budget,
-    _path_draws,
     _run_block,
     compute_rate_bound,
     estimate_probs,
@@ -42,10 +43,19 @@ ZERO_SEGMENT_SPEC = ModelSpec(RateFunction.piecewise([(0.0, 3.0), (0.25, 0.0), (
                               RateFunction.piecewise([(0.0, 2.0), (0.5, 0.0), (0.8, 4.0)]), RateFunction.fixed(0.0))
 
 
-def path_bytes(mass: float) -> int:
-    """Bytes `estimate_probs` counts per path of a block up to the Lambda-mass `mass`."""
-    window = mcsim._draw_window(mass, _candidate_budget(mass))
-    return 16 * window + 8 * mcsim._SCAN_ARRAYS * mcsim._CHUNK
+@pytest.fixture
+def recorded_draws(monkeypatch):
+    """The shape and first row of every `random` draw of the generators built while the test runs."""
+    draws = []
+
+    class Recorded(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            block = super().random(size, dtype, out)
+            draws.append((block.shape, block[0].copy()))
+            return block
+
+    monkeypatch.setattr(np.random, "Generator", Recorded)
+    return draws
 
 
 class TestTransitionMaps:
@@ -212,13 +222,13 @@ class TestTimeChange:
         maj = mcsim.majorant(ex3_spec)
         n_paths, horizon = 10_000, 5.0
         target = maj.mass(horizon)
-        draws = _path_draws(8, np.arange(n_paths), 2 * _candidate_budget(target))
-        mass = np.cumsum(-np.log1p(-draws[:, ::2]), axis=1)
-        assert np.all(mass[:, -1] > target)  # the budget covers [0, horizon]
+        draws = path_draws(8, np.arange(n_paths), 2 * _candidate_budget(target))  # (uniform, path)
+        mass = np.cumsum(-np.log1p(-draws[::2]), axis=0)
+        assert np.all(mass[-1] > target)  # the budget covers [0, horizon]
         phase, inv = maj.phase(*maj.cell(mass))
         times = np.floor(mass / maj.period_mass) + phase
         inside = times < horizon
-        counts = inside.sum(axis=1)
+        counts = inside.sum(axis=0)
         mean_se = math.sqrt(target / n_paths)
         assert abs(counts.mean() - target) <= 4.0 * mean_se
         var_se = math.sqrt((target + 2.0 * target**2) / n_paths)
@@ -250,21 +260,44 @@ class TestPaths:
         assert np.array_equal(a, b)
 
     def test_streams_are_split_by_seed_and_path(self):
-        base = _path_draws(11, np.array([42]), 8)[0]
-        assert np.array_equal(base, _path_draws(11, np.array([42]), 8)[0])
-        assert not np.array_equal(base, _path_draws(12, np.array([42]), 8)[0])
-        assert not np.array_equal(base, _path_draws(11, np.array([43]), 8)[0])
+        base = path_draws(11, np.array([42]), 8)[:, 0]
+        assert np.array_equal(base, path_draws(11, np.array([42]), 8)[:, 0])
+        assert not np.array_equal(base, path_draws(12, np.array([42]), 8)[:, 0])
+        assert not np.array_equal(base, path_draws(11, np.array([43]), 8)[:, 0])  # the next member
+        assert not np.array_equal(base, path_draws(11, np.array([42 + 1024]), 8)[:, 0])  # the next group
+        # the same member of two groups, and of one group under two seeds, share no uniform
+        group = path_draws(11, np.arange(1024), 64)
+        for other in (path_draws(11, 1024 + np.arange(1024), 64), path_draws(12, np.arange(1024), 64)):
+            assert not np.isin(group, other).any()
 
     @pytest.mark.parametrize("seed", [0, 11, 2**64 + 5, -1])
     def test_draws_match_fresh_generators(self, seed):
-        idx = np.array([0, 7, 2**63 + 1])
-        draws = _path_draws(seed, idx, 13)
-        for row, i in enumerate(idx):
-            assert np.array_equal(draws[row], path_stream(seed, int(i)).random(13))
-        # a stream continued from a multiple of 4 is the same slice of one long draw
-        whole = _path_draws(seed, idx, 300)
+        idx = np.array([0, 7, 1023, 1024, 5000, 2**63 + 1], dtype=np.uint64)
+        draws = path_draws(seed, idx, 13)
+        for col, i in enumerate(idx):
+            assert np.array_equal(draws[:, col], path_uniforms(seed, int(i), 13))
+        # a group's stream advanced by start rows of 1024 continues the long draw
+        whole = path_draws(seed, idx, 300)
         for start, count in ((4, 9), (12, 1), (128, 64), (256, 44)):
-            assert np.array_equal(_path_draws(seed, idx, count, start=start), whole[:, start : start + count])
+            assert np.array_equal(path_draws(seed, idx, count, start=start), whole[start : start + count])
+        bits = group_stream(seed, 2**63 // 1024)
+        bits.advance(128 * 1024)
+        assert np.array_equal(np.random.Generator(bits).random((64, 1024))[:, 1], whole[128:192, -1])
+
+    @pytest.mark.parametrize("seed", [3, 2**40 + 9])
+    @pytest.mark.parametrize("group", [0, 977])
+    def test_interleaved_streams_look_uniform(self, seed, group):
+        # one column block of a group: 128 rows of 1024 members, 131,072 uniforms
+        draws = path_draws(seed, group * 1024 + np.arange(1024), 2 * mcsim._CHUNK)
+        got = np.bincount((draws.ravel() * 16).astype(np.intp), minlength=16)
+        expected = draws.size / 16
+        chi2 = float(np.sum((got - expected) ** 2 / expected))
+        dof = 15
+        wilson_hilferty = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert wilson_hilferty < 4.0
+        # neighbouring members r and r + 1 sit next to each other in the stream
+        left, right = draws[:, :-1].ravel(), draws[:, 1:].ravel()
+        assert abs(np.corrcoef(left, right)[0, 1]) < 4.0 / math.sqrt(left.size)
 
     def test_batch_rows_equal_single_paths(self, ex1_spec):
         settings = SimSettings(n_paths=300, seed=5, sample_times=(1.0, 4.0, 9.0))
@@ -293,6 +326,17 @@ class TestColumnBlocks:
         got = _run_block(spec, maj, st, 3, idx, budget)
         assert np.array_equal(got, reference_run_block(spec, maj, st, 3, idx, budget))
 
+    @pytest.mark.parametrize("name", ["shuffled", "two-groups"])
+    def test_any_batch_gives_the_reference_rows(self, ex3_spec, name):
+        maj = mcsim.majorant(ex3_spec)
+        st = np.array([0.5, 3.0])
+        budget = _candidate_budget(maj.mass(3.0))
+        # part of a group in a shuffled order, or indices 1000-1100 across two groups
+        idx = {"shuffled": np.random.default_rng(3).permutation(3072 + np.arange(1024))[:300],
+               "two-groups": np.arange(1000, 1101)}[name]
+        got = _run_block(ex3_spec, maj, st, 7, idx, budget=budget)
+        assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 7, idx, budget))
+
     @pytest.mark.parametrize("budget", [5, 40])
     def test_small_budget_reruns(self, ex3_spec, budget, monkeypatch):
         maj = mcsim.majorant(ex3_spec)
@@ -311,63 +355,45 @@ class TestColumnBlocks:
         assert budgets == [budget << k for k in range(len(budgets))]
         assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 4, idx, budget))
 
-    def test_draws_follow_the_scan(self, ex3_spec, monkeypatch):
+    def test_draws_follow_the_scan(self, ex3_spec, recorded_draws):
         maj = mcsim.majorant(ex3_spec)
         st = np.array([1.0, 4.0])
-        idx = np.arange(40)
+        idx = 2048 + np.arange(40)
         budget = _candidate_budget(maj.mass(4.0))
-        calls = []
-        draws = mcsim._path_draws
-
-        def recorded(seed, paths, count, start=0):
-            calls.append((len(paths), count, start))
-            return draws(seed, paths, count, start)
-
-        monkeypatch.setattr(mcsim, "_path_draws", recorded)
-        monkeypatch.setattr(mcsim, "_draw_window", lambda mass, budget: mcsim._CHUNK)
         got = _run_block(ex3_spec, maj, st, 4, idx, budget)
+        draws = list(recorded_draws)
         assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 4, idx, budget))
-        # a first window of one column block for every path, then one column
-        # block at a time for the paths still scanning, each from where its stream stopped
-        assert len(calls) > 1 and calls[0] == (40, 2 * mcsim._CHUNK, 0)
-        assert [start for _, _, start in calls] == [2 * mcsim._CHUNK * k for k in range(len(calls))]
-        assert all(count == 2 * min(mcsim._CHUNK, budget - start // 2) for _, count, start in calls)
-        live = [paths for paths, _, _ in calls]
-        assert live == sorted(live, reverse=True) and live[-1] < 40
+        # one (2 width, 1024) draw per column block, each the group's next rows,
+        # until the last path has passed t = 4
+        chunk = mcsim._CHUNK
+        assert 1 < len(draws) < budget / chunk
+        assert [shape for shape, _ in draws] == [(2 * chunk, mcsim._GROUP)] * len(draws)
+        for k, (_, first_row) in enumerate(draws):
+            assert np.array_equal(first_row, path_draws(4, 2048 + np.arange(1024), 1, start=2 * chunk * k)[0])
 
-    @pytest.mark.parametrize("example", ["ex1_spec", "ex2_spec", "ex3_spec"])
-    def test_draw_window_is_mostly_read(self, request, example, monkeypatch):
-        # whole column blocks to Lambda(20) + 2.5 sqrt(Lambda(20)): 128 / 192 / 448 candidates
-        spec = request.getfixturevalue(example)
-        drawn, read = [], []
-        draws, cell = mcsim._path_draws, mcsim.Majorant.cell
+    def test_scan_memory_does_not_grow_with_the_horizon(self, ex1_spec, recorded_draws):
+        maj = mcsim.majorant(ex1_spec)
+        idx = np.arange(mcsim._GROUP)
+        _run_block(ex1_spec, maj, np.array([1.0]), 6, idx[:100], budget=_candidate_budget(maj.mass(1.0)))  # warm-up
+        peaks, shapes = [], []
+        for horizon in (20.0, 200.0):
+            budget = _candidate_budget(maj.mass(horizon))
+            recorded_draws.clear()
+            _, peak = traced_peak(lambda: _run_block(ex1_spec, maj, np.array([1.0, horizon]), 6, idx, budget))
+            peaks.append(peak)
+            shapes.append(max(shape for shape, _ in recorded_draws))
+        # the largest draw is one column block at both horizons, and so is the scan's peak
+        assert shapes == [(2 * mcsim._CHUNK, mcsim._GROUP)] * 2
+        assert peaks[1] <= 1.02 * peaks[0]
 
-        def recorded(seed, paths, count, start=0):
-            drawn.append((len(paths), count, start))
-            return draws(seed, paths, count, start)
-
-        def scanned(self, mass):
-            read.append(mass.size)
-            return cell(self, mass)
-
-        monkeypatch.setattr(mcsim, "_path_draws", recorded)
-        monkeypatch.setattr(mcsim.Majorant, "cell", scanned)
-        estimate_probs(spec, SimSettings(n_paths=2000, seed=2, sample_times=(1.0, 5.0, 20.0)))
-        window = drawn[0][1] // 2
-        assert window % mcsim._CHUNK == 0
-        assert sum(paths for paths, count, start in drawn if (count, start) == (2 * window, 0)) == 2000
-        past = sum(paths for paths, _, start in drawn if start == 2 * window)
-        assert past <= 20  # 1% of the paths scan past the window
-        assert 1.0 - 2 * sum(read) / sum(paths * count for paths, count, _ in drawn) <= 0.06
-
-    def test_counts_with_partial_last_block(self, ex3_spec, monkeypatch):
-        settings = SimSettings(n_paths=103, seed=21, sample_times=(0.0, 1.5, 6.0))
+    def test_counts_with_partial_last_block(self, ex3_spec):
+        # one whole group and 6 paths of the next
+        settings = SimSettings(n_paths=1030, seed=21, sample_times=(0.0, 1.5, 6.0))
         maj = mcsim.majorant(ex3_spec)
         budget = _candidate_budget(maj.mass(6.0))
-        monkeypatch.setattr(mcsim, "_BLOCK_BYTES", path_bytes(maj.mass(6.0)) * 10)  # blocks of 10 paths
         est = estimate_probs(ex3_spec, settings)
         rec = reference_run_block(ex3_spec, maj, np.asarray(settings.sample_times), 21,
-                                  np.arange(103), budget)
+                                  np.arange(1030), budget)
         for j in range(3):
             want = np.bincount(rec[:, j], minlength=est.counts.shape[1])
             assert np.array_equal(est.counts[j], want)
@@ -395,13 +421,18 @@ class TestColumnBlocks:
 
 class TestEstimates:
     @hyp_settings(max_examples=12, deadline=None, derandomize=True)
-    @given(st.integers(1, 120))
-    def test_counts_independent_of_block_size(self, ex1_spec, paths_per_block):
-        settings = SimSettings(n_paths=120, seed=13, sample_times=(0.5, 3.0))
-        mass = mcsim.majorant(ex1_spec).mass(3.0)
-        whole = estimate_probs(ex1_spec, settings).counts  # 120 paths fit one default block
-        with mock.patch.object(mcsim, "_BLOCK_BYTES", path_bytes(mass) * paths_per_block):
-            assert np.array_equal(estimate_probs(ex1_spec, settings).counts, whole)
+    @given(st.lists(st.integers(1, 1199), max_size=4, unique=True))
+    def test_counts_independent_of_block_size(self, ex1_spec, cuts):
+        # 1,200 paths cut into blocks at any points, against estimate_probs' one group per block
+        settings = SimSettings(n_paths=1200, seed=13, sample_times=(0.5, 3.0))
+        maj = mcsim.majorant(ex1_spec)
+        times = np.asarray(settings.sample_times)
+        budget = _candidate_budget(maj.mass(3.0))
+        blocks = np.split(np.arange(settings.n_paths), sorted(cuts))
+        rec = np.concatenate([_run_block(ex1_spec, maj, times, 13, idx, budget=budget) for idx in blocks])
+        counts = estimate_probs(ex1_spec, settings).counts
+        for j in range(len(times)):
+            assert np.array_equal(np.bincount(rec[:, j], minlength=counts.shape[1]), counts[j])
 
     def test_requires_hundred_paths(self, ex1_spec):
         with pytest.raises(ValueError, match="100"):
