@@ -52,7 +52,7 @@ FLAGS = {
     "model": (None, None, {"required": True, "help": "path to a JSON model file"}),
     "out": (None, None, {"help": f"output directory (default ${OUT_ENV} or ./twoproc-out)"}),
     "n": ("solve", "n", {"type": int, "help": "truncation level"}),
-    "step": ("solve", "step", {"type": float, "help": "RK4 step size"}),
+    "step": ("solve", "step", {"type": float, "help": "RK4 step size, rounded down to 1/k"}),
     "horizon": ("solve", "horizon", {"type": float, "help": "integration end time"}),
     "paths": ("simulate", "paths", {"type": int, "help": "Monte Carlo path count"}),
     "seed": ("simulate", "seed", {"type": int, "help": "Monte Carlo seed"}),

@@ -339,21 +339,13 @@ def _run_block(
 ) -> np.ndarray:
     """States of the paths started empty at the sample times, shape (paths, times).
 
+    The paths lie in one group of the stream layout and are scanned together.
     Each path scans at most `budget` candidates, _CHUNK at a time, and stops
-    once it has passed the last sample time.  The paths of each group of the
-    stream layout are scanned together: every column block draws the next
+    once it has passed the last sample time: every column block draws the next
     (2 width, _GROUP) rows of the group's stream and takes the columns of the
     paths still scanning, or the leading columns while all of them scan and
     the paths are the group's first members in order.
     """
-    groups = np.unique(path_indices // _GROUP)
-    if len(groups) != 1:
-        rec = np.empty((len(path_indices), len(sample_times)), dtype=np.int64)
-        for g in groups:
-            mine = path_indices // _GROUP == g
-            rec[mine] = _run_block(spec, maj, sample_times, seed, path_indices[mine], budget=budget)
-        return rec
-
     n_paths = len(path_indices)
     n_times = len(sample_times)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
@@ -361,7 +353,8 @@ def _run_block(
     targets = [(j, maj.mass(s)) for j, s in enumerate(sample_times) if s > 0.0]
     last = max((m for _, m in targets), default=0.0)
 
-    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & _MASK64, int(groups[0])])))
+    group = int(path_indices[0]) // _GROUP
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & _MASK64, group])))
     members = (path_indices % _GROUP).astype(np.intp)  # each path's column in the stream
     leading = np.array_equal(members, np.arange(n_paths))
     live = np.arange(n_paths if targets else 0)  # paths still scanning

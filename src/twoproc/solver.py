@@ -19,9 +19,9 @@ and one sum, O(n) work and memory where the dense stack takes O(n^2).
 
 Each path keeps the unprojected state every sample stride steps and at the
 last step, and the samples come one of three ways.  The rates have period
-1, so when 1/h is an integer the step maps repeat every period; the first two
-ways evaluate the stage rates for the first period only, so a stage time on a
-table breakpoint falls on the same side in every period.
+1 and `SolveSettings` rounds the step to 1/k, so every way takes step i's
+stage rates at the stage times of step i mod k: a stage time on a table
+breakpoint falls on the same side in every period, and the ways agree.
 
 * Period propagators: the loop on the n x n identity over [0, 1] gives the
   interval propagators, and each period is one batched product of them with
@@ -36,8 +36,7 @@ table breakpoint falls on the same side in every period.
   column reads A's within 6 of it, so on the band the probe runs on 18
   states and the maps of any n tile its head, its one repeating column and
   its tail.  Taken otherwise when the maps fit PROPAGATOR_BUDGET bytes.
-* Steps: the loop on the vector, when 1/h is not an integer or the maps
-  would exceed the budget.
+* Steps: the loop on the vector, when the maps would exceed the budget.
 
 An (m, n) stack of starts shares one build of the propagators or maps, which
 then advance each row alone; the last two ways run max(1, RATE_CHUNK //
@@ -79,9 +78,9 @@ STEP_DEFECT_LIMIT = 1e-6
 SAMPLE_TARGET = 8000
 RATE_CHUNK = 1024  # RK4 steps whose stage rates are evaluated together (a 72 KiB block)
 STEP_HALVINGS = 6  # times a solve restarts at half the step before giving up
-# With 1/h an integer, `integrate` reuses one period's propagators when the horizon holds at
-# least n**2 / BUILD_PERIODS_N2 periods and their stack fits PROPAGATOR_BUDGET, and else steps
-# with one period's step maps when those fit it.  Break-even in periods of the propagators
+# `integrate` reuses one period's propagators when the horizon holds at least n**2 /
+# BUILD_PERIODS_N2 periods and their stack fits PROPAGATOR_BUDGET, and else steps with one
+# period's step maps when those fit it.  Break-even in periods of the propagators
 # against the step maps (the build time they add / the time they save per period) on the
 # rho = 0.95 model lambda = 3.8 (1 + sin 2 pi t), mu1 = mu2 = 2, with the sample stride of a
 # horizon of 40 (1, 1, 2, 5) and the stack / the maps in MiB in brackets; 1 BLAS thread, best
@@ -137,6 +136,8 @@ class SolveSettings:
     """Integration controls.
 
     n may be left None; `limiting_regime` then runs the truncation search.
+    The step is rounded down to 1/k, k = ceil(1/step) whole steps per period, or
+    k = round(1/step) when that is 1/step to a relative 1e-9: 1/k keeps its float.
     """
 
     n: int | None = None
@@ -152,8 +153,14 @@ class SolveSettings:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value:g}")
+        per_unit = 1.0 / self.step
+        if per_unit < math.inf:
+            k = round(per_unit)
+            object.__setattr__(self, "step", 1.0 / (k if abs(per_unit - k) <= 1e-9 * k else math.ceil(per_unit)))
         if self.horizon / self.step > MAX_STEPS:
             raise ValueError(f"horizon / step must be at most {MAX_STEPS:g} steps, got {self.horizon / self.step:.3g}")
+        if per_unit == math.inf:
+            raise ValueError(f"1 / step must be finite, got step {self.step:g}")
 
 
 @dataclass(frozen=True)
@@ -187,18 +194,15 @@ def far_initial_state(n: int) -> int:
     return 100 if n > 101 else n - 1
 
 
-def _steps_per_period(step: float) -> int | None:
-    """1/step when it is an integer (to 1e-9), else None."""
-    per_unit = 1.0 / step
-    return round(per_unit) if abs(per_unit - round(per_unit)) <= 1e-9 else None
+def _steps_per_period(step: float) -> int:
+    """k, the RK4 steps per period of a step that `SolveSettings` rounded to 1/k."""
+    return round(1.0 / step)
 
 
 def _sample_stride(n_steps: int, step: float) -> int:
-    """Stride dividing the steps-per-unit count so samples hit integer times."""
+    """Stride that divides the steps per period or is a multiple of them, so samples hit integer times."""
     want = max(1, math.ceil(n_steps / SAMPLE_TARGET))
     per_unit = _steps_per_period(step)
-    if per_unit is None:
-        return want
     if want >= per_unit:
         return per_unit * math.ceil(want / per_unit)
     return next(stride for stride in range(want, per_unit + 1) if per_unit % stride == 0)
@@ -225,10 +229,11 @@ def _project(p: np.ndarray) -> None:
 def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
     """Rows (lambda, mu1, mu2) at the stage times of steps lo..hi-1.
 
-    Rows [0, m) hold the step starts i*h, rows [m, 2m) the half steps and
-    rows [2m, 3m) the step ends, with m = hi - lo.
+    Step i takes the stage times of step i mod k in the first period, k = 1/h.
+    Rows [0, m) hold the step starts (i mod k) h, rows [m, 2m) the half steps
+    and rows [2m, 3m) the step ends, with m = hi - lo.
     """
-    t = np.arange(lo, hi) * h
+    t = (np.arange(lo, hi) % _steps_per_period(h)) * h
     grid = np.concatenate([t, t + h / 2, t + h])
     return np.stack(spec.rates(grid), axis=1)
 
@@ -316,12 +321,12 @@ def _by_steps(spec: ModelSpec, R: np.ndarray, h: float, n_steps: int, stride: in
     return out
 
 
-def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int, stride: int) -> np.ndarray:
+def _interval_propagators(spec: ModelSpec, R: np.ndarray, h: float, stride: int) -> np.ndarray:
     """Q[s] maps the state at a period start to the state (s + 1) * stride steps later.
 
     RK4 on the identity block over one period [0, 1]; Q[-1] is the period map.
     """
-    n = R.shape[-1]
+    n, per_unit = R.shape[-1], _steps_per_period(h)
     return _by_steps(spec, R, h, per_unit, stride, np.eye(n), 0, np.empty((per_unit // stride, n, n)))
 
 
@@ -331,7 +336,7 @@ def _by_periods(Q: np.ndarray, p: np.ndarray, lo: int, out: np.ndarray) -> None:
     out[:] = (Q[:rows].reshape(rows * n, n) @ p).reshape(rows, n)
 
 
-def _probed_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.ndarray:
+def _probed_maps(spec: ModelSpec, R: np.ndarray, h: float) -> np.ndarray:
     """`_step_maps` read back from one RK4 step of an (n, 17) probe block per step of the period.
 
     `_rk4_step` runs on a probe whose column c sums the unit vectors e_i with i = c (mod 17);
@@ -344,18 +349,18 @@ def _probed_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int) -> np.
     rows = cols + np.arange(-8, 9)[:, None]  # (17, n): the row j + d of diagonal d in column j
     inside = (rows >= 0) & (rows < n)
     rows, hits = rows.clip(0, n - 1), cols % 17
-    maps = np.empty((per_unit, 17, n))
-    for s, stage in enumerate(_step_rates(spec, h, 0, per_unit)):
+    maps = np.empty((_steps_per_period(h), 17, n))
+    for s, stage in enumerate(_step_rates(spec, h, 0, len(maps))):
         np.multiply(_rk4_step(R, stage, h, probe)[rows, hits], inside, out=maps[s])
     return maps
 
 
-def _band_probe(spec: ModelSpec, h: float, per_unit: int, n0: int) -> np.ndarray:
+def _band_probe(spec: ModelSpec, h: float, n0: int) -> np.ndarray:
     """`_probed_maps` on the band of n0 states, from which `_step_maps` tiles every band level."""
-    return _probed_maps(spec, _rate_bands(n0, conservative=True), h, per_unit)
+    return _probed_maps(spec, _rate_bands(n0, conservative=True), h)
 
 
-def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int, probe=None) -> np.ndarray:
+def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, probe=None) -> np.ndarray:
     """maps[s, 8 + d, j] = M_s[j + d, j]: the RK4 step s of a period as the 17 diagonals of its matrix M_s.
 
     M_s is a degree-4 polynomial in the stage values of A, whose diagonals are -2..2, so its
@@ -365,17 +370,17 @@ def _step_maps(spec: ModelSpec, R: np.ndarray, h: float, per_unit: int, probe=No
     operations wherever it stands, so columns 10 to n - 8 of a map are one column and its
     first 10 and last 7 do not depend on n: the maps are those probed (`_probed_maps`) on
     n0 = 18 states with their column 10 repeated n - 17 times; probe(n0), when given, returns
-    `_band_probe` for this spec, h and per_unit (a search shares one cached probe among its
+    `_band_probe` for this spec and h (a search shares one cached probe among its
     levels).  The dense layout's BLAS products need not round alike at two sizes, so it is
     probed at its own n.
     """
     n = R.shape[-1]
     if R.ndim == 2:
-        return _probed_maps(spec, R, h, per_unit)
+        return _probed_maps(spec, R, h)
     reach = 3 * (R.shape[1] // 2)  # RK4's degree less one, times the band's half-width
     head, tail = _repeating_columns()
     head, n0 = head + reach, head + tail + 2 * reach + 1
-    small = probe(n0) if probe else _band_probe(spec, h, per_unit, n0)
+    small = probe(n0) if probe else _band_probe(spec, h, n0)
     return np.repeat(small, np.where(np.arange(n0) == head, n - n0 + 1, 1), axis=2)
 
 
@@ -422,8 +427,6 @@ def _accepted(advance, block: int, times: np.ndarray, p: np.ndarray):
 def _path(n: int, h: float, n_steps: int, stride: int) -> str:
     """"periods", "maps" or "steps": how `integrate` advances; reads only the grid and n."""
     per_unit = _steps_per_period(h)
-    if per_unit is None:
-        return "steps"
     tiles = not (per_unit % stride or n_steps % stride)
     if tiles and (per_unit // stride) * n * n * 8 <= PROPAGATOR_BUDGET and n_steps / per_unit >= n * n / BUILD_PERIODS_N2:
         return "periods"
@@ -435,10 +438,10 @@ def _operator(spec: ModelSpec, n: int, h: float, n_steps: int, stride: int, prob
     R = _generator(n)
     path = _path(n, h, n_steps, stride)
     if path == "periods":
-        Q = _interval_propagators(spec, R, h, _steps_per_period(h), stride)
+        Q = _interval_propagators(spec, R, h, stride)
         return partial(_by_periods, Q), len(Q)
     if path == "maps":
-        advance = partial(_by_maps, _step_maps(spec, R, h, _steps_per_period(h), probe), n_steps, stride)
+        advance = partial(_by_maps, _step_maps(spec, R, h, probe), n_steps, stride)
     else:
         advance = partial(_by_steps, spec, R, h, n_steps, stride)
     return advance, max(1, RATE_CHUNK // stride)
@@ -508,7 +511,7 @@ def _truncation_search(spec: ModelSpec, settings: SolveSettings):
     """Empty-start trajectory at the state count the doubling search accepts, and the operator it ran on.
 
     The band levels tile their step maps from one probe, run when the first of them needs it."""
-    probe = cache(partial(_band_probe, spec, settings.step, _steps_per_period(settings.step)))
+    probe = cache(partial(_band_probe, spec, settings.step))
     n = 16
     (prev,), prev_op = _trajectories(spec, replace(settings, n=n), empty_start(n)[None], probe=probe)
     while True:
@@ -567,10 +570,10 @@ def _regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
         raise MixingHorizonError(f"trajectories did not merge to {settings.tol_mix:g} within horizon "
                                  f"{settings.horizon:g} (l1 gap {gap[-1]:.3g} at t = {traj0.times[-1]:g})")
     t_mix = float(traj0.times[below[0]])
-    per_unit = _steps_per_period(settings.step)
-    # samples whole periods apart put one sample in a period window: integrate the
-    # period after t_mix, an integer time then, from the merged state
-    whole = per_unit is not None and sample_grid(settings.horizon, settings.step)[1] % per_unit == 0
+    # the stride divides the period or is a multiple of it; samples whole periods apart put one
+    # sample in a period window: integrate the period after t_mix, an integer time then, from
+    # the merged state
+    whole = sample_grid(settings.horizon, settings.step)[1] % _steps_per_period(settings.step) == 0
     a = round(t_mix) if whole else math.ceil(t_mix)
     if a + 1 > traj0.times[-1] + 1e-9:
         raise MixingHorizonError(f"merged at t={t_mix:g} but no full period remains before the horizon")
@@ -579,9 +582,6 @@ def _regime(spec: ModelSpec, settings: SolveSettings) -> LimitingRegime:
         cycle = replace(cycle, times=cycle.times + a)
     else:
         cycle = _slice_trajectory(traj0, a, a + 1)
-        if len(cycle.times) == 0:
-            raise MixingHorizonError(f"no sample lies in the period window [{a:g}, {a + 1:g}] after t_mix={t_mix:g}: "
-                                     f"the samples lie {traj0.times[1] - traj0.times[0]:g} apart; shorten the horizon")
     return LimitingRegime(t_mix=t_mix, cycle=cycle, from_empty=traj0, from_far=trajf)
 
 

@@ -269,8 +269,7 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modulo_period: bool = False,
-                  block: int = RATE_CHUNK):
+def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, block: int = RATE_CHUNK):
     """RK4 states after every step, with one scalar rate call per stage.
 
     Oracle for the chunked rate evaluation of `integrate`: the running state
@@ -278,9 +277,8 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modu
     path at stride 1, and every step records a projected copy of it.
     Returns the (n_steps + 1) x n projected states and the pre-projection
     mass change |sum(p) - sum(previous p)| of every step (0 at the start),
-    counted from 1 after a projection.  With modulo_period, step i takes its
-    stage times from step i mod (1/step), the times at which the period
-    propagators evaluate the rates.
+    counted from 1 after a projection.  Step i takes its stage times from
+    step i mod (1/step), a whole number of steps per period.
     """
     R = rate_parts(n, conservative=True).reshape(3 * n, n)
 
@@ -303,7 +301,7 @@ def reference_rk4(spec: ModelSpec, n: int, step: float, horizon: float, p0, modu
     mass = 1.0
     per_unit = round(1.0 / h)
     for i in range(n_steps):
-        t = (i % per_unit if modulo_period else i) * h
+        t = (i % per_unit) * h
         k1 = rhs(t, p)
         k2 = rhs(t + h / 2, p + (h / 2) * k1)
         k3 = rhs(t + h / 2, p + (h / 2) * k2)

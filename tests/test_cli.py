@@ -322,14 +322,6 @@ class TestSolveCommand:
         assert rc == 1
         assert "merge" in capsys.readouterr().out
 
-    def test_empty_period_window_exits_one(self, light_model, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(solver, "SAMPLE_TARGET", 10)  # samples 2.001 apart at step 0.003
-        rc = main(["solve", "--model", str(light_model), "--out", str(tmp_path / "o"),
-                   "--step", "0.003", "--horizon", "20", "--tol-mix", "1e-5"])
-        assert rc == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[-1].startswith("solve failed: no sample lies in the period window")
-
     REPORT_KEYS = ["model", "truncation n", "t_mix (l1 gap < 1e-05)", "fitted decay rate",
                    "defect per unit time (empty start)", "defect per unit time (far start)", "limit-cycle mean range"]
 
@@ -595,13 +587,15 @@ class TestUsageErrors:
          "B keeps at most 4095 states (A on n + 1), got 4096"),
         (["solve", "--model", EXAMPLE1, "--out", "o", "--n", "16", "--horizon", "1e17"],
          "horizon / step must be at most 1e+08 steps, got 1e+20"),
+        (["solve", "--model", EXAMPLE1, "--out", "o", "--n", "16", "--step", "5e-324", "--horizon", "5e-324"],
+         "1 / step must be finite, got step 4.94066e-324"),
         (["dump", "--model", EXAMPLE1, "--t", "nan"], "t must be finite, got nan"),
         (["dump", "--model", EXAMPLE1, "--t", "inf"], "t must be finite, got inf"),
         (["dump", "--model", EXAMPLE1, "--t=-inf"], "t must be finite, got -inf"),
     ], ids=["missing-model", "paths-0", "dump-n-0", "tol-trunc-0", "tol-trunc-negative", "compare-tol-mix-0",
             "horizon-nan", "horizon-inf", "simulate-horizon-inf", "simulate-horizon-0", "solve-n-4097",
-            "dump-n-4097", "dump-B-n-4096", "solve-steps-past-cap", "dump-t-nan", "dump-t-inf",
-            "dump-t-minus-inf"])
+            "dump-n-4097", "dump-B-n-4096", "solve-steps-past-cap", "solve-step-reciprocal-inf", "dump-t-nan",
+            "dump-t-inf", "dump-t-minus-inf"])
     def test_missing_model_and_zero_values_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

@@ -331,10 +331,12 @@ class TestColumnBlocks:
         maj = mcsim.majorant(ex3_spec)
         st = np.array([0.5, 3.0])
         budget = _candidate_budget(maj.mass(3.0))
-        # part of a group in a shuffled order, or indices 1000-1100 across two groups
+        # part of a group in a shuffled order, or indices 1000-1100 across two groups, one call per group
         idx = {"shuffled": np.random.default_rng(3).permutation(3072 + np.arange(1024))[:300],
                "two-groups": np.arange(1000, 1101)}[name]
-        got = _run_block(ex3_spec, maj, st, 7, idx, budget=budget)
+        groups = idx // mcsim._GROUP
+        got = np.concatenate([_run_block(ex3_spec, maj, st, 7, idx[groups == g], budget=budget)
+                              for g in np.unique(groups)])
         assert np.array_equal(got, reference_run_block(ex3_spec, maj, st, 7, idx, budget))
 
     @pytest.mark.parametrize("budget", [5, 40])
@@ -423,12 +425,13 @@ class TestEstimates:
     @hyp_settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 1199), max_size=4, unique=True))
     def test_counts_independent_of_block_size(self, ex1_spec, cuts):
-        # 1,200 paths cut into blocks at any points, against estimate_probs' one group per block
+        # 1,200 paths cut into blocks at any points and at the group boundary, as `_run_block`
+        # scans one group, against estimate_probs' one group per block
         settings = SimSettings(n_paths=1200, seed=13, sample_times=(0.5, 3.0))
         maj = mcsim.majorant(ex1_spec)
         times = np.asarray(settings.sample_times)
         budget = _candidate_budget(maj.mass(3.0))
-        blocks = np.split(np.arange(settings.n_paths), sorted(cuts))
+        blocks = np.split(np.arange(settings.n_paths), sorted(set(cuts) | {mcsim._GROUP}))
         rec = np.concatenate([_run_block(ex1_spec, maj, times, 13, idx, budget=budget) for idx in blocks])
         counts = estimate_probs(ex1_spec, settings).counts
         for j in range(len(times)):
