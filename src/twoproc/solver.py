@@ -38,9 +38,7 @@ breakpoint falls on the same side in every period, and the ways agree.
   its tail.  Taken otherwise when the maps fit PROPAGATOR_BUDGET bytes.
 * Steps: the loop on the vector, when the maps would exceed the budget.
 
-An (m, n) stack of starts shares one build of the propagators or maps, which
-then advance each row alone; the last two ways run max(1, RATE_CHUNK //
-stride) samples at a time.
+The last two ways run max(1, RATE_CHUNK // stride) samples at a time.
 
 Each block of unprojected samples (a period's, or a block of steps') is
 checked, summed and projected once: a mass change over a sample interval
@@ -51,9 +49,8 @@ sample starts the next block.
 
 Truncation level is controlled empirically by doubling the state count until
 the mean curve stops moving.  `limiting_regime` runs that search itself when
-no n is given, reuses the empty-start trajectory it ends with and runs the far
-start on the propagators or maps of the accepted level; with n given, it
-passes both starts as one stack.
+no n is given and reuses the empty-start trajectory it ends with; the far
+start runs on the propagators or maps the empty start ran on.
 
 The step is one for the whole solve: every trajectory of a search or a
 limiting regime is integrated at it, so all of them share one sample grid.
@@ -226,25 +223,15 @@ def _project(p: np.ndarray) -> None:
     p[np.arange(len(p)), np.argmax(p, axis=1)] -= p.sum(axis=1) - 1.0
 
 
-def _stage_rates(spec: ModelSpec, h: float, lo: int, hi: int) -> np.ndarray:
-    """Rows (lambda, mu1, mu2) at the stage times of steps lo..hi-1.
-
-    Step i takes the stage times of step i mod k in the first period, k = 1/h.
-    Rows [0, m) hold the step starts (i mod k) h, rows [m, 2m) the half steps
-    and rows [2m, 3m) the step ends, with m = hi - lo.
-    """
-    t = (np.arange(lo, hi) % _steps_per_period(h)) * h
-    grid = np.concatenate([t, t + h / 2, t + h])
-    return np.stack(spec.rates(grid), axis=1)
-
-
 def _step_rates(spec: ModelSpec, h: float, first: int, last: int):
     """(3, 3) stage rates of steps first..last-1, RATE_CHUNK steps per evaluation.
 
     Each row is (lambda, mu1, mu2); the rows are the step's start, half step and end.
+    Step i takes the stage times of step i mod k in the first period, k = 1/h.
     """
     for lo in range(first, last, RATE_CHUNK):
-        chunk = _stage_rates(spec, h, lo, min(lo + RATE_CHUNK, last))
+        t = (np.arange(lo, min(lo + RATE_CHUNK, last)) % _steps_per_period(h)) * h
+        chunk = np.stack(spec.rates(np.concatenate([t, t + h / 2, t + h])), axis=1)
         yield from np.ascontiguousarray(chunk.reshape(3, -1, 3).swapaxes(0, 1))
 
 
@@ -447,42 +434,37 @@ def _operator(spec: ModelSpec, n: int, h: float, n_steps: int, stride: int, prob
     return advance, max(1, RATE_CHUNK // stride)
 
 
-def _trajectories(spec: ModelSpec, settings: SolveSettings, starts: np.ndarray, operator=None, probe=None):
-    """Trajectories from the rows of the (m, n) stack of probability vectors `starts`, and the operator
-    they ran on: `operator` when given (one `_operator` of the same settings), else a new one,
-    with `probe` as in `_step_maps`."""
+def _trajectory(spec: ModelSpec, settings: SolveSettings, start: np.ndarray, operator=None, probe=None):
+    """Trajectory from the probability vector `start`, and the operator it ran on: `operator`
+    when given (one `_operator` of the same settings), else a new one, with `probe` as in
+    `_step_maps`."""
     h = settings.step
     n_steps, stride, times = sample_grid(settings.horizon, h)
-    projected = starts.copy()
-    _project(projected)
-    trajs = []
+    p = start.copy()
+    _project(p[None])
     # an unstable step may overflow to inf and NaN before its block is checked, and the check fails NaN
     with np.errstate(over="ignore", invalid="ignore"):
         if operator is None:
             operator = _operator(spec, settings.n, h, n_steps, stride, probe)
-        for start, p in zip(starts, projected):
-            probs, defect_sum, min_entry = _accepted(*operator, times, p)
-            trajs.append(Trajectory(times=times, probs=probs, mean=probs @ job_counts(settings.n), n=settings.n,
-                                    step=h, defect_per_unit_time=defect_sum / settings.horizon,
-                                    min_entry_pre=min(float(np.min(start)), min_entry)))
-    return tuple(trajs), operator
+        probs, defect_sum, min_entry = _accepted(*operator, times, p)
+    traj = Trajectory(times=times, probs=probs, mean=probs @ job_counts(settings.n), n=settings.n, step=h,
+                      defect_per_unit_time=defect_sum / settings.horizon,
+                      min_entry_pre=min(float(np.min(start)), min_entry))
+    return traj, operator
 
 
-def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory | tuple[Trajectory, ...]:
-    """RK4 integration over [0, horizon] from a probability vector p0, or from each row of an
-    (m, n) stack p0 on one layout of the generator and one build of its operator:
-    then a tuple of m trajectories, each bit-identical to integrating its row alone."""
+def integrate(spec: ModelSpec, settings: SolveSettings, p0) -> Trajectory:
+    """RK4 integration over [0, horizon] from a probability vector p0."""
     if settings.n is None:
         raise ValueError("settings.n must be set; use choose_truncation first")
     n = settings.n
     p0 = np.asarray(p0, dtype=float)
-    if p0.ndim not in (1, 2) or p0.shape[-1] != n:
-        raise ValueError(f"p0 must have length n={n}, or be an (m, n) stack of such rows")
+    if p0.shape != (n,):
+        raise ValueError(f"p0 must have length n={n}")
     # written so that a NaN or an infinite entry fails
-    if not np.all((np.min(p0, axis=-1) >= 0.0) & (np.abs(p0.sum(axis=-1) - 1.0) <= 1e-12)):
-        raise ValueError("p0 must be a probability vector, or a stack of them")
-    trajs, _ = _trajectories(spec, settings, p0.reshape(-1, n))
-    return trajs if p0.ndim == 2 else trajs[0]
+    if not (np.min(p0) >= 0.0 and abs(p0.sum() - 1.0) <= 1e-12):
+        raise ValueError("p0 must be a probability vector")
+    return _trajectory(spec, settings, p0)[0]
 
 
 def empty_start(n: int) -> np.ndarray:
@@ -513,14 +495,14 @@ def _truncation_search(spec: ModelSpec, settings: SolveSettings):
     The band levels tile their step maps from one probe, run when the first of them needs it."""
     probe = cache(partial(_band_probe, spec, settings.step))
     n = 16
-    (prev,), prev_op = _trajectories(spec, replace(settings, n=n), empty_start(n)[None], probe=probe)
+    prev, prev_op = _trajectory(spec, replace(settings, n=n), empty_start(n), probe=probe)
     while True:
         if 2 * n > TRUNCATION_CAP:
             raise TruncationLimitError(
                 f"no truncation up to {TRUNCATION_CAP} states met tol {settings.tol_truncation:g}; "
                 "the system is likely overloaded"
             )
-        (cur,), cur_op = _trajectories(spec, replace(settings, n=2 * n), empty_start(2 * n)[None], probe=probe)
+        cur, cur_op = _trajectory(spec, replace(settings, n=2 * n), empty_start(2 * n), probe=probe)
         gap = float(np.max(np.abs(prev.mean - cur.mean)))
         if gap < settings.tol_truncation:
             return prev, prev_op
@@ -538,13 +520,14 @@ def choose_truncation(spec: ModelSpec, settings: SolveSettings) -> int:
 
 
 def _both_starts(spec: ModelSpec, settings: SolveSettings) -> tuple[Trajectory, Trajectory]:
-    """Empty- and far-start trajectories on one operator; the search picks n when it is None
-    and the far start runs on the operator of the level it accepts."""
+    """Empty- and far-start trajectories on one operator: the search picks n when it is None
+    and hands over the operator of the level it accepts, else the empty start builds it."""
     if settings.n is None:
         traj0, operator = _truncation_search(spec, settings)
-        (trajf,), _ = _trajectories(spec, replace(settings, n=traj0.n), far_start(traj0.n)[None], operator)
-        return traj0, trajf
-    return integrate(spec, settings, np.stack([empty_start(settings.n), far_start(settings.n)]))
+    else:
+        traj0, operator = _trajectory(spec, settings, empty_start(settings.n))
+    trajf, _ = _trajectory(spec, replace(settings, n=traj0.n), far_start(traj0.n), operator)
+    return traj0, trajf
 
 
 @dataclass(frozen=True)

@@ -407,8 +407,8 @@ def reference_run_block(
 ) -> np.ndarray:
     """One candidate at a time for every path, started empty, over the whole budget.
 
-    Oracle for the column-block scan of `mcsim._run_block`: Lambda^-1 is a walk
-    of each path's (period, cell) pointer forward to the cell that holds its
+    Oracle for the column-block scan of `mcsim._run_block`: Lambda^-1 moves
+    each path's (period, cell) pointer forward to the cell that holds its
     running sum of unit exponentials, the three rates are called separately
     at each candidate and the state moves through the three transition maps.
     """
@@ -421,7 +421,6 @@ def reference_run_block(
 
     mass = np.zeros(n_paths)
     period = np.zeros(n_paths)  # whole periods before each path's cell
-    cell = np.zeros(n_paths, dtype=np.int64)
     state = np.zeros(n_paths, dtype=np.int64)
     rec = np.full((n_paths, n_times), -1, dtype=np.int64)
     rec[:, sample_times <= 0.0] = 0
@@ -429,12 +428,13 @@ def reference_run_block(
     for k in range(budget):
         mass_new = mass - np.log1p(-draws[2 * k])
         while True:
-            past = mass_new >= period * maj.period_mass + ends[cell]
-            if not past.any():
+            # the cell ends of a period only grow and the running sum only grows, so the count of
+            # ends at or below it is the first cell whose end lies past it: where a walk along
+            # the ends from the pointer stops, or the period's end when it is past them all
+            cell = np.count_nonzero(mass_new[:, None] >= period[:, None] * maj.period_mass + ends, axis=1)
+            if not (cell == cells).any():
                 break
-            cell = cell + past
             period = np.where(cell == cells, period + 1.0, period)
-            cell = np.where(cell == cells, 0, cell)
         for j in range(n_times):
             if sample_times[j] <= 0.0:
                 continue

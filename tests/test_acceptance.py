@@ -78,7 +78,8 @@ def pipelines(examples):
         fit_p = decay_fit(regime.from_empty, regime.from_far)
         avg_spec = ex["spec"].averaged()
         n = ex["settings"].n
-        avg_empty, avg_far = integrate(avg_spec, ex["settings"], np.stack([empty_start(n), far_start(n)]))
+        avg_empty = integrate(avg_spec, ex["settings"], empty_start(n))
+        avg_far = integrate(avg_spec, ex["settings"], far_start(n))
         fit_a = decay_fit(avg_empty, avg_far)
         check = contraction_check(
             regime.from_empty, regime.from_far, ex["spec"], ex["weights"], ex["beta0"]

@@ -427,6 +427,14 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "100 paths" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("horizon", ["1e308", "1e300"])
+    def test_unscannable_horizon_exits_one(self, horizon, tmp_path, capsys):
+        rc = main(["simulate", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(tmp_path / "o"),
+                   "--horizon", horizon])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sample time {float(horizon):g} takes Lambda = ") and err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_light_model_passes_all_gates(self, light_model, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,21 +147,16 @@ class TestMajorant:
                        RateFunction.fixed(2.0), RateFunction.fixed(2.0)))
     def test_squeeze_bounds_hold(self, spec):
         maj = mcsim.majorant(spec)
-        sub = mcsim._SUB
-        subs = sub * len(maj.top)
-        # sub-cell k of cell g spans the phases from start[g] + k cell_mass / (_SUB top[g]), none past the cell's end
-        ends = np.minimum(maj.start[:-1, None] + np.arange(sub + 1) * (maj.cell_mass / sub) * maj.inv[:, None],
-                          maj.start[1:, None])
-        ends[:, -1] = maj.start[1:]
-        lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-        # phases by sub-cell: dense inside it, at and beside its ends, and beside every breakpoint
+        cells = len(maj.top)
+        lo, hi = maj.start[:-1], maj.start[1:]
+        # phases by cell: dense inside it, at and beside its ends, and beside every breakpoint
         phases = [np.concatenate([np.linspace(a, b, 16), *(np.nextafter([a, b], d) for d in (-1.0, 2.0))])
                   for a, b in zip(lo, hi)]
         breaks = np.array([b for r in (spec.lam, spec.mu1, spec.mu2) for b, _ in r.table or ()])
         beside = np.concatenate([breaks, np.nextafter(breaks, -1.0), np.nextafter(breaks, 2.0)])
-        holder = np.clip(np.searchsorted(lo, beside, side="right") - 1, 0, subs - 1)
-        # the production phases of masses a few units either side of each r = k cell_mass / _SUB
-        bounds = np.arange(subs + 1) * (maj.cell_mass / sub)
+        holder = np.clip(np.searchsorted(lo, beside, side="right") - 1, 0, cells - 1)
+        # the production phases of masses a few units either side of each r = g cell_mass
+        bounds = np.arange(cells + 1) * maj.cell_mass
         bounds = np.append(bounds[bounds < maj.period_mass], maj.period_mass)
         near = np.concatenate([bounds + k * maj.period_mass for k in (0, 1, 7, 1000)])
         masses = np.concatenate([near, *(np.nextafter(near, d) for d in (0.0, np.inf)),
@@ -168,42 +164,53 @@ class TestMajorant:
         r, made_in = maj.cell(masses[masses >= 0.0])
         made, _ = maj.phase(r, made_in)
         phase = np.concatenate([*phases, beside, made])
-        owner = np.concatenate([np.repeat(np.arange(subs), [len(p) for p in phases]), holder, made_in])
+        owner = np.concatenate([np.repeat(np.arange(cells), [len(p) for p in phases]), holder, made_in])
 
-        thresholds = np.array(mcsim._thresholds(*spec.rates(phase), maj.inv[owner // sub]))
+        thresholds = np.array(mcsim._thresholds(*spec.rates(phase), maj.inv[owner]))
         assert np.all(maj.low[:, owner] <= thresholds), np.unique(owner[np.any(maj.low[:, owner] > thresholds, axis=0)])
         assert np.all(thresholds <= maj.high[:, owner]), np.unique(owner[np.any(thresholds > maj.high[:, owner], axis=0)])
         # the event falls as any threshold rises, so a decided event that holds at the
         # thresholds' componentwise extremes over these phases holds at each of them
         rows = np.arange(3)[:, None]
-        least, most = np.full((3, subs), np.inf), np.full((3, subs), -np.inf)
+        least, most = np.full((3, cells), np.inf), np.full((3, cells), -np.inf)
         np.minimum.at(least, (rows, owner), thresholds)
         np.maximum.at(most, (rows, owner), thresholds)
         steps = np.arange(mcsim._BINS + 1) / mcsim._BINS
         u = np.concatenate([steps[:-1], np.nextafter(steps[1:], 0.0)])  # each bin's first and last u
-        decided = maj.events.reshape(subs, mcsim._BINS)[:, (u * mcsim._BINS).astype(np.intp)]
+        decided = maj.events.reshape(cells, mcsim._BINS)[:, (u * mcsim._BINS).astype(np.intp)]
         for pa, pf, ps in (least[:, :, None], most[:, :, None]):
             event = (u >= pa).astype(np.int64) + ((u >= pa) & (u >= pf)) + ((u >= pa) & (u >= pf) & (u >= ps))
             wrong = (decided >= 0) & (decided != event)
             assert not wrong.any(), np.flatnonzero(wrong.any(axis=1))
 
-    def test_sub_cells_split_the_cells(self, ex3_spec):
+    def test_cells_index_the_table(self, ex3_spec):
         maj = mcsim.majorant(ex3_spec)
         cells = len(maj.top)
-        # masses at, and a few units either side of, every cell and sub-cell boundary, and at random
-        bounds = np.arange(mcsim._SUB * cells + 1) * (maj.cell_mass / mcsim._SUB)
+        # masses at, and a few units either side of, every cell boundary, and at random
+        bounds = np.arange(cells + 1) * maj.cell_mass
         near = np.concatenate([bounds + k * maj.period_mass for k in (0, 1, 7, 1000)])
         masses = np.concatenate([near, *(np.nextafter(near, d) for d in (0.0, np.inf)),
                                  np.random.default_rng(1).random(10_000) * 50.0 * maj.period_mass])
-        r, q = maj.cell(masses)
-        # the cell of the sub-cell is the cell that r / cell_mass gives, clipped to the period
-        assert np.array_equal(q // mcsim._SUB, np.minimum((r * (1.0 / maj.cell_mass)).astype(np.intp), cells - 1))
-        assert q.min() >= 0 and q.max() < mcsim._SUB * cells
-        assert maj.events.shape == (mcsim._SUB * cells * mcsim._BINS,) and maj.events.dtype == np.int8
+        r, g = maj.cell(masses)
+        assert g.min() >= 0 and g.max() < cells
+        # r lies in cell g up to rounding, and so does the phase it yields
+        slack = 1e-12 * maj.period_mass
+        assert np.all(r >= g * maj.cell_mass - slack)
+        assert np.all(r <= np.minimum((g + 1) * maj.cell_mass, maj.period_mass) + slack)
+        phase, _ = maj.phase(r, g)
+        assert np.all((maj.start[g] - 1e-12 <= phase) & (phase <= maj.start[g + 1] + 1e-12))
+        assert maj.events.shape == (cells * mcsim._BINS,) and maj.events.dtype == np.int8
+
+    @pytest.mark.parametrize("name", ["ex1_spec", "ex2_spec", "ex3_spec"])
+    def test_majorant_hugs_the_piece_bounds(self, name, request):
+        # cells smaller than a piece take little more than the piece bounds' mass; cells
+        # of two to four pieces took 1.006 / 1.014 / 1.027 times it on example1 / 2 / 3
+        spec = request.getfixturevalue(name)
+        assert mcsim.majorant(spec).period_mass <= 1.005 * float(np.mean(mcsim._piece_bounds(spec)[0]))
 
     def test_table_leaves_few_candidates_open(self, ex3_spec):
-        # every (sub-cell, bin) pair but the last cell's holds the same share of the candidates;
-        # a table by whole cells leaves 12.56% of its pairs open on example3
+        # every (cell, bin) pair but the last cell's holds the same share of the candidates;
+        # a table by 64 cells leaves 12.56% of its pairs open on example3
         maj = mcsim.majorant(ex3_spec)
         assert np.count_nonzero(maj.events < 0) / maj.events.size <= 0.1256 / 3
 
@@ -440,6 +447,13 @@ class TestEstimates:
     def test_requires_hundred_paths(self, ex1_spec):
         with pytest.raises(ValueError, match="100"):
             estimate_probs(ex1_spec, SimSettings(n_paths=99, seed=1, sample_times=(1.0,)))
+
+    @pytest.mark.parametrize("last, mass", [(1e308, "inf"), (1e300, "5.01e+300"), (1e17, "5.01e+17")])
+    def test_refuses_an_unscannable_horizon(self, ex1_spec, last, mass):
+        # Lambda(last) is inf or more than 10^8 candidates per path: refused before any draw
+        settings = SimSettings(n_paths=100, seed=1, sample_times=(1.0, last))
+        with pytest.raises(ValueError, match="^" + re.escape(f"sample time {last:g} takes Lambda = {mass} candidates")):
+            estimate_probs(ex1_spec, settings)
 
     def test_stderr_bounded_at_hundred_paths(self, ex1_spec):
         est = estimate_probs(ex1_spec, SimSettings(n_paths=100, seed=2, sample_times=(1.0, 5.0)))

@@ -38,20 +38,20 @@ def ex1_regime(ex1_spec):
 
 
 def record_trajectories(monkeypatch, fail_at=None):
-    """List of (n, step, initial state), one per trajectory `solver._trajectories` runs.
+    """List of (n, step, initial state), one per trajectory `solver._trajectory` runs.
 
     The first call at the (n, step) pair fail_at raises StepSizeError.
     """
     calls = []
-    run = solver._trajectories
+    run = solver._trajectory
 
-    def recording(spec, settings, starts, operator=None, probe=None):
-        calls.extend((settings.n, settings.step, int(np.argmax(p))) for p in starts)
-        if calls[-1][:2] == fail_at and [c[:2] for c in calls].count(fail_at) == len(starts):
+    def recording(spec, settings, start, operator=None, probe=None):
+        calls.append((settings.n, settings.step, int(np.argmax(start))))
+        if calls[-1][:2] == fail_at and [c[:2] for c in calls].count(fail_at) == 1:
             raise StepSizeError("forced")
-        return run(spec, settings, starts, operator, probe)
+        return run(spec, settings, start, operator, probe)
 
-    monkeypatch.setattr(solver, "_trajectories", recording)
+    monkeypatch.setattr(solver, "_trajectory", recording)
     return calls
 
 
@@ -528,6 +528,8 @@ class TestPeriodPropagators:
 
 
 class TestStackedStarts:
+    """With n given, the empty and the far start run on one build of the operator."""
+
     @pytest.mark.parametrize("n, step, horizon, path, shape", [
         (16, 0.004, 10.0, "periods", (48, 16)),
         (40, 0.003, 3.0, "steps", (120, 40)),
@@ -539,18 +541,15 @@ class TestStackedStarts:
         if path == "steps":  # the maps of 1/334 would fit the budget
             take_steps(monkeypatch)
         st = SolveSettings(n=n, step=step, horizon=horizon)
-        mixed = np.random.default_rng(7).random(n)
-        starts = np.stack([empty_start(n), far_start(n), mixed / mixed.sum()])
         taken = record_paths(monkeypatch)
         shapes = record_generators(monkeypatch)
         builds = record_builds(monkeypatch)
         maps = record_maps(monkeypatch)
-        stacked = integrate(ex3_spec, st, starts)
-        assert isinstance(stacked, tuple) and len(stacked) == 3
-        assert taken == [path] * 3 and shapes == {shape}
+        both = solver._both_starts(ex3_spec, st)
+        assert taken == [path] * 2 and shapes == {shape}
         assert builds == ([(n, step)] if path != "steps" else [])
         assert [layout for layout, *_ in maps] == ([shape] if path == "maps" else []) and maps_are_probed(maps)
-        for traj, start in zip(stacked, starts):
+        for traj, start in zip(both, (empty_start(n), far_start(n))):
             alone = integrate(ex3_spec, st, start)
             assert np.array_equal(traj.times, alone.times)
             assert np.array_equal(traj.probs, alone.probs)
@@ -560,14 +559,16 @@ class TestStackedStarts:
 
     def test_stack_validation(self, ex1_spec):
         st = SolveSettings(n=16, step=0.004, horizon=10.0)
-        starts = np.stack([empty_start(16), far_start(16)])
-        with pytest.raises(ValueError, match="length"):
-            integrate(ex1_spec, st, starts[None])
-        with pytest.raises(ValueError, match="length"):
-            integrate(ex1_spec, st, starts[:, :8])
-        starts[1, 0] = 0.5
+        with pytest.raises(ValueError, match="length n=16"):
+            integrate(ex1_spec, st, np.stack([empty_start(16), far_start(16)]))  # one start at a time
+        with pytest.raises(ValueError, match="length n=16"):
+            integrate(ex1_spec, st, empty_start(8))
+        start = far_start(16)
+        start[0] = 0.5
         with pytest.raises(ValueError, match="probability"):
-            integrate(ex1_spec, st, starts)
+            integrate(ex1_spec, st, start)
+        with pytest.raises(ValueError, match="probability"):
+            integrate(ex1_spec, st, np.full(16, np.nan))
 
 
 class TestBandedGenerator:
