@@ -2,7 +2,8 @@
 
 Fixed 800x500 viewBox, simple axes with rounded tick labels, one polyline
 per series.  CSV files remain the authoritative numeric output; these charts
-exist for quick visual inspection.
+exist for quick visual inspection.  This module renders only; the CLI writes
+the files.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ POINT_BLOCK = 512
 # "0." to "999." and "00," to "99," (after an x) then "00 " to "99 " (after a y), NUL-padded to 4 bytes
 _WHOLE = np.array([b"%d." % i for i in range(1000)], dtype="S4").view(np.uint32)
 _HUNDREDTHS = np.array([b"%02d%c" % (i, c) for c in b", " for i in range(100)], dtype="S4").view(np.uint32)
+
+
+def _escape(text: str) -> str:
+    """Text as SVG character data: any Unicode, with &, < and > as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
@@ -64,9 +70,10 @@ def _points(x: np.ndarray, y: np.ndarray) -> str:
 
 
 def line_chart(series, title: str = "", xlabel: str = "t", ylabel: str = "") -> str:
-    """Render series [(label, x, y), ...] into an SVG document string."""
+    """Render series [(label, x, y), ...] into an SVG document string; the texts are escaped here."""
     if not series:
         raise ValueError("need at least one series")
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -126,11 +133,6 @@ def line_chart(series, title: str = "", xlabel: str = "t", ylabel: str = "") -> 
         parts.append(f'<line x1="{WIDTH - 170}" y1="{ly - 4}" x2="{WIDTH - 145}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{WIDTH - 140}" y="{ly}" font-size="12" '
-                     f'font-family="sans-serif">{label}</text>')
+                     f'font-family="sans-serif">{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_chart(path, series, title: str = "", xlabel: str = "t", ylabel: str = "") -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel))

@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, mcsim, solver
-from .charts import write_chart
+from .charts import line_chart
 from .matrices import WeightSequence, _forcing, build_A, build_B, build_transformed, format_matrix
 from .model import ModelSpec, RateFunction, state_label
 from .solver import SolveSettings
@@ -138,7 +139,7 @@ class ModelConfig:
 def load_model_file(path) -> ModelConfig:
     """Read and check a model file; every value is converted here, once."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -214,7 +215,33 @@ def _out_dir(args) -> Path:
     return path
 
 
-# -- CSV writers ------------------------------------------------------------
+# -- output files ----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _new_file(path):
+    """Open path as a new UTF-8 text file with "\\n" line ends; every output file is written here.
+
+    A file already at path is unlinked first, never truncated in place.  On
+    ext4 a truncation in place can wait for a flush of the old data to disk
+    (tens of ms per file from the second quick rerun on), and it would write
+    through a symlink or a hard link at the path.  The new file replaces the
+    name only.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+
+
+def _write_text(path, text: str) -> None:
+    with _new_file(path) as fh:
+        fh.write(text)
+
+
+def write_chart(path, series, title: str = "", xlabel: str = "t", ylabel: str = "") -> None:
+    _write_text(path, line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel))
+
 
 CSV_FLOAT = "%.12g"
 CSV_BLOCK_CELLS = 8192  # cells stacked and formatted together (a 64 KiB block)
@@ -231,7 +258,7 @@ def write_trajectory_csv(path, traj: solver.Trajectory) -> None:
     header = "t," + ",".join(state_label(k) for k in order) + ",mean"
     row = ",".join([CSV_FLOAT] * (traj.n + 2)) + "\n"
     span = max(1, CSV_BLOCK_CELLS // (traj.n + 2))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _new_file(path) as fh:
         fh.write(header + "\n")
         for lo in range(0, len(traj.times), span):
             rows = slice(lo, lo + span)
@@ -240,7 +267,7 @@ def write_trajectory_csv(path, traj: solver.Trajectory) -> None:
 
 
 def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _new_file(path) as fh:
         fh.write("t,state,estimate,stderr\n")
         for i, t in enumerate(est.times):
             for k in range(est.counts.shape[1]):
@@ -256,9 +283,9 @@ def write_mc_csv(path, est: mcsim.SimEstimate) -> None:
 def _write_certificate(out: Path, cert: bounds.ConvergenceCertificate, spec: ModelSpec) -> str:
     """Write certificate.txt and certificate.json, the same for every command; returns the text."""
     report = bounds.certificate_report(cert, spec)
-    (out / "certificate.txt").write_text(report)
+    _write_text(out / "certificate.txt", report)
     record = {**asdict(cert), "beta_star": cert.beta_star}
-    (out / "certificate.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "certificate.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -268,7 +295,7 @@ def cmd_bound(args) -> int:
         cert = bounds.make_certificate(cfg.spec, resolve_weights(cfg, args))
     except bounds.NotCertifiedError as exc:
         print(exc)
-        (_out_dir(args) / "certificate.txt").write_text(f"{exc}\n")
+        _write_text(_out_dir(args) / "certificate.txt", f"{exc}\n")
         return 2
     out = _out_dir(args)
     report = _write_certificate(out, cert, cfg.spec)
@@ -350,7 +377,7 @@ def cmd_solve(args) -> int:
         lines.append(f"{label}: {cert.beta_star_avg:.6g}  measured prefactor N: {check.prefactor_measured:.6g}")
         lines.append(f"certified-route ratio max (should stay near/below 1): {check.ratio_certified_max:.6g}")
     report = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(report)
+    _write_text(out / "report.txt", report)
     print(report, end="")
     return 0
 
@@ -358,8 +385,8 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_model_file(args.model)
     sim = _resolve_sim(cfg, args)
-    out = _out_dir(args)
     est = mcsim.estimate_probs(cfg.spec, sim)
+    out = _out_dir(args)  # after the estimate, so a refused run creates no directory
     write_mc_csv(out / "mc_estimates.csv", est)
     lines = [f"model: {cfg.name}", f"paths: {sim.n_paths}   seed: {sim.seed}"]
     for i, t in enumerate(est.times):
@@ -369,7 +396,7 @@ def cmd_simulate(args) -> int:
         )
         lines.append(f"t={t:g}: {tracked}")
     report = "\n".join(lines) + "\n"
-    (out / "mc_report.txt").write_text(report)
+    _write_text(out / "mc_report.txt", report)
     print(report, end="")
     return 0
 
@@ -414,7 +441,7 @@ def cmd_compare(args) -> int:
     agree_ok = frac >= 0.95
     equal_ok = rel_gap <= 0.05
 
-    with open(out / "agreement.csv", "w", encoding="ascii", newline="\n") as fh:
+    with _new_file(out / "agreement.csv") as fh:
         fh.write("t,state,mc_estimate,ode_prob,stderr,within_3se\n")
         for t, lbl, mc, ode, se, ok in rows:
             fh.write(f"{CSV_FLOAT % t},{lbl},{CSV_FLOAT % mc},"
@@ -433,7 +460,7 @@ def cmd_compare(args) -> int:
     for t, lbl, mc, ode, se, ok in rows:
         lines.append(f"  t={t:>6g} {lbl}: mc={mc:.5f} ode={ode:.5f} se={se:.5f} {'ok' if ok else 'MISS'}")
     report = "\n".join(lines) + "\n"
-    (out / "compare_report.txt").write_text(report)
+    _write_text(out / "compare_report.txt", report)
     print(report, end="")
     return 0 if (agree_ok and equal_ok and slope_ok and ratio_ok) else 3
 

@@ -80,9 +80,10 @@ _BINS = 1024
 _GROUP = 1024
 # candidates scanned per column block
 _CHUNK = 64
-# Lambda-mass of a path, in candidates, that an estimate may plan: the solver's MAX_STEPS
-# bound, and 59,000 times the largest bundled one (1,689 on example2 at its horizon 240)
-_MAX_CANDIDATES = 10**8
+# Candidates an estimate may plan, paths x Lambda(last sample time): about 250 s at 25 ns a
+# candidate, and 59 times the largest bundled run (10^5 paths x 1,689 on example2 at its
+# horizon 240).  At the least 100 paths it holds Lambda to the solver's MAX_STEPS, 10^8.
+_MAX_CANDIDATES = 10**10
 
 
 @dataclass(frozen=True)
@@ -423,16 +424,16 @@ def estimate_probs(spec: ModelSpec, settings: SimSettings) -> SimEstimate:
     """State probabilities at the sample times from settings.n_paths >= 100 paths.
 
     Standard errors use the Laplace-smoothed frequency (c + 0.5)/(n + 1) so
-    that empty cells still carry a usable scale.  Raises ValueError when Lambda
-    at the last sample time exceeds _MAX_CANDIDATES or is infinite.
+    that empty cells still carry a usable scale.  Raises ValueError when
+    n_paths x Lambda(last sample time) exceeds _MAX_CANDIDATES or is infinite.
     """
     maj = majorant(spec)
     times = np.asarray(settings.sample_times, dtype=float)
     last = float(times.max())
     mass = maj.mass(last)
-    if not mass <= _MAX_CANDIDATES:  # inf too
+    if not settings.n_paths * mass <= _MAX_CANDIDATES:  # inf too
         raise ValueError(f"sample time {last:g} takes Lambda = {mass:.3g} candidates per path, "
-                         f"more than {_MAX_CANDIDATES:g}")
+                         f"{settings.n_paths * mass:.3g} for {settings.n_paths} paths, more than {_MAX_CANDIDATES:g}")
     budget = _candidate_budget(mass)
 
     counts = np.zeros((len(times), 8), dtype=np.int64)

@@ -74,3 +74,40 @@ def test_readme_solver_policy_quotes_the_constants():
     assert len(budgets) == 2 and all(int(mib) << 20 == solver.PROPAGATOR_BUDGET for mib in budgets)
     band = re.findall(r"below n = (\d+) \(`solver\.BAND_MIN_N`\)|from (\d+) states on", text)
     assert sorted(int(a or b) for a, b in band) == [solver.BAND_MIN_N] * 2
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A call of write_text or write_bytes, or an open() whose mode may write."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # builtin open(file, mode); Path.open(mode), io.open(file, mode) or os.open(file, flags)
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:2]
+    modes += [k.value for k in call.keywords if k.arg in ("mode", "flags")]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wxa+")
+               for m in modes)
+
+
+def _writing_functions(tree: ast.AST, owner: str) -> list[str]:
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            found.append(owner)
+        inner = f"{owner}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        found += _writing_functions(child, inner)
+    return found
+
+
+def test_one_function_opens_files_for_writing():
+    # every output goes through cli._new_file, which unlinks the path and creates a new
+    # file; a write elsewhere could bring back truncation in place
+    probe = ast.parse("open(p)\nopen(p, 'w')\nopen(p, mode=m)\nPath(p).open()\nPath(p).open('a')\n"
+                      "os.open(p, os.O_WRONLY)\np.write_text(s)\np.write_bytes(b)\np.read_text()\n")
+    assert _writing_functions(probe, "probe") == ["probe"] * 6
+    found = []
+    for path in sorted((ROOT / "src" / "twoproc").glob("*.py")):
+        found += _writing_functions(ast.parse(path.read_text()), path.stem)
+    assert found == ["cli._new_file"]

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -427,13 +428,29 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "100 paths" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("horizon", ["1e308", "1e300"])
-    def test_unscannable_horizon_exits_one(self, horizon, tmp_path, capsys):
+    @pytest.mark.parametrize("horizon", ["1e308", "1e300", "1e7"])
+    def test_unscannable_horizon_exits_one(self, horizon, tmp_path, monkeypatch, capsys):
+        # 1e7: Lambda = 5.0e7 per path, 5.0e12 candidates at the default 10^5 paths, some 35 hours
+        monkeypatch.setattr(mcsim, "_run_block", None)  # refused before any path runs
         rc = main(["simulate", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(tmp_path / "o"),
                    "--horizon", horizon])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: sample time {float(horizon):g} takes Lambda = ") and err.count("\n") == 1
+        assert err.endswith("for 100000 paths, more than 1e+10\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_cap_admits_the_largest_bundled_run(self, tmp_path, monkeypatch):
+        # the default simulate on example2 plans 10^5 x 1,689 candidates, under the 10^10 cap
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(mcsim, "_run_block", admitted)
+        with pytest.raises(Admitted):
+            main(["simulate", "--model", str(CONFIG_DIR / "example2.json"), "--out", str(tmp_path / "o")])
 
 
 class TestCompareCommand:
@@ -699,3 +716,52 @@ def test_output_dir_from_environment(light_model, tmp_path, monkeypatch):
     monkeypatch.setenv("TWOPROC_OUT", str(target))
     assert main(["bound", "--model", str(light_model)]) == 0
     assert (target / "certificate.json").exists()
+
+
+def test_rerun_replaces_every_output(tmp_path, capsys):
+    # a rerun unlinks each output and creates it anew: same bytes, and a hard
+    # link made before the rerun keeps the old file instead of being written through
+    out, links = tmp_path / "out", tmp_path / "links"
+    model = str(CONFIG_DIR / "example1.json")
+    runs = (["bound"], ["solve"], ["simulate", "--paths", "2000"], ["compare", "--paths", "2000"])
+    codes = [main([*argv, "--model", model, "--out", str(out)]) for argv in runs]
+    assert codes[:3] == [0, 0, 0]
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(first) == 16  # bound 2, solve 10, simulate 2, compare 2 more
+    links.mkdir()
+    for name in first:
+        os.link(out / name, links / name)
+    assert [main([*argv, "--model", model, "--out", str(out)]) for argv in runs] == codes
+    capsys.readouterr()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+    for name, data in first.items():
+        assert (links / name).read_bytes() == data
+        assert not os.path.samefile(links / name, out / name), name
+
+
+def test_symlinked_output_is_replaced_not_followed(tmp_path):
+    out, target = tmp_path / "out", tmp_path / "target.txt"
+    out.mkdir()
+    target.write_text("keep\n")
+    (out / "certificate.txt").symlink_to(target)
+    assert main(["bound", "--model", str(CONFIG_DIR / "example1.json"), "--out", str(out)]) == 0
+    assert target.read_text() == "keep\n"
+    assert not (out / "certificate.txt").is_symlink()
+    assert (out / "certificate.txt").read_text().startswith("convergence certificate\n")
+
+
+def test_any_unicode_model_name(light_model, tmp_path, capsys):
+    # the name reaches the reports as UTF-8 and the chart titles escaped
+    name = "a&b<c é"
+    payload = json.loads(light_model.read_text())
+    model = tmp_path / "named.json"
+    model.write_text(json.dumps({**payload, "name": name}, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"model: {name}\n")
+    assert (out / "report.txt").read_text(encoding="utf-8").startswith(f"model: {name}\n")
+    charts = sorted(out.glob("*.svg"))
+    assert len(charts) == 6
+    for chart in charts:
+        title = ET.parse(chart).getroot().find("{http://www.w3.org/2000/svg}text").text
+        assert title.startswith(f"{name}: "), chart.name

@@ -450,9 +450,23 @@ class TestEstimates:
 
     @pytest.mark.parametrize("last, mass", [(1e308, "inf"), (1e300, "5.01e+300"), (1e17, "5.01e+17")])
     def test_refuses_an_unscannable_horizon(self, ex1_spec, last, mass):
-        # Lambda(last) is inf or more than 10^8 candidates per path: refused before any draw
+        # 100 paths x Lambda(last) is inf or more than 10^10 candidates: refused before any draw
         settings = SimSettings(n_paths=100, seed=1, sample_times=(1.0, last))
         with pytest.raises(ValueError, match="^" + re.escape(f"sample time {last:g} takes Lambda = {mass} candidates")):
+            estimate_probs(ex1_spec, settings)
+
+    @pytest.mark.parametrize("paths, admitted", [(100, True), (199, True), (200, False), (10**5, False)])
+    def test_caps_the_paths_times_lambda(self, ex1_spec, monkeypatch, paths, admitted):
+        # Lambda(10^7) = 5.01e7 on example1: 199 paths plan 9.98e9 candidates, 200 paths 1.0e10 and more
+        class Admitted(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(mcsim, "_run_block", stop)
+        settings = SimSettings(n_paths=paths, seed=1, sample_times=(1e7,))
+        with pytest.raises(Admitted if admitted else ValueError):
             estimate_probs(ex1_spec, settings)
 
     def test_stderr_bounded_at_hundred_paths(self, ex1_spec):
